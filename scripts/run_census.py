@@ -18,7 +18,7 @@ from repvar.invariants import (
     load_khovanov_ranks,
     two_bridge_prediction,
 )
-from repvar.solver import SolverConfig, solve
+from repvar.solver import SolverConfig, solve, variety_rank
 
 
 def main() -> None:
@@ -59,8 +59,9 @@ def main() -> None:
         marker = "==" if pred.total_components == found else "!="
         print(f"    predictor: 1+(det-1)/2 = {pred.total_components} "
               f"{marker} {found} found; predicted rank {pred.cohomology_rank}")
-        if name in ranks:
-            cmp_report = compare_khovanov(name, 2 * found)
+        rank = variety_rank(c.topology_tag for c in report.components)
+        if name in ranks and rank is not None:
+            cmp_report = compare_khovanov(name, rank)
             marker = "matches" if cmp_report.matches else "MISMATCH"
             print(f"    khovanov: variety rank {cmp_report.variety_rank} vs "
                   f"catalog {cmp_report.khovanov_rank} -> {marker}")

@@ -2,7 +2,7 @@
 
 Verbs: ``variety`` (solve a braid closure's trace-free variety),
 ``invariants`` (exact Alexander / determinant / component prediction),
-``verify`` (run a named check suite with pass/fail scorecard), ``hessian``
+``verify`` (run the registered claims with pass/fail scorecard), ``hessian``
 and ``chern`` (emit those modules' reports).  Every invocation persists a
 schema-versioned JSON record to the run directory; ``verify``, ``hessian``
 and ``chern`` exit nonzero iff a check fails.  Flags mirror to environment
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from datetime import datetime, timezone
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__, chern as chern_mod, hessian as hessian_mod
+from . import __version__, chern as chern_mod, claims, hessian as hessian_mod
 from .braid import BraidWord, closure_components, knot_by_name, parse_braid
 from .invariants import (
     alexander,
@@ -30,19 +29,11 @@ from .invariants import (
     load_khovanov_ranks,
     two_bridge_prediction,
 )
-from .solver import SolverConfig, solve
-from .symplectic import (
-    cap_pullback_max,
-    check_braid_invariance,
-    check_gamma_lagrangian,
-    monotonicity_ratio,
-    nondegeneracy_rank,
-    random_k_points,
-    sigma_tilde,
-)
+from .claims import check_record, describe
+from .solver import SolverConfig, solve, variety_rank
 
 SCHEMA_VERSION = 1
-VERIFY_SUITES = ("symplectic", "lagrangian", "hessian", "chern", "monotone", "all")
+VERIFY_SUITES = (*claims.SUITES, "all")
 
 
 # --- record plumbing ---------------------------------------------------------
@@ -58,12 +49,13 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-def _persist(run_dir: str, command: str, config: dict, results: dict,
+def _persist(run_dir: str, command: str, results: dict,
              checks: list[dict]) -> tuple[dict, Path]:
+    """Write the record; its config is exactly the command's parsed options."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": config,
+        "config": dict(click.get_current_context().params),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "results": results,
         "checks": checks,
@@ -88,32 +80,8 @@ def _emit(record: dict, as_json: bool, table_lines: list[str]) -> None:
 
 
 def _check_table(checks: list[dict]) -> list[str]:
-    lines = []
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        if c["kind"] == "abs_le":
-            detail = f"|{c['value']:.3e}| <= {c['threshold']:.0e}"
-        elif c["kind"] == "gt":
-            detail = f"{c['value']:.3e} > {c['threshold']:.0e}"
-        else:
-            detail = f"{c['value']} == {c['expected']}"
-        lines.append(f"{status}  {c['name']}: {detail}")
-    return lines
-
-
-def _abs_check(name: str, value: float, threshold: float) -> dict:
-    return {"name": name, "kind": "abs_le", "value": float(value),
-            "threshold": threshold, "passed": bool(abs(value) <= threshold)}
-
-
-def _gt_check(name: str, value: float, threshold: float) -> dict:
-    return {"name": name, "kind": "gt", "value": float(value),
-            "threshold": threshold, "passed": bool(value > threshold)}
-
-
-def _eq_check(name: str, value, expected) -> dict:
-    return {"name": name, "kind": "equals", "value": value,
-            "expected": expected, "passed": bool(value == expected)}
+    return [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {describe(c)}"
+            for c in checks]
 
 
 def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidWord]:
@@ -202,12 +170,11 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
             for c in report.components
         ],
     }
-    if results["closure_components"] == 1 and report.components:
-        # each component carries rational cohomology rank 2, so the variety
-        # rank is twice the component count; compare when a rank is supplied
-        variety_rank = 2 * len(report.components)
+    rank = variety_rank(c.topology_tag for c in report.components)
+    if (results["closure_components"] == 1 and report.components
+            and rank is not None):
         try:
-            cmp_report = compare_khovanov(label, variety_rank, khovanov_csv)
+            cmp_report = compare_khovanov(label, rank, khovanov_csv)
         except KeyError:
             cmp_report = None
         if cmp_report is not None:
@@ -217,7 +184,7 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
                 "matches": cmp_report.matches,
             }
 
-    record, _ = _persist(run_dir, "variety", _config_echo(locals()), results, [])
+    record, _ = _persist(run_dir, "variety", results, [])
     lines = [f"{label}: {len(report.components)} component(s), "
              f"{report.seeds_converged}/{report.seeds_total} seeds converged"]
     if report.full_variety:
@@ -273,8 +240,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
     except OSError:
         pass
 
-    record, _ = _persist(run_dir, "invariants", _config_echo(locals()),
-                         results, [])
+    record, _ = _persist(run_dir, "invariants", results, [])
     lines = [
         f"{label}: Alexander {poly}",
         f"  determinant {det}",
@@ -288,99 +254,6 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
     _emit(record, as_json, lines)
 
 
-def _suite_symplectic(trials: int, seed: int) -> list[dict]:
-    checks = []
-    for strands in (4, 6, 8):
-        worst = 0.0
-        for k in range(1, strands):
-            for sign in (1, -1):
-                worst = max(worst, check_braid_invariance(
-                    sign * k, strands, trials, seed))
-        checks.append(_abs_check(
-            f"invariance_all_generators_{strands}_strands", worst, 1e-10))
-    for pairs in (2, 3):
-        rng = np.random.default_rng(seed)
-        pts = random_k_points(pairs, 100, rng)
-        ranks = {nondegeneracy_rank(p) for p in pts}
-        checks.append(_eq_check(
-            f"form_rank_on_{pairs}_pair_product_one_locus",
-            sorted(ranks), [4 * pairs]))
-    return checks
-
-
-def _suite_lagrangian(trials: int, seed: int, words: int = 20) -> list[dict]:
-    checks = []
-    trefoil_image = sigma_tilde(knot_by_name("3_1").word)
-    checks.append(_abs_check(
-        "doubled_word_image", check_gamma_lagrangian(trefoil_image, trials, seed),
-        1e-10))
-    for strands in (4, 6):
-        ident = BraidWord(strands, ())
-        checks.append(_abs_check(
-            f"identity_{strands}_strands",
-            check_gamma_lagrangian(ident, trials, seed), 1e-10))
-        rng = np.random.default_rng(seed + strands)
-        worst = 0.0
-        for _ in range(words):
-            length = int(rng.integers(1, 9))
-            letters = tuple(
-                int(rng.integers(1, strands)) * (1 if rng.random() < 0.5 else -1)
-                for _ in range(length))
-            worst = max(worst, check_gamma_lagrangian(
-                BraidWord(strands, letters), trials, seed))
-        checks.append(_abs_check(
-            f"random_words_{strands}_strands", worst, 1e-10))
-    return checks
-
-
-def _suite_hessian() -> list[dict]:
-    sizes = range(2, 9)
-    table = hessian_mod.pfaffian_recurrence(8)
-    direct = [hessian_mod.pfaffian(hessian_mod.build_hprime(n)) for n in sizes]
-    checks = [
-        _eq_check("parity_swap_negates",
-                  [hessian_mod.check_php(n) for n in sizes], [True] * 7),
-        _eq_check("signature_zero",
-                  [hessian_mod.signature(n) for n in sizes], [0] * 7),
-        _gt_check("min_abs_eigenvalue",
-                  min(hessian_mod.min_abs_eigenvalue(n) for n in sizes), 1e-2),
-        _eq_check("pfaffian_recurrence_vs_direct", direct, table),
-        _eq_check("pfaffian_table", table, [2, 5, 12, 29, 70, 169, 408]),
-        _eq_check("det_equals_pfaffian_fourth",
-                  [hessian_mod.det_factorization(n).matches for n in (2, 3, 4)],
-                  [True] * 3),
-    ]
-    return checks
-
-
-def _suite_chern() -> list[dict]:
-    return [
-        _abs_check("modulus_deviation_first_contour",
-                   chern_mod.modulus_deviation(), 1e-9),
-        _abs_check("modulus_deviation_second_contour",
-                   chern_mod.modulus_deviation(second_contour=True), 1e-9),
-        _abs_check("junction_gap_max",
-                   float(np.max(chern_mod.junction_gaps())), 1e-9),
-        _eq_check("winding_first_contour", chern_mod.winding_number(), -1),
-        _eq_check("winding_second_contour",
-                  chern_mod.winding_number(second_contour=True), -1),
-        _eq_check("chern_pairing", chern_mod.chern_pairing(), -2),
-    ]
-
-
-def _suite_monotone() -> list[dict]:
-    rep = monotonicity_ratio()
-    return [
-        _abs_check("cylinder_integral_plus_pi_squared",
-                   rep.fn_integral + math.pi ** 2, 1e-8),
-        _abs_check("cap_pullback_max", cap_pullback_max(2), 1e-12),
-        _abs_check("adjacent_pair_sphere_form_max", rep.gamma_form_max, 1e-12),
-        _eq_check("chern_pairing", rep.chern_pairing, -2),
-        _abs_check("ratio_minus_half_pi_squared",
-                   rep.ratio - math.pi ** 2 / 2.0, 1e-6),
-    ]
-
-
 @cli.command()
 @click.argument("which", type=click.Choice(VERIFY_SUITES))
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -389,23 +262,14 @@ def _suite_monotone() -> list[dict]:
 @_io_options
 @click.pass_context
 def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
-    """Run a named check suite; exit nonzero iff any check fails."""
-    suites = {
-        "symplectic": lambda: _suite_symplectic(trials, seed),
-        "lagrangian": lambda: _suite_lagrangian(trials, seed),
-        "hessian": _suite_hessian,
-        "chern": _suite_chern,
-        "monotone": _suite_monotone,
-    }
-    checks: list[dict] = []
-    selected = VERIFY_SUITES[:-1] if which == "all" else (which,)
-    for suite_name in selected:
-        for check in suites[suite_name]():
-            checks.append({**check, "name": f"{suite_name}.{check['name']}"})
+    """Run a suite of the paper's claims; exit nonzero iff any check fails."""
+    checks = claims.run(
+        (c.name for c in claims.CLAIMS
+         if which == "all" or c.name.startswith(f"{which}.")),
+        seed, trials)
     results = {"suite": which, "trials": trials,
                "failed": [c["name"] for c in checks if not c["passed"]]}
-    record, _ = _persist(run_dir, "verify", _config_echo(locals()), results,
-                         checks)
+    record, _ = _persist(run_dir, "verify", results, checks)
     lines = _check_table(checks)
     lines.append("all checks passed" if record["passed"]
                  else f"{len(results['failed'])} check(s) FAILED")
@@ -436,14 +300,14 @@ def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
         "hprime_pfaffian": fact.hprime_pfaffian,
     }
     checks = [
-        _eq_check("parity_swap_negates", hessian_mod.check_php(pairs), True),
-        _eq_check("signature_zero", results["signature"], 0),
-        _eq_check("det_equals_pfaffian_fourth", fact.matches, True),
-        _eq_check("recurrence_matches_direct",
-                  results["pfaffian_table"][pairs - 2], fact.hprime_pfaffian),
+        check_record("parity_swap_negates", "equals",
+                     hessian_mod.check_php(pairs), True),
+        check_record("signature_zero", "equals", results["signature"], 0),
+        check_record("det_equals_pfaffian_fourth", "equals", fact.matches, True),
+        check_record("recurrence_matches_direct", "equals",
+                     results["pfaffian_table"][pairs - 2], fact.hprime_pfaffian),
     ]
-    record, _ = _persist(run_dir, "hessian", _config_echo(locals()), results,
-                         checks)
+    record, _ = _persist(run_dir, "hessian", results, checks)
     lines = [f"n={pairs}: signature {results['signature']}, "
              f"min |eig| {results['min_abs_eigenvalue']:.4f}, "
              f"det {fact.hessian_det} = {fact.hprime_pfaffian}^4",
@@ -476,33 +340,20 @@ def chern_cmd(ctx, samples, as_json, run_dir) -> None:
         "pairing": winding_first + winding_second,
     }
     checks = [
-        _abs_check("per_segment_modulus_first", modulus_first, 1e-9),
-        _abs_check("per_segment_modulus_second", modulus_second, 1e-9),
-        _abs_check("junction_gap_max", float(np.max(junctions)), 1e-9),
-        _eq_check("winding_first_contour", winding_first, -1),
-        _eq_check("winding_second_contour", winding_second, -1),
-        _eq_check("pairing", results["pairing"], -2),
+        check_record("per_segment_modulus_first", "abs_le", modulus_first, 1e-9),
+        check_record("per_segment_modulus_second", "abs_le", modulus_second, 1e-9),
+        check_record("junction_gap_max", "abs_le", float(np.max(junctions)), 1e-9),
+        check_record("winding_first_contour", "equals", winding_first, -1),
+        check_record("winding_second_contour", "equals", winding_second, -1),
+        check_record("pairing", "equals", results["pairing"], -2),
     ]
-    record, _ = _persist(run_dir, "chern", _config_echo(locals()), results,
-                         checks)
+    record, _ = _persist(run_dir, "chern", results, checks)
     lines = [f"windings {winding_first} + {winding_second} = "
              f"{results['pairing']}"]
     lines += _check_table(checks)
     _emit(record, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)
-
-
-def _config_echo(local_vars: dict) -> dict:
-    skip = {"ctx", "record", "results", "checks", "lines", "report", "word",
-            "poly", "prediction", "config", "fact", "junctions"}
-    out = {}
-    for key, value in local_vars.items():
-        if key.startswith("_") or key in skip:
-            continue
-        if isinstance(value, (str, int, float, bool, type(None))):
-            out[key] = value
-    return out
 
 
 def main() -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .braid import (
     BraidWord,
     Configuration,
     act_array,
+    generator_step,
+    project_coefficient,
     random_configurations,
 )
 from .su2 import InternalError, reflect
@@ -55,6 +58,17 @@ class SolverConfig:
 
 
 TOPOLOGY_TAGS = ("S2", "RP3", "PRODUCT_RP3_S1", "UNKNOWN")
+# Rational cohomology rank of a component by tag: S2 and RP3 each have one
+# class in degree 0 and one on top; RP3 x S1 has Poincare polynomial
+# (1 + t^3)(1 + t).  An UNKNOWN component has no rank.
+TAG_RATIONAL_RANK = {"S2": 2, "RP3": 2, "PRODUCT_RP3_S1": 4}
+
+
+def variety_rank(tags: Iterable[str]) -> int | None:
+    """Rational cohomology rank of a variety from its components' topology
+    tags, or None when any component is UNKNOWN."""
+    ranks = [TAG_RATIONAL_RANK.get(tag) for tag in tags]
+    return None if None in ranks else sum(ranks)
 
 
 @dataclass(frozen=True)
@@ -90,27 +104,6 @@ def residual_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
 
 def residual(word: BraidWord, config: Configuration) -> float:
     return float(residual_array(word, config.as_array()[None, ...])[0])
-
-
-def _forward_states(letters, pts):
-    states = [pts]
-    for k in reversed(letters):
-        states.append(_step(k, states[-1]))
-    return states
-
-
-def _step(k, pts):
-    i = abs(k) - 1
-    a = pts[..., i, :]
-    b = pts[..., i + 1, :]
-    out = pts.copy()
-    if k > 0:
-        out[..., i, :] = reflect(a, b)
-        out[..., i + 1, :] = a
-    else:
-        out[..., i, :] = b
-        out[..., i + 1, :] = reflect(b, a)
-    return out
 
 
 def _pullback(k, state, cot):
@@ -158,10 +151,6 @@ def _jvp(k, state, vel):
     return out
 
 
-def _tangent_project(pts, vec):
-    return vec - np.sum(vec * pts, axis=-1, keepdims=True) * pts
-
-
 def _normalize(pts):
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
@@ -171,12 +160,12 @@ def gradient_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
     app = list(reversed(word.letters))
     states = [pts]
     for k in app:
-        states.append(_step(k, states[-1]))
+        states.append(generator_step(k, states[-1]))
     d = states[-1] - pts
     cot = 2.0 * d
     for t in range(len(app) - 1, -1, -1):
         cot = _pullback(app[t], states[t], cot)
-    return _tangent_project(pts, cot - 2.0 * d)
+    return project_coefficient(pts, cot - 2.0 * d)
 
 
 def _tangent_frames(pts):
@@ -205,7 +194,7 @@ def _tangent_jacobian(word, pts, e1, e2):
         state = pts
         for k in app:
             v = _jvp(k, state, v)
-            state = _step(k, state)
+            state = generator_step(k, state)
         cols.append((v - basis).reshape(S, 3 * n))
     return np.stack(cols, axis=-1)
 
@@ -361,7 +350,7 @@ def _resample_component(word, rep, count, rng, tol):
     patch into a visibly curved one, inflating the dimension estimate."""
     pts = np.repeat(rep[None, :, :], count, axis=0)
     noise = rng.normal(size=pts.shape) * RESAMPLE_SCALE
-    pts = _normalize(pts + _tangent_project(pts, noise))
+    pts = _normalize(pts + project_coefficient(pts, noise))
     pts = _gauss_newton(word, pts, iters=8, damping=1e-4)
     r = residual_array(word, pts)
     dist = np.linalg.norm((pts - rep[None]).reshape(count, -1), axis=1)

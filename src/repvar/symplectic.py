@@ -25,6 +25,7 @@ from .braid import (
     differential_arrays,
     random_configurations,
 )
+from .solver import is_singular_config
 from .su2 import AlgebraVector, SpherePoint, pure_quat, quat_mul, reflect
 
 PRODUCT_TOL = 1e-12
@@ -446,11 +447,6 @@ def adjacent_pair_pullback_max(
 # --- nondegeneracy on the product-one locus -------------------------------------
 
 
-def _is_singular_rows(pts: np.ndarray, tol: float = 1e-9) -> bool:
-    dots = pts @ pts.T
-    return bool(np.all(np.abs(np.abs(dots) - 1.0) < tol))
-
-
 def nondegeneracy_rank(config: Configuration | np.ndarray) -> int:
     """Rank of the Gram matrix of the form in an orthonormal tangent basis
     at a product-one configuration; singular (all-collinear) points are
@@ -458,7 +454,7 @@ def nondegeneracy_rank(config: Configuration | np.ndarray) -> int:
     pts = config.as_array() if isinstance(config, Configuration) else np.asarray(config)
     if product_deviation(pts) > 1e-9:
         raise ValueError("configuration is not in the product-one locus")
-    if _is_singular_rows(pts):
+    if is_singular_config(pts):
         raise ValueError("singular configuration: all points collinear")
     m = pts.shape[0]
     helper = np.where(

@@ -3,7 +3,8 @@
 One test per published claim, each run at its stated tolerance and wall
 budget.  Every test prints exactly one PASS/FAIL line with the measured
 numbers (visible under `pytest -s`, and in the captured output of any
-failure); the assertion carries the same message.
+failure); the assertion carries the same message.  Criteria 07-12 run the
+geometric claims of `repvar.claims`, the registry `repvar verify` runs.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import time
 import numpy as np
 
 import oracles
+from repvar import claims
 from repvar.braid import (
     BraidWord,
     act_array,
@@ -21,36 +23,9 @@ from repvar.braid import (
     random_configurations,
     random_frame,
 )
-from repvar.chern import (
-    chern_pairing,
-    junction_gaps,
-    modulus_deviation,
-    winding_number,
-)
-from repvar.hessian import (
-    build_hprime,
-    check_php,
-    det_factorization,
-    min_abs_eigenvalue,
-    pfaffian,
-    pfaffian_recurrence,
-    signature,
-)
 from repvar.invariants import alexander, compare_khovanov, determinant, two_bridge_prediction
-from repvar.solver import angle_case_9_42, solve, torus_components
-from repvar.symplectic import (
-    AdjacentPairSphere,
-    adjacent_pair_pullback_max,
-    cap_pullback_max,
-    check_braid_invariance,
-    check_gamma_lagrangian,
-    integrate_fn_pullback,
-    monotonicity_ratio,
-    nondegeneracy_rank,
-    random_k_points,
-)
+from repvar.solver import angle_case_9_42, solve, torus_components, variety_rank
 
-PI_SQ = math.pi * math.pi
 _TORUS_CACHE: dict[int, tuple] = {}
 
 
@@ -172,152 +147,64 @@ def test_criterion_05_two_bridge_predictor(solve_table):
 
 def test_criterion_06_khovanov_mismatch(solve_table):
     report, _ = solve_table("9_42")
-    variety_rank = 2 * len(report.components)
-    cmp_report = compare_khovanov("9_42", variety_rank)
+    rank = variety_rank(c.topology_tag for c in report.components)
+    cmp_report = compare_khovanov("9_42", rank)
     ok = (
-        variety_rank == 16
+        rank == 16
         and cmp_report.khovanov_rank == 10
         and not cmp_report.matches
     )
     _report(
         "criterion 06 khovanov-mismatch",
         ok,
-        f"variety rank {variety_rank} vs khovanov rank "
+        f"variety rank {rank} vs khovanov rank "
         f"{cmp_report.khovanov_rank}: mismatch flagged",
     )
 
 
+def _claims(tag: str, prefix: str, scope: str) -> None:
+    """Run the registry's claims whose names start with `prefix` at seed 0
+    and 1000 trials; one line with every measured value."""
+    names = [c.name for c in claims.CLAIMS if c.name.startswith(prefix)]
+    assert names, f"no claim named {prefix}*"
+    checks = claims.run(names, seed=0, trials=1000)
+    measured = "; ".join(
+        f"{c['name'].partition('.')[2]} {claims.describe(c)}" for c in checks)
+    _report(tag, all(c["passed"] for c in checks), f"{scope}: {measured}")
+
+
 def test_criterion_07_braid_invariance():
-    worst = 0.0
-    for strands in (4, 6, 8):
-        for k in range(1, strands):
-            for sign in (1, -1):
-                dev = check_braid_invariance(sign * k, strands, trials=1000)
-                worst = max(worst, dev)
-    _report(
-        "criterion 07 form-invariance",
-        worst < 1e-10,
-        f"every generator of 4/6/8 strands, 1000 frame pairs each: "
-        f"max deviation {worst:.2e} < 1e-10",
-    )
+    _claims("criterion 07 form-invariance", "symplectic.invariance_",
+            "every generator of 4/6/8 strands, 1000 frame pairs each")
 
 
 def test_criterion_08_lagrangian_vanishing():
-    rng = np.random.default_rng(17)
-    worst = max(
-        check_gamma_lagrangian(BraidWord(4, ()), trials=1000),
-        check_gamma_lagrangian(BraidWord(6, ()), trials=1000),
-    )
-    words = 0
-    for strands in (4, 6):
-        for _ in range(10):
-            length = int(rng.integers(1, 9))
-            letters = tuple(
-                int(k) * int(s)
-                for k, s in zip(
-                    rng.integers(1, strands, size=length),
-                    rng.choice([-1, 1], size=length),
-                )
-            )
-            worst = max(
-                worst,
-                check_gamma_lagrangian(
-                    BraidWord(strands, letters), trials=1000
-                ),
-            )
-            words += 1
-    _report(
-        "criterion 08 lagrangian-vanishing",
-        worst < 1e-10 and words == 20,
-        f"mirrored tuples under 20 random words, 1000 tangent pairs each: "
-        f"max |form| {worst:.2e} < 1e-10",
-    )
+    _claims("criterion 08 lagrangian-vanishing", "lagrangian.",
+            "mirrored tuples under identity, doubled-trefoil and 40 random "
+            "words, 1000 tangent pairs each")
 
 
 def test_criterion_09_pairings():
-    fn = integrate_fn_pullback(2)
-    gamma = max(cap_pullback_max(2), cap_pullback_max(3))
-    for pairs in (2, 3):
-        for slot in (1, 2, 2 * pairs - 1):
-            for sign in (1, -1):
-                gamma = max(
-                    gamma,
-                    adjacent_pair_pullback_max(
-                        AdjacentPairSphere(slot, sign, pairs)
-                    ),
-                )
-    pairing = chern_pairing(2)
-    ratio = monotonicity_ratio(pairs=2).ratio
-    ok = (
-        abs(fn + PI_SQ) < 1e-8
-        and gamma < 1e-12
-        and pairing == -2
-        and abs(ratio - PI_SQ / 2.0) < 1e-6
-    )
-    _report(
-        "criterion 09 pairings",
-        ok,
-        f"area integral {fn:.10f} = -pi^2 (err {abs(fn + PI_SQ):.1e} < 1e-8), "
-        f"degree-zero spheres {gamma:.1e} < 1e-12, first-class pairing "
-        f"{pairing} = -2, ratio err {abs(ratio - PI_SQ / 2):.1e} < 1e-6",
-    )
+    _claims("criterion 09 pairings", "monotone.",
+            "area integral -pi^2, degree-zero spheres, first-class pairing "
+            "-2, ratio pi^2/2")
 
 
 def test_criterion_10_nondegeneracy_rank():
-    bad = 0
-    for pairs in (2, 3):
-        pts = random_k_points(pairs, 100, np.random.default_rng(pairs))
-        ranks = np.array([nondegeneracy_rank(p) for p in pts])
-        bad += int(np.sum(ranks != 4 * pairs))
-    _report(
-        "criterion 10 form-rank",
-        bad == 0,
-        "rank 4n at 100 random nonsingular product-one points for n=2 and "
-        "n=3 (0 exceptions)",
-    )
+    _claims("criterion 10 form-rank", "symplectic.form_rank_",
+            "rank 4n at 100 random nonsingular product-one points, n=2 and 3")
 
 
 def test_criterion_11_second_variation():
-    table = (2, 5, 12, 29, 70, 169, 408)
-    php_ok = all(check_php(n) for n in range(2, 9))
-    sig_ok = all(signature(n) == 0 for n in range(2, 9))
-    gap = min(min_abs_eigenvalue(n) for n in range(2, 9))
-    direct = tuple(pfaffian(build_hprime(n)) for n in range(2, 9))
-    recur = tuple(pfaffian_recurrence(8))
-    facts = [det_factorization(n) for n in (2, 3, 4)]
-    det_ok = all(f.matches for f in facts) and [f.hessian_det for f in facts] == [
-        16, 625, 20736,
-    ]
-    ok = (
-        php_ok
-        and sig_ok
-        and gap > 1e-2
-        and direct == table
-        and recur == table
-        and det_ok
-    )
-    _report(
-        "criterion 11 second-variation",
-        ok,
-        f"parity conjugation exact n<=8, signature 0, spectral gap "
-        f"{gap:.4f} > 1e-2, pfaffians {direct} by recurrence and direct "
-        f"elimination, det = pf^4 for n<=4",
-    )
+    _claims("criterion 11 second-variation", "hessian.",
+            "parity conjugation, signature 0, spectral gap, pfaffians by "
+            "recurrence and direct elimination for n<=8, det = pf^4 for n<=4")
 
 
 def test_criterion_12_determinant_contour():
-    dev1 = modulus_deviation()
-    dev2 = modulus_deviation(second_contour=True)
-    gaps = float(np.max(junction_gaps()))
-    w1 = winding_number()
-    w2 = winding_number(second_contour=True)
-    ok = dev1 < 1e-9 and dev2 < 1e-9 and gaps < 1e-9 and w1 == -1 and w2 == -1
-    _report(
-        "criterion 12 boundary-contour",
-        ok,
-        f"|det| = 32 within {max(dev1, dev2):.1e} < 1e-9 on both contours, "
-        f"junction gaps {gaps:.1e} < 1e-9, windings {w1}/{w2} = -1/-1",
-    )
+    _claims("criterion 12 boundary-contour", "chern.",
+            "|det| = 32 on both contours, junction gaps, windings -1/-1, "
+            "pairing -2")
 
 
 def test_criterion_13_oracle_agreement():

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from repvar.cli import SCHEMA_VERSION, cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -173,3 +178,32 @@ def test_records_are_written_per_invocation(runner, tmp_path):
         "schema_version", "command", "config", "timestamp", "results",
         "checks", "passed",
     }
+
+
+def test_record_config_holds_exactly_the_command_options(runner, tmp_path):
+    io_keys = {"as_json", "run_dir"}
+    cases = {
+        "variety": (["--braid", "2: 1 1 1", "--seeds", "64"],
+                    {"name", "braid_text", "seeds", "seed", "tol",
+                     "link_radius", "khovanov_csv"}),
+        "invariants": (["--name", "4_1"], {"name", "braid_text", "khovanov_csv"}),
+        "verify": (["hessian"], {"which", "seed", "trials"}),
+        "hessian": (["--n", "2"], {"pairs"}),
+        "chern": ([], {"samples"}),
+    }
+    for command, (args, keys) in cases.items():
+        result = _run(runner, tmp_path, [command, *args, "--json"])
+        assert result.exit_code == 0, result.output
+        assert set(json.loads(result.output)["config"]) == keys | io_keys, command
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("repvar ")]
+    assert lines
+    for line in lines:
+        _, name, *args = shlex.split(line, comments=True)
+        command = cli.commands[name]
+        # parses and validates the options without running the command
+        command.make_context(name, args)

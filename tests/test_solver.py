@@ -26,6 +26,7 @@ from repvar.solver import (
     residual_array,
     solve,
     torus_components,
+    variety_rank,
 )
 
 RNG = np.random.default_rng(23)
@@ -217,3 +218,15 @@ def test_angle_case_points_are_unit_and_distinct():
     gaps = np.linalg.norm(feats[:, None, :] - feats[None, :, :], axis=-1)
     gaps += np.eye(len(sols))
     assert gaps.min() > 1e-3  # no two cases coincide
+
+
+def test_variety_rank_follows_the_topology_tags(solve_table):
+    def rank(name):
+        report, _ = solve_table(name)
+        return variety_rank(c.topology_tag for c in report.components)
+
+    # S2 + 2 RP3 + RP3 x S1 = 2 + 2 + 2 + 4; S2 + 7 RP3 = 2 + 7 * 2
+    assert rank("square") == 10
+    assert rank("9_42") == 16
+    assert variety_rank(["S2", "UNKNOWN", "RP3"]) is None
+    assert variety_rank(["UNKNOWN"]) is None

@@ -8,6 +8,11 @@ structure on the ambient space: invariance of the 2-form under the action,
 vanishing on the mirror-image Lagrangian, the two reference sphere pairings,
 the monotonicity ratio, the fixed-point Hessian / Pfaffian identities, and
 the contour-winding computation of the sphere-class pairing.
+
+Everything computes on batched ndarrays: configurations are (..., n, 3)
+arrays of class points and tangent vectors are (..., n, 3) arrays of
+right-translation coefficients.  `Configuration` is the one value type; it
+holds a solver component's representative and converts with `as_array`.
 """
 
 __version__ = "0.1.0"
@@ -15,36 +20,24 @@ __version__ = "0.1.0"
 from .braid import (
     BraidWord,
     Configuration,
-    TangentFrame,
-    act,
+    act_array,
     check_braid_relations,
     closure_components,
-    differential,
+    differential_arrays,
     knot_by_name,
     load_knot_table,
     parse_braid,
-    product_r,
 )
-from .su2 import AlgebraVector, SpherePoint, UnitQuaternion, ad, conjugate_by, inner, tau_form
 
 __all__ = [
-    "AlgebraVector",
     "BraidWord",
     "Configuration",
-    "SpherePoint",
-    "TangentFrame",
-    "UnitQuaternion",
-    "act",
-    "ad",
+    "act_array",
     "check_braid_relations",
     "closure_components",
-    "conjugate_by",
-    "differential",
-    "inner",
+    "differential_arrays",
     "knot_by_name",
     "load_knot_table",
     "parse_braid",
-    "product_r",
-    "tau_form",
     "__version__",
 ]

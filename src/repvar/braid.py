@@ -9,8 +9,10 @@ Conjugation by a class point is the half-turn about it, so on coordinate
 vectors the generator reads (a, b) -> (2 (a.b) a - b, a); the whole action
 stays inside products of 2-spheres and never needs quaternion products.
 
-Words act on the left: act(v * w, g) == act(v, act(w, g)), i.e. the last
-letter of a word is applied first.
+Words act on the left: act_array(v * w, g) == act_array(v, act_array(w, g)),
+i.e. the last letter of a word is applied first.  Tangent vectors are stored
+as one right-translation coefficient per slot (velocity X . p = X x p, with
+X orthogonal to p), and `differential_arrays` pushes them forward.
 """
 from __future__ import annotations
 
@@ -20,16 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .su2 import (
-    TANGENCY_TOL,
-    AlgebraVector,
-    InternalError,
-    SpherePoint,
-    UnitQuaternion,
-    pure_quat,
-    quat_mul,
-    reflect,
-)
+from .su2 import InternalError, reflect
 
 
 @dataclass(frozen=True)
@@ -68,57 +61,38 @@ def parse_braid(text: str) -> BraidWord:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A point of the product of 2-spheres, one class point per strand."""
+    """A point of the product of 2-spheres, one class point per strand,
+    held as float triples so that it compares and hashes by value."""
 
-    points: tuple[SpherePoint, ...]
+    points: tuple[tuple[float, float, float], ...]
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Configuration":
-        return Configuration(tuple(SpherePoint.from_array(row) for row in arr))
+        return Configuration(tuple(map(tuple, np.asarray(arr, dtype=float).tolist())))
 
     def as_array(self) -> np.ndarray:
-        return np.array([p.as_array() for p in self.points])
+        return np.array(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """A tangent vector to the configuration space, one right-translation
-    coefficient per slot.  Tangency of X . p to the class at p means the
-    coordinate vector of X is orthogonal to p; checked at construction."""
-
-    base: Configuration
-    coefficients: tuple[AlgebraVector, ...]
-
-    def __post_init__(self):
-        if len(self.base) != len(self.coefficients):
-            raise ValueError("frame size does not match configuration size")
-        for p, X in zip(self.base.points, self.coefficients):
-            dot = abs(float(np.dot(p.as_array(), X.as_array())))
-            scale = max(1.0, float(np.linalg.norm(X.as_array())))
-            if dot > TANGENCY_TOL * scale:
-                raise ValueError(f"coefficient not tangent: |p . X| = {dot:.3e}")
-
-    def coefficient_array(self) -> np.ndarray:
-        return np.array([X.as_array() for X in self.coefficients])
-
-    def velocity_array(self) -> np.ndarray:
-        """Ambient velocities X . p = X x p per slot."""
-        return np.cross(self.coefficient_array(), self.base.as_array())
-
-    @staticmethod
-    def from_arrays(base: np.ndarray, coeffs: np.ndarray) -> "TangentFrame":
-        return TangentFrame(
-            Configuration.from_array(base),
-            tuple(AlgebraVector.from_array(row) for row in coeffs),
-        )
-
-
 def project_coefficient(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Nearest tangent coefficient at p to an arbitrary algebra vector v."""
     return v - np.sum(v * p, axis=-1, keepdims=True) * p
+
+
+def tangent_basis(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two orthonormal tangent vectors per slot, batched: e1 is p x h for a
+    helper axis h far from p, and e2 = p x e1."""
+    helper = np.zeros_like(pts)
+    use_x = np.abs(pts[..., 0]) < 0.9
+    helper[..., 0] = np.where(use_x, 1.0, 0.0)
+    helper[..., 1] = np.where(use_x, 0.0, 1.0)
+    e1 = np.cross(pts, helper)
+    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    e2 = np.cross(pts, e1)
+    return e1, e2
 
 
 # --- the action --------------------------------------------------------------
@@ -143,12 +117,6 @@ def act_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
     for k in reversed(word.letters):
         pts = generator_step(k, pts)
     return pts
-
-
-def act(word: BraidWord, config: Configuration) -> Configuration:
-    if len(config) != word.strands:
-        raise ValueError("configuration size does not match strand count")
-    return Configuration.from_array(act_array(word, config.as_array()))
 
 
 def differential_arrays(
@@ -186,25 +154,6 @@ def differential_arrays(
             pts[..., i, :] = b
             pts[..., i + 1, :] = d
     return pts, coeffs
-
-
-def differential(word: BraidWord, frame: TangentFrame) -> TangentFrame:
-    pts, coeffs = differential_arrays(
-        word, frame.base.as_array(), frame.coefficient_array()
-    )
-    return TangentFrame.from_arrays(pts, coeffs)
-
-
-def product_r(config: Configuration) -> UnitQuaternion:
-    """The total product g_1 g_2 ... g_m; braid moves leave it unchanged."""
-    acc = np.array([1.0, 0.0, 0.0, 0.0])
-    for p in config.points:
-        acc = quat_mul(acc, pure_quat(p.as_array()))
-        n = float(np.linalg.norm(acc))
-        if abs(n - 1.0) > 1e-9:
-            raise InternalError(f"norm drift {abs(n-1.0):.3e} in total product")
-        acc = acc / n
-    return UnitQuaternion(*acc)
 
 
 def closure_permutation(word: BraidWord) -> list[int]:
@@ -261,12 +210,6 @@ def check_braid_relations(strands: int, samples: int = 50, rng_seed: int = 0) ->
 def random_configurations(strands: int, count: int, rng: np.random.Generator) -> np.ndarray:
     pts = rng.normal(size=(count, strands, 3))
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-
-
-def random_frame(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random tangent coefficients over a batch of configurations."""
-    raw = rng.normal(size=pts.shape)
-    return project_coefficient(pts, raw)
 
 
 # --- the name table -----------------------------------------------------------

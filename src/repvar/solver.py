@@ -1,9 +1,10 @@
 """Numerical computation of the fixed-point variety of a braid action.
 
-Pipeline: random seeds on the product of 2-spheres -> projected gradient
-descent on the chordal fixed-point residual (with an exact reverse-mode
-gradient) -> Gauss-Newton polish to machine precision -> clustering into
-connected components -> per-component dimension estimate and topology tag.
+Pipeline: random seeds on the product of 2-spheres -> Levenberg-Marquardt
+on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
+damping weight and the exact Jacobian in orthonormal tangent coordinates
+-> Gauss-Newton polish to machine precision -> clustering into connected
+components -> per-component dimension estimate and topology tag.
 
 Clustering detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -17,7 +18,7 @@ dedicated local samples regenerated around each representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -30,19 +31,16 @@ from .braid import (
     generator_step,
     project_coefficient,
     random_configurations,
+    tangent_basis,
 )
-from .su2 import InternalError, reflect
+from .su2 import InternalError, circle_point, reflect
 
 SINGULAR_TOL = 1e-9
 ABELIAN_TOL = 1e-6
-# Perturbation scale for local dimension samples: small enough that manifold
-# curvature (ratio ~ scale/2) sits far below the PCA threshold, large enough
-# to dominate the Gauss-Newton convergence floor by many orders.
-# Perturbation radius for local dimension sampling.  Needs to sit in the
-# window where both error sources stay below the PCA threshold band: the
-# re-convergence noise floor (~1e-8 absolute, so scale must be >> 3e-5)
-# and the curvature sagitta of a unit-radius patch (~scale/2, so scale
-# must be << 6e-4).
+# Perturbation radius for local dimension samples.  It sits in the window
+# where both error sources stay below the PCA threshold band: the
+# Gauss-Newton re-convergence floor (~1e-8 absolute, so scale >> 3e-5) and
+# the curvature sagitta of a unit-radius patch (~scale/2, so scale << 6e-4).
 RESAMPLE_SCALE = 2e-4
 
 
@@ -93,40 +91,13 @@ class SolveReport:
     note: str = ""
 
 
-# --- residual, gradient, Gauss-Newton ---------------------------------------
+# --- residual, Jacobian, Gauss-Newton ---------------------------------------
 
 
 def residual_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
     """Chordal fixed-point residual sum_i |act(w,g)_i - g_i|^2 per seed."""
     diff = act_array(word, pts) - pts
     return np.sum(diff * diff, axis=(-2, -1))
-
-
-def residual(word: BraidWord, config: Configuration) -> float:
-    return float(residual_array(word, config.as_array()[None, ...])[0])
-
-
-def _pullback(k, state, cot):
-    """Transpose of one letter's ambient differential, for reverse mode."""
-    i = abs(k) - 1
-    a = state[..., i, :]
-    b = state[..., i + 1, :]
-    out = cot.copy()
-    if k > 0:
-        u_c = cot[..., i, :]
-        u_a2 = cot[..., i + 1, :]
-        adot = np.sum(a * u_c, axis=-1, keepdims=True)
-        ab = np.sum(a * b, axis=-1, keepdims=True)
-        out[..., i, :] = 2.0 * adot * b + 2.0 * ab * u_c + u_a2
-        out[..., i + 1, :] = 2.0 * adot * a - u_c
-    else:
-        u_b2 = cot[..., i, :]
-        u_d = cot[..., i + 1, :]
-        bdot = np.sum(b * u_d, axis=-1, keepdims=True)
-        ab = np.sum(a * b, axis=-1, keepdims=True)
-        out[..., i, :] = 2.0 * bdot * b - u_d
-        out[..., i + 1, :] = 2.0 * bdot * a + 2.0 * ab * u_d + u_b2
-    return out
 
 
 def _jvp(k, state, vel):
@@ -153,31 +124,6 @@ def _jvp(k, state, vel):
 
 def _normalize(pts):
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-
-
-def gradient_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of the residual (exact reverse sweep)."""
-    app = list(reversed(word.letters))
-    states = [pts]
-    for k in app:
-        states.append(generator_step(k, states[-1]))
-    d = states[-1] - pts
-    cot = 2.0 * d
-    for t in range(len(app) - 1, -1, -1):
-        cot = _pullback(app[t], states[t], cot)
-    return project_coefficient(pts, cot - 2.0 * d)
-
-
-def _tangent_frames(pts):
-    """Two orthonormal tangent vectors per slot, batched."""
-    helper = np.zeros_like(pts)
-    use_x = np.abs(pts[..., 0]) < 0.9
-    helper[..., 0] = np.where(use_x, 1.0, 0.0)
-    helper[..., 1] = np.where(use_x, 0.0, 1.0)
-    e1 = np.cross(pts, helper)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(pts, e1)
-    return e1, e2
 
 
 def _tangent_jacobian(word, pts, e1, e2):
@@ -213,7 +159,7 @@ def _gauss_newton(word, pts, iters=12, damping=None):
     residual along them by 1/sv and the iterate slides far along the
     solution set; damping caps that gain at 1/(2*lambda)."""
     for _ in range(iters):
-        e1, e2 = _tangent_frames(pts)
+        e1, e2 = tangent_basis(pts)
         A = _tangent_jacobian(word, pts, e1, e2)
         b = -(act_array(word, pts) - pts).reshape(len(pts), -1)
         if damping is None:
@@ -239,7 +185,7 @@ def _levenberg(word, pts, tol, max_iters):
         live = (r >= tol) & (lam < 1e3)
         if not live.any():
             break
-        e1, e2 = _tangent_frames(pts)
+        e1, e2 = tangent_basis(pts)
         A = _tangent_jacobian(word, pts, e1, e2)
         b = -(act_array(word, pts) - pts).reshape(len(pts), -1)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -314,10 +260,9 @@ def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray
 # --- per-configuration predicates --------------------------------------------
 
 
-def is_singular_config(config: Configuration | np.ndarray, tol: float = SINGULAR_TOL) -> bool:
-    """True when every coordinate is +- one common class point (the abelian,
-    singular locus of the total space)."""
-    pts = config.as_array() if isinstance(config, Configuration) else np.asarray(config)
+def is_singular_config(pts: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
+    """True when every coordinate of an (n, 3) configuration is +- one common
+    class point (the abelian, singular locus of the total space)."""
     dots = pts @ pts.T
     return bool(np.all(np.abs(np.abs(dots) - 1.0) <= tol))
 
@@ -510,10 +455,6 @@ def _crossing_residual(a, b, c) -> float:
     )
 
 
-def _circle_point(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle), 0.0])
-
-
 @dataclass(frozen=True)
 class AngleCaseSolution:
     case: str
@@ -532,7 +473,7 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
     and the three heptagonal ones."""
     sols = []
 
-    a = _circle_point(0.0)
+    a = circle_point(0.0)
     sols.append(
         AngleCaseSolution(
             "diagonal",
@@ -548,8 +489,8 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
     # pentagonal: b at angle t from a with 5t + pi = 0 mod 2pi; c off the
     # circle, orthogonal to the point at -2t, at distance pi/3 from b.
     for t in (math.pi / 5.0, 3.0 * math.pi / 5.0):
-        b = _circle_point(t)
-        alpha = _circle_point(-2.0 * t)
+        b = circle_point(t)
+        alpha = circle_point(-2.0 * t)
         v1 = b - np.dot(b, alpha) * alpha
         v1 = v1 / np.linalg.norm(v1)
         v2 = np.cross(alpha, v1)
@@ -573,8 +514,8 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
     # b at 2v, with 7v = 0 mod 2pi.
     for k in (1, 2, 3):
         v = 2.0 * math.pi * k / 7.0
-        b = _circle_point(2.0 * v)
-        c = _circle_point(v)
+        b = circle_point(2.0 * v)
+        c = circle_point(v)
         sols.append(
             AngleCaseSolution(
                 "heptagonal",

@@ -13,226 +13,17 @@ Conventions used throughout the package:
   coefficient: the velocity X . g is stored as X.  The right Maurer-Cartan
   form reads off X; the left one reads off Ad(g^-1) X.
 
-Scalar dataclasses carry the public API; the ndarray helpers at the bottom
-do the same algebra on batched (..., 4) / (..., 3) arrays and are what the
-numerical modules run on.
+All functions act on batched ndarrays: quaternions (..., 4) in wxyz order,
+class points and algebra vectors (..., 3).  They never renormalize; callers
+own that.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-# Construction requires this much normalization...
-NORM_TOL = 1e-12
-# ...and one product of unit inputs may drift at most this much before we
-# call it an internal error rather than roundoff.
-DRIFT_TOL = 1e-9
-
-TANGENCY_TOL = 1e-10
 
 
 class InternalError(AssertionError):
     """Raised when an invariant the library itself maintains is violated."""
-
-
-@dataclass(frozen=True)
-class UnitQuaternion:
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"quaternion norm {n!r} is not 1 within {NORM_TOL}")
-
-    @staticmethod
-    def identity() -> "UnitQuaternion":
-        return UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def normalized(w: float, x: float, y: float, z: float) -> "UnitQuaternion":
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero quaternion")
-        return UnitQuaternion(w / n, x / n, y / n, z / n)
-
-    def inverse(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [[w + x * 1j, y + z * 1j], [-y + z * 1j, w - x * 1j]]
-        )
-
-    def vector_part(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def is_trace_free(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.w) <= tol
-
-    def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        return mul(self, other)
-
-
-def mul(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    """Quaternion product, renormalized. Unit inputs cannot drift more than
-    DRIFT_TOL in one product; if they do, something upstream is broken."""
-    raw = quat_mul(a.as_array(), b.as_array())
-    n = float(np.linalg.norm(raw))
-    if abs(n - 1.0) > DRIFT_TOL:
-        raise InternalError(f"norm drift {abs(n-1.0):.3e} in a single product")
-    raw = raw / n
-    return UnitQuaternion(*raw)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the trace-free class: a pure unit quaternion."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"sphere point norm {n!r} is not 1 within {NORM_TOL}")
-
-    @staticmethod
-    def normalized(x: float, y: float, z: float) -> "SpherePoint":
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return SpherePoint(x / n, y / n, z / n)
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "SpherePoint":
-        return SpherePoint(float(v[0]), float(v[1]), float(v[2]))
-
-    def as_quaternion(self) -> UnitQuaternion:
-        return UnitQuaternion(0.0, self.x, self.y, self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def antipode(self) -> "SpherePoint":
-        # p^-1 = -p for pure unit quaternions
-        return SpherePoint(-self.x, -self.y, -self.z)
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """An element of su(2) in the i, j, k coordinates (any magnitude)."""
-
-    x: float
-    y: float
-    z: float
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "AlgebraVector":
-        return AlgebraVector(float(v[0]), float(v[1]), float(v[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def as_matrix(self) -> np.ndarray:
-        x, y, z = self.x, self.y, self.z
-        return np.array([[x * 1j, y + z * 1j], [-y + z * 1j, -x * 1j]])
-
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(-self.x, -self.y, -self.z)
-
-    def scaled(self, c: float) -> "AlgebraVector":
-        return AlgebraVector(c * self.x, c * self.y, c * self.z)
-
-
-# su(2) basis / distinguished class points used all over the test maps:
-# the x-axis is the diagonal trace-free matrix, the z-axis generates the
-# great circle through it that the angle parametrizations run along.
-X_AXIS = SpherePoint(1.0, 0.0, 0.0)
-Y_AXIS = SpherePoint(0.0, 1.0, 0.0)
-Z_AXIS = SpherePoint(0.0, 0.0, 1.0)
-
-
-def inner(a: AlgebraVector | SpherePoint, b: AlgebraVector | SpherePoint) -> float:
-    """Invariant inner product -(1/2) trace(ab) = Euclidean dot product."""
-    va, vb = a.as_array(), b.as_array()
-    return float(np.dot(va, vb))
-
-
-def ad(g: UnitQuaternion, v: AlgebraVector) -> AlgebraVector:
-    """Adjoint action Ad(g) X = g X g^-1 on the Lie algebra."""
-    return AlgebraVector.from_array(rotate(g.as_array(), v.as_array()))
-
-
-def conjugate_by(g: UnitQuaternion | SpherePoint, a: SpherePoint) -> SpherePoint:
-    """g a g^-1 for a in the trace-free class; stays in the class."""
-    gq = g.as_quaternion().as_array() if isinstance(g, SpherePoint) else g.as_array()
-    out = rotate(gq, a.as_array())
-    n = float(np.linalg.norm(out))
-    if abs(n - 1.0) > DRIFT_TOL:
-        raise InternalError(f"norm drift {abs(n-1.0):.3e} under conjugation")
-    return SpherePoint.from_array(out / n)
-
-
-def tau_form(p: SpherePoint, X: AlgebraVector, Y: AlgebraVector) -> float:
-    """(1/2)(X . Ad(p) Y  -  Y . Ad(p) X).
-
-    On the trace-free class Ad(p^2) = id, which forces this to vanish
-    identically; it is kept as a checked identity, not used in anger.
-    """
-    pq = p.as_quaternion()
-    return 0.5 * (inner(X, ad(pq, Y)) - inner(Y, ad(pq, X)))
-
-
-# --- tangent-representation conversions -----------------------------------
-#
-# A velocity v at g can be written v = X . g (coefficient X, our storage)
-# or v = g . Y.  right_log / left_log read the two coefficients off an
-# ambient velocity; the *_to_* functions convert between coefficients.
-
-
-def right_log(velocity: np.ndarray, at: UnitQuaternion) -> AlgebraVector:
-    """X with velocity = X . at  (value of the right Maurer-Cartan form)."""
-    coeff = quat_mul(np.asarray(velocity, dtype=float), at.inverse().as_array())
-    if abs(coeff[0]) > 1e-9 * max(1.0, float(np.linalg.norm(coeff))):
-        raise ValueError("velocity is not tangent to the group at this point")
-    return AlgebraVector.from_array(coeff[1:])
-
-
-def left_log(velocity: np.ndarray, at: UnitQuaternion) -> AlgebraVector:
-    """Y with velocity = at . Y  (value of the left Maurer-Cartan form)."""
-    coeff = quat_mul(at.inverse().as_array(), np.asarray(velocity, dtype=float))
-    if abs(coeff[0]) > 1e-9 * max(1.0, float(np.linalg.norm(coeff))):
-        raise ValueError("velocity is not tangent to the group at this point")
-    return AlgebraVector.from_array(coeff[1:])
-
-
-def right_to_left(at: UnitQuaternion, X: AlgebraVector) -> AlgebraVector:
-    return ad(at.inverse(), X)
-
-
-def left_to_right(at: UnitQuaternion, Y: AlgebraVector) -> AlgebraVector:
-    return ad(at, Y)
-
-
-# --- batched ndarray kernels ------------------------------------------------
-# Shapes: quaternions (..., 4) in wxyz order, class points / algebra vectors
-# (..., 3). These never renormalize; callers own that.
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,3 +64,20 @@ def reflect(axis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     dot = np.sum(axis * v, axis=-1, keepdims=True)
     return 2.0 * dot * axis - v
+
+
+def slot_product(pts: np.ndarray) -> np.ndarray:
+    """The quaternion product g_1 g_2 ... g_m of the class points along the
+    slot axis of (..., m, 3) configurations, as (..., 4) quaternions."""
+    acc = np.zeros(pts.shape[:-2] + (4,))
+    acc[..., 0] = 1.0
+    for s in range(pts.shape[-2]):
+        acc = quat_mul(acc, pure_quat(pts[..., s, :]))
+    return acc
+
+
+def circle_point(theta) -> np.ndarray:
+    """The class point at angle theta on the great circle through the first
+    two coordinate axes, batched over the shape of theta."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)

@@ -2,7 +2,7 @@
 
 On a tuple (g_1, ..., g_m) of points of the trace-free class, tangent
 vectors are stored as one coefficient per slot (velocity = X . g, see
-`braid.TangentFrame`).  The two-form pairs the left Maurer-Cartan value of
+`repvar.braid`).  The two-form pairs the left Maurer-Cartan value of
 each partial product g_1 ... g_j against the coefficient of slot j+1 and
 sums with a global minus sign.  This module evaluates the form, checks the
 properties that make it usable (braid invariance, vanishing on the
@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import (
-    BraidWord,
-    Configuration,
-    TangentFrame,
-    differential_arrays,
-    random_configurations,
-)
+from .braid import BraidWord, differential_arrays, random_configurations, tangent_basis
 from .solver import is_singular_config
-from .su2 import AlgebraVector, SpherePoint, pure_quat, quat_mul, reflect
+from .su2 import circle_point, reflect, slot_product
 
-PRODUCT_TOL = 1e-12
 X_AXIS_ROW = np.array([1.0, 0.0, 0.0])
 Z_AXIS_ROW = np.array([0.0, 0.0, 1.0])
 
@@ -78,28 +71,6 @@ def omega_c_array(base: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -total
 
 
-def _require_same_base(t1: TangentFrame, t2: TangentFrame) -> np.ndarray:
-    b1 = t1.base.as_array()
-    b2 = t2.base.as_array()
-    if b1.shape != b2.shape or not np.allclose(b1, b2, atol=PRODUCT_TOL):
-        raise ValueError("frames are based at different configurations")
-    return b1
-
-
-def omega_pair(j: int, t1: TangentFrame, t2: TangentFrame) -> float:
-    base = _require_same_base(t1, t2)
-    return float(
-        omega_pair_array(j, base, t1.coefficient_array(), t2.coefficient_array())
-    )
-
-
-def omega_c(t1: TangentFrame, t2: TangentFrame) -> float:
-    base = _require_same_base(t1, t2)
-    return float(
-        omega_c_array(base, t1.coefficient_array(), t2.coefficient_array())
-    )
-
-
 # --- braid invariance ---------------------------------------------------------
 
 
@@ -115,7 +86,7 @@ def check_braid_invariance(
     trials: int = 1000,
     rng_seed: int = 0,
 ) -> float:
-    """Max |omega_c(dw X, dw Y) - omega_c(X, Y)| over random frame pairs at
+    """Max |omega_c_array(dw X, dw Y) - omega_c_array(X, Y)| over random pairs at
     random configurations (the whole product, not only the product-one
     locus).  `word` may be a single generator index."""
     if isinstance(word, int):
@@ -136,29 +107,6 @@ def check_braid_invariance(
 # --- the mirrored-tuple submanifold -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LagrangianPoint:
-    """A point (p_1, ..., p_n, -p_n, ..., -p_1) of the product-one locus.
-
-    The second half mirrors the first through the inverse (= antipode on
-    the trace-free class), so the total product telescopes to the
-    identity."""
-
-    half: tuple[SpherePoint, ...]
-
-    def __post_init__(self):
-        full = self.full().as_array()
-        acc = np.array([1.0, 0.0, 0.0, 0.0])
-        for row in full:
-            acc = quat_mul(acc, pure_quat(row))
-        if np.max(np.abs(acc - np.array([1.0, 0.0, 0.0, 0.0]))) > PRODUCT_TOL:
-            raise ValueError("mirrored tuple fails the product-one invariant")
-
-    def full(self) -> Configuration:
-        mirrored = tuple(p.antipode() for p in reversed(self.half))
-        return Configuration(self.half + mirrored)
-
-
 def lagrangian_tangent_arrays(
     half: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,23 +120,6 @@ def lagrangian_tangent_arrays(
     base = np.concatenate([half, -flipped], axis=-2)
     mirror = -reflect(flipped, coeffs[..., ::-1, :])
     return base, np.concatenate([coeffs, mirror], axis=-2)
-
-
-def lagrangian_tangent(point: LagrangianPoint, i: int, X: AlgebraVector
-                       ) -> TangentFrame:
-    """Basis tangent vector moving only the i-th point (1-based) and its
-    mirror partner; X must be tangent at p_i."""
-    n = len(point.half)
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    p = point.half[i - 1].as_array()
-    xv = X.as_array()
-    if abs(float(np.dot(p, xv))) > 1e-10 * max(1.0, float(np.linalg.norm(xv))):
-        raise ValueError("coefficient is not tangent at the chosen point")
-    coeffs = np.zeros((2 * n, 3))
-    coeffs[i - 1] = xv
-    coeffs[2 * n - i] = -reflect(p, xv)
-    return TangentFrame.from_arrays(point.full().as_array(), coeffs)
 
 
 def sigma_tilde(word: BraidWord) -> BraidWord:
@@ -273,13 +204,6 @@ class AdjacentPairSphere:
         return out
 
 
-def _circle_point(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.stack(
-        [np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1
-    )
-
-
 @dataclass(frozen=True)
 class CapCylinderSphere:
     """The degree-one test sphere: two hemispherical caps where a single
@@ -329,10 +253,10 @@ class CapCylinderSphere:
         theta2 = np.asarray(theta2, dtype=float)
         head = np.stack(
             [
-                _circle_point(theta1),
+                circle_point(theta1),
                 np.broadcast_to(X_AXIS_ROW, theta1.shape + (3,)),
-                _circle_point(theta2),
-                _circle_point(theta1 + theta2),
+                circle_point(theta2),
+                circle_point(theta1 + theta2),
             ],
             axis=-2,
         )
@@ -355,21 +279,9 @@ class CapCylinderSphere:
         return d1, d2
 
 
-def pillowcase_point(theta1: float, theta2: float) -> Configuration:
-    """The four-point representative of a pillowcase class: the cylinder
-    chart of the two-pair test sphere evaluated at (theta1, theta2)."""
-    arr = CapCylinderSphere(2).cylinder_configuration(
-        np.asarray(theta1), np.asarray(theta2)
-    )
-    return Configuration.from_array(arr)
-
-
 def product_deviation(pts: np.ndarray) -> np.ndarray:
     """Distance of the slot product from the identity quaternion, batched."""
-    acc = np.zeros(pts.shape[:-2] + (4,))
-    acc[..., 0] = 1.0
-    for s in range(pts.shape[-2]):
-        acc = quat_mul(acc, pure_quat(pts[..., s, :]))
+    acc = slot_product(pts)
     acc[..., 0] -= 1.0
     return np.linalg.norm(acc, axis=-1)
 
@@ -406,8 +318,7 @@ def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
 def _orthonormal_tangent_pair(
     a: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    u = rng.normal(size=a.shape)
-    u -= np.sum(u * a, axis=-1, keepdims=True) * a
+    u = random_coefficients(a, rng)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     return u, np.cross(a, u)
 
@@ -447,26 +358,20 @@ def adjacent_pair_pullback_max(
 # --- nondegeneracy on the product-one locus -------------------------------------
 
 
-def nondegeneracy_rank(config: Configuration | np.ndarray) -> int:
+def nondegeneracy_rank(pts: np.ndarray) -> int:
     """Rank of the Gram matrix of the form in an orthonormal tangent basis
-    at a product-one configuration; singular (all-collinear) points are
-    rejected.  Expected value: twice the slot count."""
-    pts = config.as_array() if isinstance(config, Configuration) else np.asarray(config)
+    at a product-one (m, 3) configuration; singular (all-collinear) points
+    are rejected.  Expected value: twice the slot count."""
     if product_deviation(pts) > 1e-9:
         raise ValueError("configuration is not in the product-one locus")
     if is_singular_config(pts):
         raise ValueError("singular configuration: all points collinear")
     m = pts.shape[0]
-    helper = np.where(
-        np.abs(pts[:, :1]) < 0.9, X_AXIS_ROW[None, :], Z_AXIS_ROW[None, :]
-    )
-    u1 = np.cross(pts, helper)
-    u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
-    u2 = np.cross(pts, u1)
+    e1, e2 = tangent_basis(pts)
+    slot = np.arange(m)
     frames = np.zeros((2 * m, m, 3))
-    for s in range(m):
-        frames[2 * s, s] = np.cross(pts[s], u1[s])
-        frames[2 * s + 1, s] = np.cross(pts[s], u2[s])
+    frames[2 * slot, slot] = e1
+    frames[2 * slot + 1, slot] = e2
     gram = omega_c_array(
         np.broadcast_to(pts, (2 * m, 2 * m, m, 3)),
         np.broadcast_to(frames[:, None], (2 * m, 2 * m, m, 3)),
@@ -484,10 +389,7 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
     out = np.zeros((count, m, 3))
     free = random_configurations(m - 2, count, rng)
     out[:, : m - 2] = free
-    for s in range(count):
-        acc = np.array([1.0, 0.0, 0.0, 0.0])
-        for row in free[s]:
-            acc = quat_mul(acc, pure_quat(row))
+    for s, acc in enumerate(slot_product(free)):
         # solve p q = h^{-1}: with h^{-1} = (cos phi, sin phi * axis),
         # take any p orthogonal to the axis and q = -cos phi p + sin phi (axis x p)
         h = acc.copy()

@@ -122,6 +122,14 @@ def pure(v_xyz: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
+def su2_matrix(q_wxyz: np.ndarray) -> np.ndarray:
+    """The 2x2 complex matrix of the quaternion w + x i + y j + z k:
+    [[w + x i, y + z i], [-y + z i, w - x i]] (any quaternion, not only
+    units; pure ones give the su(2) matrices)."""
+    w, x, y, z = (float(c) for c in q_wxyz)
+    return np.array([[w + x * 1j, y + z * 1j], [-y + z * 1j, w - x * 1j]])
+
+
 def fd_two_form_pair(j: int, base: np.ndarray, frame_x: np.ndarray,
                      frame_y: np.ndarray, step: float = FD_STEP) -> float:
     """Independent evaluation of the half-shuffle pairing of the left

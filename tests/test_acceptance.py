@@ -21,10 +21,10 @@ from repvar.braid import (
     differential_arrays,
     knot_by_name,
     random_configurations,
-    random_frame,
 )
 from repvar.invariants import alexander, compare_khovanov, determinant, two_bridge_prediction
 from repvar.solver import angle_case_9_42, solve, torus_components, variety_rank
+from repvar.symplectic import random_coefficients
 
 _TORUS_CACHE: dict[int, tuple] = {}
 
@@ -227,7 +227,7 @@ def test_criterion_13_oracle_agreement():
         )
         word = BraidWord(strands, letters)
         pts = random_configurations(strands, 1, rng)
-        coeffs = random_frame(pts, rng)
+        coeffs = random_coefficients(pts, rng)
         moved, got = differential_arrays(word, pts, coeffs)
         want = oracles.fd_pushforward(
             lambda q: act_array(word, q[None])[0],

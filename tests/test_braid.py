@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 import oracles
 from repvar.braid import (
     BraidWord,
-    Configuration,
-    TangentFrame,
-    act,
     act_array,
     check_braid_relations,
     closure_components,
     closure_permutation,
-    differential,
     differential_arrays,
     generator_step,
     knot_by_name,
     load_knot_table,
     parse_braid,
-    product_r,
     random_configurations,
-    random_frame,
+    tangent_basis,
 )
+from repvar.su2 import slot_product
+from repvar.symplectic import random_coefficients
 
 RNG = np.random.default_rng(11)
 
@@ -124,17 +121,10 @@ def test_action_preserves_total_product():
             )
         )
         word = BraidWord(strands, letters)
-        config = Configuration.from_array(random_configurations(strands, 1, RNG)[0])
-        before = product_r(config).as_array()
-        after = product_r(act(word, config)).as_array()
+        pts = random_configurations(strands, 4, RNG)
+        before = slot_product(pts)
+        after = slot_product(act_array(word, pts))
         assert np.max(np.abs(after - before)) < 1e-12
-
-
-def test_dataclass_action_matches_array_action():
-    word = parse_braid("3: 1 -2 1")
-    arr = random_configurations(3, 1, RNG)[0]
-    got = act(word, Configuration.from_array(arr)).as_array()
-    assert np.max(np.abs(got - act_array(word, arr[None])[0])) < 1e-14
 
 
 # --- the differential ------------------------------------------------------------
@@ -157,7 +147,7 @@ def test_differential_matches_finite_differences():
         strands = int(rng.integers(2, 5))
         word = _random_word(rng, strands, int(rng.integers(1, 4)))
         pts = random_configurations(strands, 1, rng)
-        coeffs = random_frame(pts, rng)
+        coeffs = random_coefficients(pts, rng)
         _, got = differential_arrays(word, pts, coeffs)
         vel = np.cross(coeffs[0], pts[0])
         want = oracles.fd_pushforward(
@@ -172,8 +162,8 @@ def test_differential_matches_finite_differences():
 def test_differential_is_linear_in_the_frame():
     word = parse_braid("4: 1 -3 2 2")
     pts = random_configurations(4, 8, RNG)
-    c1 = random_frame(pts, RNG)
-    c2 = random_frame(pts, RNG)
+    c1 = random_coefficients(pts, RNG)
+    c2 = random_coefficients(pts, RNG)
     _, d1 = differential_arrays(word, pts, c1)
     _, d2 = differential_arrays(word, pts, c2)
     _, dsum = differential_arrays(word, pts, 2.0 * c1 - 3.0 * c2)
@@ -184,29 +174,24 @@ def test_differential_chain_rule():
     v = parse_braid("3: 1 -2")
     w = parse_braid("3: 2 2 1")
     pts = random_configurations(3, 6, RNG)
-    coeffs = random_frame(pts, RNG)
+    coeffs = random_coefficients(pts, RNG)
     mid, dw = differential_arrays(w, pts, coeffs)
     _, step = differential_arrays(v, mid, dw)
     _, direct = differential_arrays(v * w, pts, coeffs)
     assert np.max(np.abs(step - direct)) < 1e-10
 
 
-def test_differential_frame_api_matches_arrays():
-    word = parse_braid("3: -1 2")
-    pts = random_configurations(3, 1, RNG)[0]
-    coeffs = random_frame(pts[None], RNG)[0]
-    frame = TangentFrame.from_arrays(pts, coeffs)
-    out = differential(word, frame)
-    base2, arr = differential_arrays(word, pts[None], coeffs[None])
-    assert np.max(np.abs(out.base.as_array() - base2[0])) < 1e-14
-    assert np.max(np.abs(out.coefficient_array() - arr[0])) < 1e-14
-
-
-def test_tangent_frame_rejects_non_tangent_coefficients():
-    pts = random_configurations(3, 1, RNG)[0]
-    bad = np.ones_like(pts)
-    with pytest.raises(ValueError):
-        TangentFrame.from_arrays(pts, bad)
+def test_tangent_basis_is_orthonormal_and_tangent():
+    pts = random_configurations(4, 50, RNG)
+    # the helper axis switches at |p_x| = 0.9; cover both branches
+    pts[:5, 0] = [1.0, 0.0, 0.0]
+    pts[5:10, 0] = [0.0, 1.0, 0.0]
+    e1, e2 = tangent_basis(pts)
+    for e in (e1, e2):
+        assert np.max(np.abs(np.sum(e * pts, axis=-1))) < 1e-14
+        assert np.max(np.abs(np.linalg.norm(e, axis=-1) - 1.0)) < 1e-14
+    assert np.max(np.abs(np.sum(e1 * e2, axis=-1))) < 1e-14
+    assert np.max(np.abs(e2 - np.cross(pts, e1))) == 0.0
 
 
 # --- closures and the knot table -------------------------------------------------

@@ -10,19 +10,19 @@ import pytest
 import oracles
 from repvar.braid import (
     BraidWord,
-    Configuration,
+    act_array,
     parse_braid,
     random_configurations,
+    tangent_basis,
 )
 from repvar.solver import (
     AngleCaseSolution,
     SolverConfig,
+    _tangent_jacobian,
     angle_case_9_42,
     cluster_indices,
-    gradient_array,
     invariant_features,
     is_singular_config,
-    residual,
     residual_array,
     solve,
     torus_components,
@@ -43,7 +43,7 @@ def test_diagonal_configurations_are_always_fixed():
         p = RNG.normal(size=3)
         p /= np.linalg.norm(p)
         diag = np.tile(p, (word.strands, 1))
-        assert residual(word, Configuration.from_array(diag)) < 1e-15
+        assert residual_array(word, diag[None])[0] < 1e-15
 
 
 def test_residual_array_is_zero_exactly_at_fixed_points():
@@ -57,12 +57,31 @@ def test_residual_array_is_zero_exactly_at_fixed_points():
     assert residual_array(word, np.stack([a, b])[None])[0] < 1e-15
 
 
-def test_gradient_vanishes_on_the_variety():
-    word = parse_braid("2: 1 1 1")
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3), 0.0])
-    g = gradient_array(word, np.stack([a, b])[None])
-    assert np.max(np.abs(g)) < 1e-14
+def test_tangent_jacobian_matches_finite_differences():
+    # column m of the Jacobian of g -> act(g) - g is the pushforward of the
+    # m-th tangent basis vector (slot m // 2, vector e1 or e2) minus itself
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(30):
+        strands = int(rng.integers(2, 5))
+        length = int(rng.integers(1, 6))
+        letters = rng.integers(1, strands, size=length) * rng.choice([-1, 1], size=length)
+        word = BraidWord(strands, tuple(int(k) for k in letters))
+        pts = random_configurations(strands, 2, rng)
+        e1, e2 = tangent_basis(pts)
+        jac = _tangent_jacobian(word, pts, e1, e2)
+        assert jac.shape == (2, 3 * strands, 2 * strands)
+        for s in range(2):
+            for m in range(2 * strands):
+                slot, which = divmod(m, 2)
+                vel = np.zeros((strands, 3))
+                vel[slot] = (e1 if which == 0 else e2)[s, slot]
+                want = oracles.fd_pushforward(
+                    lambda q: act_array(word, q[None])[0], pts[s], vel
+                ) - vel
+                got = jac[s, :, m].reshape(strands, 3)
+                worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-6, worst
 
 
 def test_residual_is_conjugation_invariant():
@@ -164,7 +183,8 @@ def test_solve_component_representatives_are_on_the_variety():
     word = parse_braid("3: 1 -2 1 -2")
     report = solve(word, FAST)
     for comp in report.components:
-        assert residual(word, comp.representative) < 1e-10
+        rep = comp.representative.as_array()
+        assert residual_array(word, rep[None])[0] < 1e-10
 
 
 # --- reference censuses ------------------------------------------------------------

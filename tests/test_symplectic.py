@@ -9,33 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repvar.braid import (
-    BraidWord,
-    TangentFrame,
-    differential_arrays,
-    parse_braid,
-    random_configurations,
-)
-from repvar.su2 import AlgebraVector, SpherePoint
+from repvar.braid import BraidWord, parse_braid, random_configurations
+from repvar.su2 import reflect, slot_product
 from repvar.symplectic import (
     AdjacentPairSphere,
     CapCylinderSphere,
-    LagrangianPoint,
     adjacent_pair_pullback_max,
     cap_pullback_max,
     check_braid_invariance,
     check_gamma_lagrangian,
     cylinder_integrand,
     integrate_fn_pullback,
-    lagrangian_tangent,
     lagrangian_tangent_arrays,
     monotonicity_ratio,
     nondegeneracy_rank,
-    omega_c,
     omega_c_array,
-    omega_pair,
     omega_pair_array,
-    pillowcase_point,
     product_deviation,
     random_coefficients,
     random_k_points,
@@ -69,35 +58,14 @@ def test_pair_form_matches_finite_difference_oracle():
         # the oracle drives curves by ambient velocities X x p
         vx = np.cross(x, base)
         vy = np.cross(y, base)
-        for j in range(1, slots):
+        pairs = [oracles.fd_two_form_pair(j, base, vx, vy) for j in range(1, slots)]
+        for j, want in enumerate(pairs, start=1):
             got = omega_pair_array(j, base[None], x[None], y[None])[0]
-            want = oracles.fd_two_form_pair(j, base, vx, vy)
             worst = max(worst, abs(float(got) - want))
+        # the full form is minus the sum of the partial pairings
+        total = omega_c_array(base[None], x[None], y[None])[0]
+        worst = max(worst, abs(float(total) + sum(pairs)))
     assert worst < 1e-6, worst
-
-
-def test_frame_api_matches_array_api():
-    base = random_configurations(4, 1, RNG)[0]
-    x = random_coefficients(base[None], RNG)[0]
-    y = random_coefficients(base[None], RNG)[0]
-    t1 = TangentFrame.from_arrays(base, x)
-    t2 = TangentFrame.from_arrays(base, y)
-    for j in range(1, 4):
-        assert omega_pair(j, t1, t2) == pytest.approx(
-            float(omega_pair_array(j, base[None], x[None], y[None])[0]), abs=1e-14
-        )
-    assert omega_c(t1, t2) == pytest.approx(
-        float(omega_c_array(base[None], x[None], y[None])[0]), abs=1e-14
-    )
-
-
-def test_form_requires_matching_bases():
-    b1 = random_configurations(4, 1, RNG)[0]
-    b2 = random_configurations(4, 1, RNG)[0]
-    x1 = random_coefficients(b1[None], RNG)[0]
-    x2 = random_coefficients(b2[None], RNG)[0]
-    with pytest.raises(ValueError):
-        omega_c(TangentFrame.from_arrays(b1, x1), TangentFrame.from_arrays(b2, x2))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -163,19 +131,14 @@ def test_bare_generator_requires_strand_count():
 
 
 def test_lagrangian_point_mirrors_to_product_one():
-    half = tuple(
-        SpherePoint.normalized(*RNG.normal(size=3)) for _ in range(3)
-    )
-    point = LagrangianPoint(half)
-    full = point.full()
-    assert len(full) == 6
-    assert np.max(product_deviation(full.as_array()[None])) < 1e-12
-    # the telescoping holds for any half length
-    assert np.max(
-        product_deviation(
-            LagrangianPoint(half + half).full().as_array()[None]
-        )
-    ) < 1e-12
+    # (p_1, ..., p_n, -p_n, ..., -p_1) telescopes to the identity for any n
+    for n in (1, 3, 6):
+        half = random_configurations(n, 20, RNG)
+        coeffs = random_coefficients(half, RNG)
+        base, _ = lagrangian_tangent_arrays(half, coeffs)
+        assert base.shape == (20, 2 * n, 3)
+        assert np.max(np.abs(base[:, n:] + half[:, ::-1])) == 0.0
+        assert np.max(np.abs(slot_product(base) - [1.0, 0.0, 0.0, 0.0])) < 1e-12
 
 
 def test_lagrangian_tangents_are_tangent_to_the_locus():
@@ -191,15 +154,16 @@ def test_lagrangian_tangents_are_tangent_to_the_locus():
 
 
 def test_single_slot_lagrangian_tangent():
-    p = SpherePoint(0.0, 0.0, 1.0)
-    point = LagrangianPoint((p, SpherePoint(1.0, 0.0, 0.0)))
-    frame = lagrangian_tangent(point, 1, AlgebraVector(1.0, 0.0, 0.0))
-    coeffs = frame.coefficient_array()
-    assert np.max(np.abs(coeffs[1])) == 0.0 and np.max(np.abs(coeffs[2])) == 0.0
-    with pytest.raises(ValueError):
-        lagrangian_tangent(point, 3, AlgebraVector(1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        lagrangian_tangent(point, 1, AlgebraVector(0.0, 0.0, 1.0))
+    # a coefficient at slot i moves only p_i and its mirror partner, which
+    # carries -Ad(p_i^-1) X
+    half = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+    coeffs = np.zeros_like(half)
+    coeffs[0, 0] = [1.0, 0.0, 0.0]
+    _, frames = lagrangian_tangent_arrays(half, coeffs)
+    assert np.array_equal(frames[0, 1], np.zeros(3))
+    assert np.array_equal(frames[0, 2], np.zeros(3))
+    assert np.allclose(frames[0, 3], -reflect(half[0, 0], coeffs[0, 0]))
+    assert np.allclose(frames[0, 3], [1.0, 0.0, 0.0])
 
 
 def test_form_vanishes_on_the_submanifold_and_its_braid_images():
@@ -237,7 +201,11 @@ def test_sphere_charts_stay_in_the_product_one_locus():
             assert np.max(product_deviation(cap.cap_configuration(which, a))) < 1e-12
         t1 = RNG.uniform(0, 2 * math.pi, size=40)
         t2 = RNG.uniform(0, 2 * math.pi, size=40)
-        assert np.max(product_deviation(cap.cylinder_configuration(t1, t2))) < 1e-12
+        t1[0] = t2[0] = 0.0
+        cyl = cap.cylinder_configuration(t1, t2)
+        assert np.max(product_deviation(cyl)) < 1e-12
+        # at the corner (0, 0) every point of the chart's head sits at i
+        assert np.allclose(cyl[0, :4], [1.0, 0.0, 0.0])
         for slot in (1, 2, 2 * pairs - 1):
             for sign in (1, -1):
                 sphere = AdjacentPairSphere(slot, sign, pairs)
@@ -253,14 +221,6 @@ def test_sphere_parameter_validation():
         AdjacentPairSphere(1, 2, 2)
     with pytest.raises(ValueError):
         CapCylinderSphere(1)
-
-
-def test_pillowcase_point_matches_the_cylinder_chart():
-    config = pillowcase_point(0.0, 0.0)
-    arr = config.as_array()
-    assert np.allclose(arr[0], [1.0, 0.0, 0.0])
-    assert np.allclose(arr[3], [1.0, 0.0, 0.0])
-    assert np.max(product_deviation(arr[None])) < 1e-14
 
 
 def test_degree_one_pairing_is_minus_pi_squared():

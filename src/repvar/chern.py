@@ -7,7 +7,9 @@ along the segment joining the two degenerate points and shrinking small
 discs around them leaves a closed contour of eight pieces.  Along each
 piece the four frame sections, written in a complex basis where the
 almost-complex structure acts as the imaginary unit, form a 4x4 matrix
-whose determinant has an elementary closed form of modulus 32.
+whose determinant has an elementary closed form of modulus 32.  Every
+frame and closed form is a numpy function of an array of piece
+parameters, so a piece's determinants are one batched `np.linalg.det`.
 
 The first-Chern pairing with the sphere class localizes to the winding
 number of that determinant around 0 -- once per degenerate circle.  Both
@@ -18,6 +20,7 @@ many sphere pairs sit in the tail of the configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +30,6 @@ import numpy as np
 __all__ = [
     "ContourSegment",
     "CONTOUR",
-    "segment",
     "contour_determinants",
     "closed_form_gap",
     "modulus_deviation",
@@ -43,130 +45,79 @@ DETERMINANT_MODULUS = 32.0
 # Guard radius: a zero crossing would have to drag the modulus below this.
 MIN_SAFE_MODULUS = 16.0
 MIN_SAMPLES_PER_SEGMENT = 64
-JUNCTION_TOL = 1e-9
 
 _DIAG = 2.0 * (1.0 + 1.0j)
-
-def _row(a, b, c, d) -> np.ndarray:
-    return np.array([a, b, c, d], dtype=complex)
 
 # Rows shared between segments.  The second frame section is constant on the
 # whole contour; the third is constant near each degenerate circle but flips
 # the sign of its first moving entry between the two; the fourth section has
 # one constant limit on each side of the cut.
-_ROW_SECOND = _row(_DIAG, 0.0, _DIAG, 0.0)
-_ROW_THIRD_FIRST = _row(0.0, _DIAG, 0.0, _DIAG)
-_ROW_THIRD_SECOND = _row(0.0, -_DIAG, 0.0, _DIAG)
-_ROW_FOURTH_BELOW = _row(1.0, 0.0, 1.0j, 0.0)
+_ROW_SECOND = (_DIAG, 0.0, _DIAG, 0.0)
+_ROW_THIRD_FIRST = (0.0, _DIAG, 0.0, _DIAG)
+_ROW_THIRD_SECOND = (0.0, -_DIAG, 0.0, _DIAG)
+_ROW_FOURTH_BELOW = np.array([1.0, 0.0, 1.0j, 0.0])
 _ROW_FOURTH_ABOVE = -_ROW_FOURTH_BELOW
 
 
-def _frame_disc1_outer(t: float) -> np.ndarray:
-    s, c = math.sin(t), math.cos(t)
-    return np.stack([
-        _row(-2.0 * s, 2.0 * c, -2.0j * s, 2.0j * c),
-        _ROW_SECOND,
-        _ROW_THIRD_FIRST,
-        _row(-c, -s, -1.0j * c, -1.0j * s),
-    ])
+def _frame(t, *rows) -> np.ndarray:
+    """The (..., 4, 4) complex matrices over the parameter array `t`; each
+    row is four entries, each a number or an array shaped like `t`."""
+    out = np.empty(np.shape(t) + (4, 4), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
-def _disc1_inner_first_row(t: float) -> np.ndarray:
-    s, c = math.sin(t), math.cos(t)
-    return _row(0.0, 2.0 * (c - s * (1.0 + 1.0j)), 0.0, 2.0j * c)
+def _frame_disc1_outer(t) -> np.ndarray:
+    s, c = np.sin(t), np.cos(t)
+    return _frame(t, (-2.0 * s, 2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
+                  _ROW_THIRD_FIRST, (-c, -s, -1.0j * c, -1.0j * s))
 
 
-def _frame_disc1_below(t: float) -> np.ndarray:
-    return np.stack(
-        [_disc1_inner_first_row(t), _ROW_SECOND, _ROW_THIRD_FIRST,
-         _ROW_FOURTH_BELOW])
+def _frame_disc1_inner(t, fourth) -> np.ndarray:
+    s, c = np.sin(t), np.cos(t)
+    return _frame(t, (0.0, 2.0 * (c - s * (1.0 + 1.0j)), 0.0, 2.0j * c),
+                  _ROW_SECOND, _ROW_THIRD_FIRST, fourth)
 
 
-def _frame_disc1_above(t: float) -> np.ndarray:
-    return np.stack(
-        [_disc1_inner_first_row(t), _ROW_SECOND, _ROW_THIRD_FIRST,
-         _ROW_FOURTH_ABOVE])
+def _frame_cut(theta, fourth) -> np.ndarray:
+    return _frame(theta, (0.0, _DIAG, 0.0, 0.0), _ROW_SECOND,
+                  (0.0, 2.0 * np.cos(theta) * (1.0 + 1.0j), 0.0, _DIAG), fourth)
 
 
-def _cut_third_row(theta: float) -> np.ndarray:
-    return _row(0.0, 2.0 * math.cos(theta) * (1.0 + 1.0j), 0.0, _DIAG)
+def _frame_disc2_inner(t, fourth) -> np.ndarray:
+    s, c = np.sin(t), np.cos(t)
+    return _frame(t, (0.0, 2.0 * (-c + s * (1.0 + 1.0j)), 0.0, 2.0j * c),
+                  _ROW_SECOND, _ROW_THIRD_SECOND, fourth)
 
 
-def _frame_cut_lower(theta: float) -> np.ndarray:
-    return np.stack(
-        [_row(0.0, _DIAG, 0.0, 0.0), _ROW_SECOND, _cut_third_row(theta),
-         _ROW_FOURTH_BELOW])
-
-
-def _frame_cut_upper(theta: float) -> np.ndarray:
-    return np.stack(
-        [_row(0.0, _DIAG, 0.0, 0.0), _ROW_SECOND, _cut_third_row(theta),
-         _ROW_FOURTH_ABOVE])
-
-
-def _disc2_inner_first_row(t: float) -> np.ndarray:
-    s, c = math.sin(t), math.cos(t)
-    return _row(0.0, 2.0 * (-c + s * (1.0 + 1.0j)), 0.0, 2.0j * c)
-
-
-def _frame_disc2_below(t: float) -> np.ndarray:
-    return np.stack(
-        [_disc2_inner_first_row(t), _ROW_SECOND, _ROW_THIRD_SECOND,
-         _ROW_FOURTH_BELOW])
-
-
-def _frame_disc2_above(t: float) -> np.ndarray:
-    return np.stack(
-        [_disc2_inner_first_row(t), _ROW_SECOND, _ROW_THIRD_SECOND,
-         _ROW_FOURTH_ABOVE])
-
-
-def _frame_disc2_outer(t: float) -> np.ndarray:
-    s, c = math.sin(t), math.cos(t)
-    return np.stack([
-        _row(-2.0 * s, -2.0 * c, -2.0j * s, 2.0j * c),
-        _ROW_SECOND,
-        _ROW_THIRD_SECOND,
-        _row(-c, s, -1.0j * c, -1.0j * s),
-    ])
+def _frame_disc2_outer(t) -> np.ndarray:
+    s, c = np.sin(t), np.cos(t)
+    return _frame(t, (-2.0 * s, -2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
+                  _ROW_THIRD_SECOND, (-c, s, -1.0j * c, -1.0j * s))
 
 
 @dataclass(frozen=True)
 class ContourSegment:
     """One piece of the cut contour, parametrized in traversal direction.
 
-    ``frame(t)`` returns the 4x4 complex matrix whose rows are the four
-    section values at parameter ``t``; ``closed_form(t)`` is the segment's
-    analytic determinant, against which the numeric one is checked.
+    ``frame(t)`` gives the (..., 4, 4) complex matrices of the four section
+    values at the parameters ``t``; ``closed_form(t)`` is the analytic
+    determinant there, against which the numeric one is checked.
     """
 
     name: str
     start: float
     end: float
-    frame: Callable[[float], np.ndarray]
-    closed_form: Callable[[float], complex]
+    frame: Callable[[np.ndarray], np.ndarray]
+    closed_form: Callable[[np.ndarray], np.ndarray]
 
     def parameters(self, samples: int) -> np.ndarray:
         return np.linspace(self.start, self.end, samples)
 
-    def frame_matrix(self, param: float) -> np.ndarray:
-        lo, hi = sorted((self.start, self.end))
-        if not lo - 1e-12 <= param <= hi + 1e-12:
-            raise ValueError(
-                f"parameter {param} outside segment {self.name!r}")
-        return self.frame(param)
-
-    def determinant(self, param: float) -> complex:
-        return complex(np.linalg.det(self.frame_matrix(param)))
-
-    def determinants(self, samples: int) -> np.ndarray:
-        mats = np.stack([self.frame(t) for t in self.parameters(samples)])
-        return np.linalg.det(mats)
-
-    def closed_values(self, samples: int) -> np.ndarray:
-        return np.array(
-            [self.closed_form(t) for t in self.parameters(samples)],
-            dtype=complex)
+    def determinants(self, t) -> np.ndarray:
+        return np.linalg.det(self.frame(t))
 
 
 # Traversal order around the cut contour.  The determinant is constant on
@@ -177,35 +128,26 @@ CONTOUR: tuple[ContourSegment, ...] = (
     ContourSegment("disc1-outer", 0.0, math.pi,
                    _frame_disc1_outer, lambda t: 32.0 + 0.0j),
     ContourSegment("disc1-below-cut", math.pi, 1.5 * math.pi,
-                   _frame_disc1_below,
-                   lambda t: -32.0 * complex(math.cos(t), -math.sin(t))),
+                   functools.partial(_frame_disc1_inner, fourth=_ROW_FOURTH_BELOW),
+                   lambda t: -32.0 * np.exp(-1.0j * t)),
     ContourSegment("cut-lower", 0.0, math.pi,
-                   _frame_cut_lower, lambda t: -32.0j),
+                   functools.partial(_frame_cut, fourth=_ROW_FOURTH_BELOW),
+                   lambda t: -32.0j),
     ContourSegment("disc2-below-cut", 0.5 * math.pi, math.pi,
-                   _frame_disc2_below,
-                   lambda t: 32.0 * complex(math.cos(t), -math.sin(t))),
+                   functools.partial(_frame_disc2_inner, fourth=_ROW_FOURTH_BELOW),
+                   lambda t: 32.0 * np.exp(-1.0j * t)),
     ContourSegment("disc2-outer", math.pi, 2.0 * math.pi,
                    _frame_disc2_outer, lambda t: -32.0 + 0.0j),
     ContourSegment("disc2-above-cut", 0.0, 0.5 * math.pi,
-                   _frame_disc2_above,
-                   lambda t: -32.0 * complex(math.cos(t), -math.sin(t))),
+                   functools.partial(_frame_disc2_inner, fourth=_ROW_FOURTH_ABOVE),
+                   lambda t: -32.0 * np.exp(-1.0j * t)),
     ContourSegment("cut-upper", math.pi, 0.0,
-                   _frame_cut_upper, lambda t: 32.0j),
+                   functools.partial(_frame_cut, fourth=_ROW_FOURTH_ABOVE),
+                   lambda t: 32.0j),
     ContourSegment("disc1-above-cut", 1.5 * math.pi, 2.0 * math.pi,
-                   _frame_disc1_above,
-                   lambda t: 32.0 * complex(math.cos(t), -math.sin(t))),
+                   functools.partial(_frame_disc1_inner, fourth=_ROW_FOURTH_ABOVE),
+                   lambda t: 32.0 * np.exp(-1.0j * t)),
 )
-
-_BY_NAME = {seg.name: seg for seg in CONTOUR}
-
-
-def segment(name: str) -> ContourSegment:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown contour segment {name!r}; "
-            f"expected one of {sorted(_BY_NAME)}") from None
 
 
 def _require_sampling(samples_per_segment: int) -> None:
@@ -216,23 +158,18 @@ def _require_sampling(samples_per_segment: int) -> None:
 
 
 def contour_determinants(samples_per_segment: int = 64, *,
-                         second_contour: bool = False,
-                         mirrored: bool = False) -> np.ndarray:
+                         second_contour: bool = False) -> np.ndarray:
     """Determinant values along the whole contour in traversal order.
 
     The contour around the second degenerate circle reuses the same
     parametrization with every section value negated, so its determinant is
-    the pointwise negative of the first.  ``mirrored`` reverses traversal
-    (an orientation control: it flips the winding sign).
+    the pointwise negative of the first.
     """
     _require_sampling(samples_per_segment)
     values = np.concatenate(
-        [seg.determinants(samples_per_segment) for seg in CONTOUR])
-    if second_contour:
-        values = -values
-    if mirrored:
-        values = values[::-1]
-    return values
+        [seg.determinants(seg.parameters(samples_per_segment))
+         for seg in CONTOUR])
+    return -values if second_contour else values
 
 
 def closed_form_gap(samples_per_segment: int = 64) -> float:
@@ -240,8 +177,8 @@ def closed_form_gap(samples_per_segment: int = 64) -> float:
     _require_sampling(samples_per_segment)
     gap = 0.0
     for seg in CONTOUR:
-        diff = seg.determinants(samples_per_segment) - seg.closed_values(
-            samples_per_segment)
+        t = seg.parameters(samples_per_segment)
+        diff = seg.determinants(t) - seg.closed_form(t)
         gap = max(gap, float(np.max(np.abs(diff))))
     return gap
 
@@ -256,9 +193,8 @@ def modulus_deviation(samples_per_segment: int = 64, *,
 
 def junction_gaps() -> np.ndarray:
     """|determinant jump| at the eight segment-to-segment junctions."""
-    ends = np.array([seg.determinant(seg.end) for seg in CONTOUR])
-    starts = np.array([seg.determinant(seg.start) for seg in CONTOUR])
-    return np.abs(ends - np.roll(starts, -1))
+    ends = np.array([seg.determinants([seg.start, seg.end]) for seg in CONTOUR])
+    return np.abs(ends[:, 1] - np.roll(ends[:, 0], -1))
 
 
 def _loop_winding(values: np.ndarray) -> int:
@@ -282,26 +218,20 @@ def _loop_winding(values: np.ndarray) -> int:
 
 
 def winding_number(samples_per_segment: int = 64, *,
-                   second_contour: bool = False,
-                   mirrored: bool = False) -> int:
+                   second_contour: bool = False) -> int:
     """Winding of the section determinant around 0 along the closed contour."""
     return _loop_winding(
         contour_determinants(samples_per_segment,
-                             second_contour=second_contour,
-                             mirrored=mirrored))
+                             second_contour=second_contour))
 
 
-def chern_pairing(pairs: int = 2, samples_per_segment: int = 64) -> int:
+def chern_pairing(samples_per_segment: int = 64) -> int:
     """First-Chern pairing with the cap-cylinder sphere class: always -2.
 
-    ``pairs`` fixes how many two-point slots the ambient configuration
-    space has.  The tail slots of the sphere family are constant, so the
-    frame sections -- and with them both windings -- do not depend on it;
-    the argument is accepted (and validated) to make the n-independence
-    explicit at call sites.
+    The tail slots of the sphere family are constant, so the frame
+    sections -- and with them both windings -- do not depend on how many
+    pairs the configuration has.
     """
-    if pairs < 2:
-        raise ValueError("the sphere family needs at least two pairs")
     first = winding_number(samples_per_segment)
     second = winding_number(samples_per_segment, second_contour=True)
     return first + second

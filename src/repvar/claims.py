@@ -62,7 +62,7 @@ def _invariance(strands: int, seed: int, trials: int) -> float:
     for k in range(1, strands):
         for sign in (1, -1):
             worst = max(worst, symplectic.check_braid_invariance(
-                sign * k, strands, trials, seed))
+                braid.BraidWord(strands, (sign * k,)), trials, seed))
     return worst
 
 

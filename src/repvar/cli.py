@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -71,12 +72,14 @@ def _persist(run_dir: str, command: str, results: dict,
 
 
 def _emit(record: dict, as_json: bool, table_lines: list[str]) -> None:
+    # An explicit file: click's cache for its default stdout keeps a
+    # redirected io.StringIO alive for the life of the process.
     if as_json:
         click.echo(json.dumps(record, indent=2, sort_keys=True,
-                              default=_jsonable))
+                              default=_jsonable), file=sys.stdout)
     else:
         for line in table_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def _check_table(checks: list[dict]) -> list[str]:
@@ -319,8 +322,9 @@ def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
 
 
 @cli.command(name="chern")
-@click.option("--samples", type=int, default=64, show_default=True,
-              help="samples per contour segment (minimum 64)")
+@click.option("--samples",
+              type=click.IntRange(min=chern_mod.MIN_SAMPLES_PER_SEGMENT),
+              default=64, show_default=True, help="samples per contour segment")
 @_io_options
 @click.pass_context
 def chern_cmd(ctx, samples, as_json, run_dir) -> None:

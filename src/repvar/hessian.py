@@ -116,7 +116,7 @@ def min_abs_eigenvalue(n: int) -> float:
     return float(np.min(np.abs(_eigenvalues(n))))
 
 
-def signature(n: int, zero_threshold: float = EIGENVALUE_ZERO_THRESHOLD) -> int:
+def signature(n: int) -> int:
     """Positive minus negative eigenvalue count; refuses a near-singular case.
 
     The parity-swap identity forces the value 0 whenever the matrix is
@@ -124,9 +124,9 @@ def signature(n: int, zero_threshold: float = EIGENVALUE_ZERO_THRESHOLD) -> int:
     than silently classified.
     """
     eigs = _eigenvalues(n)
-    if float(np.min(np.abs(eigs))) <= zero_threshold:
+    if float(np.min(np.abs(eigs))) <= EIGENVALUE_ZERO_THRESHOLD:
         raise ValueError(
-            f"eigenvalue within {zero_threshold} of zero at n={n}: "
+            f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero at n={n}: "
             "matrix unexpectedly near-singular")
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 

@@ -42,6 +42,9 @@ ABELIAN_TOL = 1e-6
 # Gauss-Newton re-convergence floor (~1e-8 absolute, so scale >> 3e-5) and
 # the curvature sagitta of a unit-radius patch (~scale/2, so scale << 6e-4).
 RESAMPLE_SCALE = 2e-4
+MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
+PCA_THRESHOLD = 1e-3  # singular-value ratio that counts as a local dimension
+SAMPLES_PER_COMPONENT = 48  # local samples per representative for the PCA
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,7 @@ class SolverConfig:
     seeds: int = 1536
     rng_seed: int = 0
     descent_tol: float = 1e-12
-    max_iters: int = 250
     link_radius: float = 0.15
-    pca_threshold: float = 1e-3
-    samples_per_component: int = 48
 
 
 TOPOLOGY_TAGS = ("S2", "RP3", "PRODUCT_RP3_S1", "UNKNOWN")
@@ -175,13 +175,13 @@ def _gauss_newton(word, pts, iters=12, damping=None):
     return pts
 
 
-def _levenberg(word, pts, tol, max_iters):
+def _levenberg(word, pts, tol):
     """Seed convergence: Levenberg-Marquardt with a per-seed adaptive
     damping weight.  Robust from random starts where an undamped step
     overshoots and plain gradient descent crawls along curved valleys."""
     r = residual_array(word, pts)
     lam = np.full(len(pts), 0.1)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         live = (r >= tol) & (lam < 1e3)
         if not live.any():
             break
@@ -302,7 +302,7 @@ def _resample_component(word, rep, count, rng, tol):
     return pts[(r < tol) & (dist < 6.0 * RESAMPLE_SCALE)]
 
 
-def _estimate_dimension(samples: np.ndarray, threshold: float) -> tuple[int, bool]:
+def _estimate_dimension(samples: np.ndarray) -> tuple[int, bool]:
     """(dimension, tie_flag) from the singular values of centered samples."""
     centered = samples - samples.mean(axis=0, keepdims=True)
     flat = centered.reshape(len(samples), -1)
@@ -310,8 +310,9 @@ def _estimate_dimension(samples: np.ndarray, threshold: float) -> tuple[int, boo
     if sv[0] == 0.0:
         return 0, False
     ratios = sv / sv[0]
-    dim = int(np.sum(ratios > threshold))
-    tie = bool(np.any((ratios > threshold / 3.0) & (ratios < threshold * 3.0)))
+    dim = int(np.sum(ratios > PCA_THRESHOLD))
+    tie = bool(np.any((ratios > PCA_THRESHOLD / 3.0)
+                      & (ratios < PCA_THRESHOLD * 3.0)))
     return dim, tie
 
 
@@ -346,7 +347,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         )
 
     pts = random_configurations(n, config.seeds, rng)
-    pts, r = _levenberg(word, pts, 1e-9, config.max_iters)
+    pts, r = _levenberg(word, pts, 1e-9)
     rough = pts[r < 1e-9]
     if len(rough) == 0:
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
@@ -378,12 +379,12 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
                 f"cluster representative fails re-verification: {rep_res:.3e}"
             )
         local = _resample_component(
-            word, rep, config.samples_per_component, rng, config.descent_tol
+            word, rep, SAMPLES_PER_COMPONENT, rng, config.descent_tol
         )
         if len(local) < max(8, len(rep) + 1):
             dim, tie = 0, True
         else:
-            dim, tie = _estimate_dimension(local, config.pca_threshold)
+            dim, tie = _estimate_dimension(local)
         abelian = is_singular_config(rep, ABELIAN_TOL) and all(
             is_singular_config(p, ABELIAN_TOL) for p in local[:8]
         )

@@ -13,12 +13,14 @@ constant pi^2/2.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .braid import BraidWord, differential_arrays, random_configurations, tangent_basis
+from .chern import chern_pairing
 from .solver import is_singular_config
 from .su2 import circle_point, reflect, slot_product
 
@@ -81,18 +83,11 @@ def random_coefficients(pts: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def check_braid_invariance(
-    word: BraidWord | int,
-    strands: int | None = None,
-    trials: int = 1000,
-    rng_seed: int = 0,
+    word: BraidWord, trials: int = 1000, rng_seed: int = 0
 ) -> float:
     """Max |omega_c_array(dw X, dw Y) - omega_c_array(X, Y)| over random pairs at
     random configurations (the whole product, not only the product-one
-    locus).  `word` may be a single generator index."""
-    if isinstance(word, int):
-        if strands is None:
-            raise ValueError("a bare generator needs an explicit strand count")
-        word = BraidWord(strands, (word,))
+    locus)."""
     rng = np.random.default_rng(rng_seed)
     base = random_configurations(word.strands, trials, rng)
     x = random_coefficients(base, rng)
@@ -162,6 +157,18 @@ def _alternating_tail(shape: tuple[int, ...], pairs: int) -> np.ndarray:
     return tail
 
 
+def _doubled_point_frame(a: np.ndarray, velocity: np.ndarray, slot: int,
+                         slots: int) -> np.ndarray:
+    """Pushforward of an ambient velocity u at a point A doubled (up to sign)
+    at 0-based `slot` and `slot + 1`: both slots carry A x u."""
+    a = np.asarray(a, dtype=float)
+    coeff = np.cross(a, np.asarray(velocity, dtype=float))
+    out = np.zeros(a.shape[:-1] + (slots, 3))
+    out[..., slot, :] = coeff
+    out[..., slot + 1, :] = coeff
+    return out
+
+
 @dataclass(frozen=True)
 class AdjacentPairSphere:
     """Test sphere placing a moving point A at `slot` and sign*A next to it,
@@ -194,14 +201,8 @@ class AdjacentPairSphere:
         return out
 
     def frame(self, a: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-        """Coefficient frame of the pushforward of an ambient velocity at A
-        (both moving slots carry A x u; the sign squares away)."""
-        a = np.asarray(a, dtype=float)
-        coeff = np.cross(a, np.asarray(velocity, dtype=float))
-        out = np.zeros(a.shape[:-1] + (2 * self.pairs, 3))
-        out[..., self.slot - 1, :] = coeff
-        out[..., self.slot, :] = coeff
-        return out
+        """Coefficient frame of the pushforward of an ambient velocity at A."""
+        return _doubled_point_frame(a, velocity, self.slot - 1, 2 * self.pairs)
 
 
 @dataclass(frozen=True)
@@ -237,12 +238,7 @@ class CapCylinderSphere:
     def cap_frame(self, a: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Pushforward of an ambient velocity at A on either cap: moving
         slots 3 and 4 both carry coefficient A x u."""
-        a = np.asarray(a, dtype=float)
-        coeff = np.cross(a, np.asarray(velocity, dtype=float))
-        out = np.zeros(a.shape[:-1] + (2 * self.pairs, 3))
-        out[..., 2, :] = coeff
-        out[..., 3, :] = coeff
-        return out
+        return _doubled_point_frame(a, velocity, 2, 2 * self.pairs)
 
     def cylinder_configuration(
         self, theta1: np.ndarray, theta2: np.ndarray
@@ -289,23 +285,6 @@ def product_deviation(pts: np.ndarray) -> np.ndarray:
 # --- pairings with the test spheres --------------------------------------------
 
 
-def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
-    """Tensor Gauss-Legendre integral of the two-form pulled back to the
-    cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
-    cap_pullback_max)."""
-    sphere = CapCylinderSphere(pairs)
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
-    t1 = 0.5 * math.pi * (nodes + 1.0)
-    w1 = 0.5 * math.pi * weights
-    t2 = math.pi * (nodes + 1.0)
-    w2 = math.pi * weights
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    base = sphere.cylinder_configuration(g1, g2)
-    d1, d2 = sphere.cylinder_frames(g1, g2)
-    values = omega_c_array(base, d1, d2)
-    return float(np.einsum("i,j,ij->", w1, w2, values))
-
-
 def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
                        ) -> np.ndarray:
     """The pulled-back density on the cylinder chart (constant -1/2)."""
@@ -313,6 +292,20 @@ def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
     base = sphere.cylinder_configuration(theta1, theta2)
     d1, d2 = sphere.cylinder_frames(theta1, theta2)
     return omega_c_array(base, d1, d2)
+
+
+def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
+    """Tensor Gauss-Legendre integral of the two-form pulled back to the
+    cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
+    cap_pullback_max)."""
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
+    t1 = 0.5 * math.pi * (nodes + 1.0)
+    w1 = 0.5 * math.pi * weights
+    t2 = math.pi * (nodes + 1.0)
+    w2 = math.pi * weights
+    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
+    values = cylinder_integrand(pairs, g1, g2)
+    return float(np.einsum("i,j,ij->", w1, w2, values))
 
 
 def _orthonormal_tangent_pair(
@@ -323,21 +316,26 @@ def _orthonormal_tangent_pair(
     return u, np.cross(a, u)
 
 
+def _pullback_max(configuration, frame, samples: int,
+                  rng: np.random.Generator) -> float:
+    """Max |pullback| of the form over `samples` random points A of a sphere
+    chart; `rng` draws the points, then their tangent pairs."""
+    a = rng.normal(size=(samples, 3))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    u1, u2 = _orthonormal_tangent_pair(a, rng)
+    values = omega_c_array(configuration(a), frame(a, u1), frame(a, u2))
+    return float(np.max(np.abs(values)))
+
+
 def cap_pullback_max(pairs: int, samples: int = 256, rng_seed: int = 0) -> float:
     """Max |pullback| of the form over random points of both caps (the
     claim under test is that it vanishes identically)."""
     sphere = CapCylinderSphere(pairs)
     rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    for which in (1, 2):
-        a = rng.normal(size=(samples, 3))
-        a /= np.linalg.norm(a, axis=-1, keepdims=True)
-        u1, u2 = _orthonormal_tangent_pair(a, rng)
-        base = sphere.cap_configuration(which, a)
-        f1 = sphere.cap_frame(a, u1)
-        f2 = sphere.cap_frame(a, u2)
-        worst = max(worst, float(np.max(np.abs(omega_c_array(base, f1, f2)))))
-    return worst
+    return max(
+        _pullback_max(functools.partial(sphere.cap_configuration, which),
+                      sphere.cap_frame, samples, rng)
+        for which in (1, 2))
 
 
 def adjacent_pair_pullback_max(
@@ -345,14 +343,8 @@ def adjacent_pair_pullback_max(
 ) -> float:
     """Max |pullback| of the form over random points of an adjacent-pair
     sphere (vanishes identically)."""
-    rng = np.random.default_rng(rng_seed)
-    a = rng.normal(size=(samples, 3))
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    u1, u2 = _orthonormal_tangent_pair(a, rng)
-    base = sphere.configuration(a)
-    f1 = sphere.frame(a, u1)
-    f2 = sphere.frame(a, u2)
-    return float(np.max(np.abs(omega_c_array(base, f1, f2))))
+    return _pullback_max(sphere.configuration, sphere.frame, samples,
+                         np.random.default_rng(rng_seed))
 
 
 # --- nondegeneracy on the product-one locus -------------------------------------
@@ -429,10 +421,8 @@ def monotonicity_ratio(pairs: int = 2, quadrature_order: int = 32
     """Ratio of the form's pairing with the cap-cylinder sphere to the
     first-Chern pairing (expected pi^2/2), with the adjacent-pair sphere's
     0/0 pair recorded rather than divided."""
-    from .chern import chern_pairing
-
     fn_val = integrate_fn_pullback(pairs, quadrature_order)
-    c1_val = chern_pairing(pairs)
+    c1_val = chern_pairing()
     gamma = AdjacentPairSphere(slot=3, sign=1, pairs=pairs)
     gamma_form = adjacent_pair_pullback_max(gamma)
     return MonotonicityReport(

@@ -6,17 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from repvar import claims
 from repvar.chern import (
     CONTOUR,
     DETERMINANT_MODULUS,
-    JUNCTION_TOL,
     MIN_SAMPLES_PER_SEGMENT,
     chern_pairing,
     closed_form_gap,
     contour_determinants,
     junction_gaps,
     modulus_deviation,
-    segment,
     winding_number,
     _loop_winding,
 )
@@ -29,44 +28,32 @@ def test_contour_has_eight_connected_segments():
     assert np.max(junction_gaps()) < 1e-12
 
 
-def test_segment_lookup():
-    seg = segment("disc1-outer")
-    assert seg is CONTOUR[0]
-    with pytest.raises(ValueError) as err:
-        segment("nонsense")
-    assert "disc1-outer" in str(err.value)
-
-
 def test_pinned_determinant_values():
-    assert segment("disc1-outer").determinant(0.0) == pytest.approx(
-        32.0 + 0.0j, abs=1e-12
-    )
-    assert segment("cut-lower").determinant(0.0) == pytest.approx(
-        -32.0j, abs=1e-12
-    )
-    assert segment("disc2-outer").determinant(math.pi) == pytest.approx(
-        -32.0 + 0.0j, abs=1e-12
-    )
-    assert segment("disc1-above-cut").determinant(2 * math.pi) == pytest.approx(
-        32.0 + 0.0j, abs=1e-12
-    )
+    # disc1-outer at 0, cut-lower at 0, disc2-outer at pi, disc1-above-cut
+    # at 2 pi
+    pins = [(0, 0.0, 32.0), (2, 0.0, -32.0j), (4, math.pi, -32.0),
+            (7, 2 * math.pi, 32.0)]
+    for index, t, expected in pins:
+        values = CONTOUR[index].determinants(np.array([t]))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_frames_are_4x4_and_match_closed_forms():
     for seg in CONTOUR:
-        params = seg.parameters(16)
-        for t in params:
-            m = seg.frame_matrix(float(t))
-            assert m.shape == (4, 4)
-            assert m.dtype == np.complex128
+        assert seg.frame(seg.start).shape == (4, 4)
     assert closed_form_gap() < 1e-12
     assert closed_form_gap(samples_per_segment=128) < 1e-12
 
 
-def test_frame_matrix_rejects_out_of_range_parameters():
-    seg = segment("disc1-outer")  # runs over [0, pi]
-    with pytest.raises(ValueError):
-        seg.frame_matrix(seg.end + 0.5)
+def test_batched_frames_equal_per_parameter_frames():
+    for seg in CONTOUR:
+        params = seg.parameters(16)
+        frames = seg.frame(params)
+        assert frames.shape == (16, 4, 4)
+        assert frames.dtype == np.complex128
+        for k, t in enumerate(params):
+            assert np.array_equal(frames[k], seg.frame(t)), (seg.name, k)
 
 
 def test_determinant_modulus_is_constant():
@@ -85,8 +72,9 @@ def test_winding_numbers():
     assert winding_number() == -1
     assert winding_number(second_contour=True) == -1
     assert winding_number(samples_per_segment=256) == -1
-    assert winding_number(mirrored=True) == 1
-    assert winding_number(second_contour=True, mirrored=True) == 1
+    # reversing the traversal (an orientation control) flips the sign
+    assert _loop_winding(contour_determinants()[::-1]) == 1
+    assert _loop_winding(contour_determinants(second_contour=True)[::-1]) == 1
 
 
 def test_sampling_floor_is_enforced():
@@ -114,12 +102,11 @@ def test_winding_guards():
 
 
 def test_junction_tolerance_is_stricter_than_observed():
-    assert np.max(junction_gaps()) < JUNCTION_TOL
+    (claim,) = [c for c in claims.CLAIMS if c.name == "chern.junction_gap_max"]
+    assert np.max(junction_gaps()) < claim.bound
 
 
 def test_pairing_is_minus_two_for_any_pair_count():
+    # the frames do not depend on the pair count, so neither does the pairing
     assert chern_pairing() == -2
-    assert chern_pairing(pairs=3) == -2
-    assert chern_pairing(pairs=5) == -2
-    with pytest.raises(ValueError):
-        chern_pairing(pairs=1)
+    assert chern_pairing(samples_per_segment=128) == -2

@@ -1,9 +1,13 @@
 """Command-line surface: verbs, reports on disk, exit codes, env overrides."""
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import re
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
@@ -166,6 +170,26 @@ def test_chern_verb(runner, tmp_path):
     assert res["winding_second_contour"] == -1
     assert res["pairing"] == -2
     assert record["passed"] is True
+
+
+def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):
+    assert _run(runner, tmp_path, ["chern", "--samples", "63"]).exit_code == 2
+    assert _run(runner, tmp_path, ["chern", "--samples", "64"]).exit_code == 0
+
+
+def test_in_process_calls_release_their_stdout_buffer(tmp_path):
+    # a caller that redirects stdout per call (as a benchmark loop does) must
+    # not have every buffer kept alive by the CLI
+    for fmt in ("--json", "--table"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main(["hessian", "--n", "2", fmt, "--run-dir", str(tmp_path)],
+                     standalone_mode=False)
+        assert buf.getvalue()
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None, fmt
 
 
 def test_records_are_written_per_invocation(runner, tmp_path):

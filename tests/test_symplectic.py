@@ -110,7 +110,8 @@ def test_single_generators_preserve_the_form():
     for strands in (4, 6):
         for k in range(1, strands):
             for sign in (1, -1):
-                dev = check_braid_invariance(sign * k, strands, trials=200)
+                word = BraidWord(strands, (sign * k,))
+                dev = check_braid_invariance(word, trials=200)
                 assert dev < 1e-10, (strands, sign * k, dev)
 
 
@@ -120,11 +121,6 @@ def test_composite_words_preserve_the_form():
         strands = int(rng.integers(2, 7))
         word = _random_word(rng, strands, int(rng.integers(1, 9)))
         assert check_braid_invariance(word, trials=150) < 1e-10
-
-
-def test_bare_generator_requires_strand_count():
-    with pytest.raises(ValueError):
-        check_braid_invariance(1)
 
 
 # --- the mirrored-tuple submanifold --------------------------------------------------

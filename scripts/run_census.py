@@ -28,6 +28,8 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=SolverConfig().seeds)
     parser.add_argument("--seed", type=int, default=0, help="rng seed")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     names = args.names or sorted(load_knot_table())
     config = dataclasses.replace(

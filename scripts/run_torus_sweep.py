@@ -30,6 +30,8 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=9)
     parser.add_argument("--seeds", type=int, default=SolverConfig().seeds)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     config = SolverConfig(seeds=args.seeds)
     total = 0.0

@@ -123,13 +123,13 @@ def cli() -> None:
 @click.option("--name", default=None, help="knot from the shipped table")
 @click.option("--braid", "braid_text", default=None,
               help='braid word, e.g. "3: 1 -2 1 -2"')
-@click.option("--seeds", type=int, default=None,
+@click.option("--seeds", type=click.IntRange(min=1), default=None,
               help="random solver restarts [default: solver's 1536]")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="RNG seed")
 @click.option("--tol", type=float, default=None,
               help="survivor residual tolerance [default: solver's 1e-12]")
-@click.option("--link-radius", type=float, default=None,
+@click.option("--link-radius", type=click.FloatRange(min=0, min_open=True), default=None,
               help="clustering radius [default: solver's 0.15]")
 @click.option("--khovanov-csv", type=click.Path(exists=True, dir_okay=False),
               default=None, help="'name,rank' CSV overriding the shipped one")
@@ -260,7 +260,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
 @cli.command()
 @click.argument("which", type=click.Choice(VERIFY_SUITES))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=1000, show_default=True,
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True,
               help="random frame pairs per invariance/vanishing check")
 @_io_options
 @click.pass_context
@@ -282,14 +282,12 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
 
 
 @cli.command(name="hessian")
-@click.option("--n", "pairs", type=int, default=4, show_default=True,
+@click.option("--n", "pairs", type=click.IntRange(min=2), default=4, show_default=True,
               help="number of sphere pairs")
 @_io_options
 @click.pass_context
 def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
     """Integer Hessian report: matrix, signature, Pfaffian table."""
-    if pairs < 2:
-        raise click.UsageError("--n must be at least 2")
     fact = hessian_mod.det_factorization(pairs)
     table_max = max(pairs, 3)
     results = {

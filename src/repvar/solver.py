@@ -11,7 +11,7 @@ every slot) maps solutions to solutions, so each component is a union of
 rotation orbits and is sampled extremely sparsely in ambient coordinates.
 Components are therefore linked in a rotation-invariant embedding (pairwise
 dot products plus signed triple volumes), where 2- and 3-dimensional
-components collapse to single points and the union-find radius is
+components collapse to single points and a fixed linking radius is
 meaningful.  Dimensions are still estimated in ambient coordinates, from
 dedicated local samples regenerated around each representative.
 """
@@ -109,14 +109,12 @@ def _jvp(k, state, vel):
     vb = vel[..., i + 1, :]
     out = vel.copy()
     ab = np.sum(a * b, axis=-1, keepdims=True)
+    bva = np.sum(b * va, axis=-1, keepdims=True)
+    avb = np.sum(a * vb, axis=-1, keepdims=True)
     if k > 0:
-        bva = np.sum(b * va, axis=-1, keepdims=True)
-        avb = np.sum(a * vb, axis=-1, keepdims=True)
         out[..., i, :] = 2.0 * bva * a + 2.0 * ab * va + 2.0 * avb * a - vb
         out[..., i + 1, :] = va
     else:
-        bva = np.sum(b * va, axis=-1, keepdims=True)
-        avb = np.sum(a * vb, axis=-1, keepdims=True)
         out[..., i, :] = vb
         out[..., i + 1, :] = 2.0 * avb * b + 2.0 * ab * vb + 2.0 * bva * b - va
     return out
@@ -128,21 +126,19 @@ def _normalize(pts):
 
 def _tangent_jacobian(word, pts, e1, e2):
     """Jacobian of g -> act(g) - g in the orthonormal tangent frames,
-    shape (S, 3n, 2n); column m is the image of frame vector m."""
+    shape (S, 3n, 2n), and the image act(g).  Column m is the image of frame
+    vector m; all 2n columns ride one forward sweep over the word."""
     S, n, _ = pts.shape
-    app = list(reversed(word.letters))
-    cols = []
-    for m in range(2 * n):
-        basis = np.zeros_like(pts)
-        slot, which = divmod(m, 2)
-        basis[:, slot, :] = e1[:, slot, :] if which == 0 else e2[:, slot, :]
-        v = basis
-        state = pts
-        for k in app:
-            v = _jvp(k, state, v)
-            state = generator_step(k, state)
-        cols.append((v - basis).reshape(S, 3 * n))
-    return np.stack(cols, axis=-1)
+    slots = np.arange(n)
+    basis = np.zeros((n, 2, S, n, 3))
+    basis[slots, :, :, slots] = np.stack([e1, e2], axis=2).transpose(1, 2, 0, 3)
+    basis = basis.reshape(2 * n, S, n, 3)
+    vel, state = basis, pts
+    for k in reversed(word.letters):
+        vel = _jvp(k, state, vel)
+        state = generator_step(k, state)
+    jac = np.moveaxis((vel - basis).reshape(2 * n, S, 3 * n), 0, -1)
+    return jac, state
 
 
 def _apply_tangent_step(pts, x, e1, e2):
@@ -160,8 +156,8 @@ def _gauss_newton(word, pts, iters=12, damping=None):
     solution set; damping caps that gain at 1/(2*lambda)."""
     for _ in range(iters):
         e1, e2 = tangent_basis(pts)
-        A = _tangent_jacobian(word, pts, e1, e2)
-        b = -(act_array(word, pts) - pts).reshape(len(pts), -1)
+        A, image = _tangent_jacobian(word, pts, e1, e2)
+        b = -(image - pts).reshape(len(pts), -1)
         if damping is None:
             x = np.einsum("sij,sj->si", np.linalg.pinv(A, rcond=1e-8), b)
         else:
@@ -186,8 +182,8 @@ def _levenberg(word, pts, tol):
         if not live.any():
             break
         e1, e2 = tangent_basis(pts)
-        A = _tangent_jacobian(word, pts, e1, e2)
-        b = -(act_array(word, pts) - pts).reshape(len(pts), -1)
+        A, image = _tangent_jacobian(word, pts, e1, e2)
+        b = -(image - pts).reshape(len(pts), -1)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         gain = s / (s**2 + lam[:, None] ** 2)
         x = np.einsum("sji,sj->si", Vt, gain * np.einsum("sji,sj->si", U, b))
@@ -222,39 +218,33 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray]:
-    """Union-find linking at link_radius; input order must already be
-    deterministic (callers sort lexicographically first)."""
-    S = len(features)
-    dsu = _DSU(S)
-    block = 512
-    for lo in range(0, S, block):
-        hi = min(lo + block, S)
-        diff = features[lo:hi, None, :] - features[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        pairs = np.argwhere(dist2 <= link_radius**2)
-        for a, b in pairs:
-            dsu.union(lo + int(a), int(b))
-    groups: dict[int, list[int]] = {}
-    for s in range(S):
-        groups.setdefault(dsu.find(s), []).append(s)
-    return [np.array(v) for _, v in sorted(groups.items())]
+    """Connected components of the graph linking points within link_radius,
+    each as ascending indices, ordered by smallest index.  Input order must
+    already be deterministic (callers sort lexicographically first).
+
+    Min-label propagation: each label is the index of a point in the same
+    component.  A round hooks every root onto the smallest label next to its
+    tree, then pointer jumping flattens the trees; at the fixed point each
+    component carries its smallest index."""
+    labels = np.arange(len(features))
+    while True:
+        # smallest label among each point's neighbours, itself included
+        low = labels.copy()
+        for lo in range(0, len(features), 512):
+            rows = slice(lo, lo + 512)
+            diff = features[rows, None, :] - features[None, :, :]
+            linked = np.sum(diff * diff, axis=-1) <= link_radius**2
+            low[rows] = np.where(linked, labels, low[rows, None]).min(axis=1)
+        if np.array_equal(low, labels):
+            break
+        np.minimum.at(labels, labels.copy(), low)
+        labels = np.minimum(labels, low)
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, starts) if len(order) else []
 
 
 # --- per-configuration predicates --------------------------------------------

@@ -187,6 +187,30 @@ def closure_cycle_count(strands: int, letters: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Connected components of a radius graph by breadth-first search.
+
+def radius_components(points: np.ndarray, radius: float) -> list[list[int]]:
+    """Components of the graph linking points at distance <= radius, each
+    as ascending indices, ordered by smallest index."""
+    seen = np.zeros(len(points), dtype=bool)
+    components = []
+    for start in range(len(points)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = [start], []
+        while queue:
+            u = queue.pop(0)
+            members.append(u)
+            dist2 = np.sum((points - points[u]) ** 2, axis=1)
+            for v in np.flatnonzero((dist2 <= radius**2) & ~seen):
+                seen[v] = True
+                queue.append(int(v))
+        components.append(sorted(members))
+    return components
+
+
+# ---------------------------------------------------------------------------
 # Pfaffian oracles.
 
 def det_float(M) -> float:

@@ -177,6 +177,19 @@ def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):
     assert _run(runner, tmp_path, ["chern", "--samples", "64"]).exit_code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "symplectic", "--trials", "0"],
+    ["hessian", "--n", "1"],
+    ["variety", "--name", "3_1", "--seeds", "0"],
+    ["variety", "--name", "3_1", "--seeds", "-1"],
+    ["variety", "--name", "3_1", "--link-radius", "0"],
+    ["variety", "--name", "3_1", "--link-radius", "-0.15"],
+])
+def test_out_of_range_counts_and_radii_are_usage_errors(runner, tmp_path, args):
+    result = _run(runner, tmp_path, args)
+    assert result.exit_code == 2, result.output
+
+
 def test_in_process_calls_release_their_stdout_buffer(tmp_path):
     # a caller that redirects stdout per call (as a benchmark loop does) must
     # not have every buffer kept alive by the CLI

@@ -11,6 +11,7 @@ import oracles
 from repvar.braid import (
     BraidWord,
     act_array,
+    generator_step,
     parse_braid,
     random_configurations,
     tangent_basis,
@@ -18,6 +19,7 @@ from repvar.braid import (
 from repvar.solver import (
     AngleCaseSolution,
     SolverConfig,
+    _jvp,
     _tangent_jacobian,
     angle_case_9_42,
     cluster_indices,
@@ -69,8 +71,18 @@ def test_tangent_jacobian_matches_finite_differences():
         word = BraidWord(strands, tuple(int(k) for k in letters))
         pts = random_configurations(strands, 2, rng)
         e1, e2 = tangent_basis(pts)
-        jac = _tangent_jacobian(word, pts, e1, e2)
+        jac, image = _tangent_jacobian(word, pts, e1, e2)
         assert jac.shape == (2, 3 * strands, 2 * strands)
+        # the sweep's final state is the action itself, bit for bit
+        assert np.array_equal(image, act_array(word, pts))
+        # and each column equals a sweep that carries that column alone
+        for m in range(2 * strands):
+            basis = np.zeros_like(pts)
+            basis[:, m // 2] = (e1, e2)[m % 2][:, m // 2]
+            vel, state = basis, pts
+            for k in reversed(word.letters):
+                vel, state = _jvp(k, state, vel), generator_step(k, state)
+            assert np.array_equal(jac[..., m], (vel - basis).reshape(2, -1))
         for s in range(2):
             for m in range(2 * strands):
                 slot, which = divmod(m, 2)
@@ -129,6 +141,21 @@ def test_cluster_indices_links_blobs():
     assert sizes == [4, 5]
     # radius below the intra-blob spacing shatters them
     assert len(cluster_indices(feats, link_radius=1e-4)) == 9
+
+
+def test_cluster_indices_matches_the_component_oracle():
+    rng = np.random.default_rng(31)
+    centers = rng.normal(size=(6, 3))
+    blobs = centers[rng.integers(0, 6, size=400)] + 0.1 * rng.normal(size=(400, 3))
+    # a chain with two gaps, shuffled: labels must travel ~500 links
+    steps = np.full(1500, 0.01)
+    steps[[500, 1100]] = 0.05
+    chain = np.stack([np.cumsum(steps), np.zeros(1500)], axis=1)
+    chain = chain[rng.permutation(1500)]
+    for feats, radius in ((blobs, 0.15), (chain, 0.015), (np.zeros((1, 2)), 0.15)):
+        got = [c.tolist() for c in cluster_indices(feats, radius)]
+        assert got == oracles.radius_components(feats, radius)
+    assert len(cluster_indices(chain, 0.015)) == 3
 
 
 def test_is_singular_config_detects_the_abelian_locus():

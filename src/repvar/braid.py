@@ -77,6 +77,11 @@ class Configuration:
         return len(self.points)
 
 
+def normalize(pts: np.ndarray) -> np.ndarray:
+    """Radial projection of (..., 3) vectors onto the unit sphere."""
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+
 def project_coefficient(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Nearest tangent coefficient at p to an arbitrary algebra vector v."""
     return v - np.sum(v * p, axis=-1, keepdims=True) * p
@@ -130,6 +135,10 @@ def differential_arrays(
     and for the negative letter:
         slot k     <- Y                              at base b
         slot k+1   <- Ad(b^-1)(X + Ad(a) Y - Y)      at base b^-1 a b
+
+    The new base point is renormalised after each letter: the half-turn
+    drifts off the sphere in floating point, and a long word amplifies the
+    drift in the pushed-forward frames.
     """
     pts = pts.copy()
     coeffs = coeffs.copy()
@@ -141,13 +150,13 @@ def differential_arrays(
         X = coeffs[..., i, :].copy()
         Y = coeffs[..., i + 1, :].copy()
         if k > 0:
-            c = reflect(a, b)
+            c = normalize(reflect(a, b))
             coeffs[..., i, :] = X + reflect(a, Y) - reflect(c, X)
             coeffs[..., i + 1, :] = X
             pts[..., i, :] = c
             pts[..., i + 1, :] = a
         else:
-            d = reflect(b, a)
+            d = normalize(reflect(b, a))
             # Ad(b^-1) = Ad(b) on the class (half-turns are involutions)
             coeffs[..., i, :] = Y
             coeffs[..., i + 1, :] = reflect(b, X + reflect(a, Y) - Y)
@@ -208,8 +217,7 @@ def check_braid_relations(strands: int, samples: int = 50, rng_seed: int = 0) ->
 
 
 def random_configurations(strands: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.normal(size=(count, strands, 3))
-    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    return normalize(rng.normal(size=(count, strands, 3)))
 
 
 # --- the name table -----------------------------------------------------------

@@ -160,4 +160,5 @@ def run(names: Iterable[str], seed: int = 0, trials: int = 1000) -> list[dict]:
     if unknown:
         raise KeyError(f"unknown claims: {sorted(unknown)}")
     _monotonicity.cache_clear()
+    hessian.spectrum.cache_clear()
     return [c.check(seed, trials) for c in CLAIMS if c.name in wanted]

@@ -51,8 +51,11 @@ def _jsonable(obj):
 
 
 def _persist(run_dir: str, command: str, results: dict,
-             checks: list[dict]) -> tuple[dict, Path]:
-    """Write the record; its config is exactly the command's parsed options."""
+             checks: list[dict]) -> tuple[dict, str]:
+    """Write the record; its config is exactly the command's parsed options.
+
+    Returns the record and the JSON text written, which `_emit` echoes.
+    """
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -66,17 +69,16 @@ def _persist(run_dir: str, command: str, results: dict,
     directory.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     path = directory / f"{command}-{stamp}.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True,
-                               default=_jsonable))
-    return record, path
+    text = json.dumps(record, indent=2, sort_keys=True, default=_jsonable)
+    path.write_text(text)
+    return record, text
 
 
-def _emit(record: dict, as_json: bool, table_lines: list[str]) -> None:
+def _emit(text: str, as_json: bool, table_lines: list[str]) -> None:
     # An explicit file: click's cache for its default stdout keeps a
     # redirected io.StringIO alive for the life of the process.
     if as_json:
-        click.echo(json.dumps(record, indent=2, sort_keys=True,
-                              default=_jsonable), file=sys.stdout)
+        click.echo(text, file=sys.stdout)
     else:
         for line in table_lines:
             click.echo(line, file=sys.stdout)
@@ -187,7 +189,7 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
                 "matches": cmp_report.matches,
             }
 
-    record, _ = _persist(run_dir, "variety", results, [])
+    _, text = _persist(run_dir, "variety", results, [])
     lines = [f"{label}: {len(report.components)} component(s), "
              f"{report.seeds_converged}/{report.seeds_total} seeds converged"]
     if report.full_variety:
@@ -201,7 +203,7 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
         verdict = "match" if kh["matches"] else "MISMATCH"
         lines.append(f"  khovanov: variety rank {kh['variety_rank']} vs "
                      f"{kh['khovanov_rank']} ({verdict})")
-    _emit(record, as_json, lines)
+    _emit(text, as_json, lines)
 
 
 @cli.command()
@@ -243,7 +245,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
     except OSError:
         pass
 
-    record, _ = _persist(run_dir, "invariants", results, [])
+    _, text = _persist(run_dir, "invariants", results, [])
     lines = [
         f"{label}: Alexander {poly}",
         f"  determinant {det}",
@@ -254,7 +256,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
     if "khovanov_rank" in results:
         lines.append(f"  khovanov rank {results['khovanov_rank']} "
                      f"(prediction {'matches' if results['prediction_matches_khovanov'] else 'differs'})")
-    _emit(record, as_json, lines)
+    _emit(text, as_json, lines)
 
 
 @cli.command()
@@ -272,11 +274,11 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
         seed, trials)
     results = {"suite": which, "trials": trials,
                "failed": [c["name"] for c in checks if not c["passed"]]}
-    record, _ = _persist(run_dir, "verify", results, checks)
+    record, text = _persist(run_dir, "verify", results, checks)
     lines = _check_table(checks)
     lines.append("all checks passed" if record["passed"]
                  else f"{len(results['failed'])} check(s) FAILED")
-    _emit(record, as_json, lines)
+    _emit(text, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)
 
@@ -308,13 +310,13 @@ def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
         check_record("recurrence_matches_direct", "equals",
                      results["pfaffian_table"][pairs - 2], fact.hprime_pfaffian),
     ]
-    record, _ = _persist(run_dir, "hessian", results, checks)
+    record, text = _persist(run_dir, "hessian", results, checks)
     lines = [f"n={pairs}: signature {results['signature']}, "
              f"min |eig| {results['min_abs_eigenvalue']:.4f}, "
              f"det {fact.hessian_det} = {fact.hprime_pfaffian}^4",
              f"Pfaffian table (n=2..{table_max}): {results['pfaffian_table']}"]
     lines += _check_table(checks)
-    _emit(record, as_json, lines)
+    _emit(text, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)
 
@@ -349,11 +351,11 @@ def chern_cmd(ctx, samples, as_json, run_dir) -> None:
         check_record("winding_second_contour", "equals", winding_second, -1),
         check_record("pairing", "equals", results["pairing"], -2),
     ]
-    record, _ = _persist(run_dir, "chern", results, checks)
+    record, text = _persist(run_dir, "chern", results, checks)
     lines = [f"windings {winding_first} + {winding_second} = "
              f"{results['pairing']}"]
     lines += _check_table(checks)
-    _emit(record, as_json, lines)
+    _emit(text, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)
 

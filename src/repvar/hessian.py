@@ -8,14 +8,14 @@ swap-adjacent-coordinates permutation conjugates it to its negative (hence
 signature 0), and deleting alternate rows and columns of its skew form
 leaves a pentadiagonal skew matrix whose Pfaffian obeys a two-term integer
 recurrence.  Floating point appears only in the eigenvalue-based signature
-check; determinants and Pfaffians are computed in exact arithmetic.
+check; determinants and Pfaffians come from fraction-free elimination over
+Python integers, so they are exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +26,9 @@ __all__ = [
     "check_php",
     "signature",
     "min_abs_eigenvalue",
+    "spectrum",
     "build_hprime",
-    "skew_reduction",
     "pfaffian",
-    "pfaffian_expansion",
     "pfaffian_recurrence",
     "integer_determinant",
     "DetFactorization",
@@ -108,12 +107,21 @@ def check_php(n: int) -> bool:
     return php_identity(build_hessian(n))
 
 
-def _eigenvalues(n: int) -> np.ndarray:
-    return np.linalg.eigvalsh(build_hessian(n).astype(float))
+@functools.cache
+def spectrum(n: int) -> np.ndarray:
+    """Ascending eigenvalues of build_hessian(n), read-only.
+
+    Memoised per n, so that :func:`signature` and :func:`min_abs_eigenvalue`
+    share one eigensolve; ``claims.run`` clears it so that each run computes
+    each spectrum once.
+    """
+    eigs = np.linalg.eigvalsh(build_hessian(n).astype(float))
+    eigs.setflags(write=False)
+    return eigs
 
 
 def min_abs_eigenvalue(n: int) -> float:
-    return float(np.min(np.abs(_eigenvalues(n))))
+    return float(np.min(np.abs(spectrum(n))))
 
 
 def signature(n: int) -> int:
@@ -123,7 +131,7 @@ def signature(n: int) -> int:
     invertible, so a near-zero eigenvalue is reported as an error rather
     than silently classified.
     """
-    eigs = _eigenvalues(n)
+    eigs = spectrum(n)
     if float(np.min(np.abs(eigs))) <= EIGENVALUE_ZERO_THRESHOLD:
         raise ValueError(
             f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero at n={n}: "
@@ -136,8 +144,7 @@ def build_hprime(n: int) -> np.ndarray:
 
     First band alternates 2, -2, 2, ...; second band alternates -1, 1, -1,
     ...; lower triangle by antisymmetry.  Equals the odd-indexed rows and
-    columns (1-based) of parity_swap @ build_hessian(n); see
-    :func:`skew_reduction`.
+    columns (1-based) of parity_swap @ build_hessian(n).
     """
     _require_pairs(n)
     size = 2 * n - 2
@@ -147,19 +154,6 @@ def build_hprime(n: int) -> np.ndarray:
     for i in range(size - 2):
         m[i, i + 2] = -1 if i % 2 == 0 else 1
     return m - m.T
-
-
-def skew_reduction(n: int, *, odd: bool = True) -> np.ndarray:
-    """Alternate rows/columns of the skew form parity_swap @ H.
-
-    With ``odd`` (1-based odd indices) this reproduces build_hprime(n)
-    exactly; the even-indexed complement is its exact negative, which is
-    what squares the determinant: det(H) = det(odd part)^2.
-    """
-    h = build_hessian(n)
-    skew = parity_swap(h.shape[0]) @ h
-    keep = np.arange(0 if odd else 1, h.shape[0], 2)
-    return skew[np.ix_(keep, keep)]
 
 
 def _validate_skew(matrix: np.ndarray) -> np.ndarray:
@@ -174,66 +168,44 @@ def _validate_skew(matrix: np.ndarray) -> np.ndarray:
 
 
 def pfaffian(matrix: np.ndarray) -> int:
-    """Exact Pfaffian of an integer skew matrix by congruence elimination.
+    """Exact Pfaffian of an integer skew matrix by fraction-free elimination.
 
-    Row-and-column congruence updates with unit determinant zero out each
-    leading 2x2 block's couplings; the Pfaffian is the product of the
-    pivots (with a sign per swap).  Fractions keep the arithmetic exact;
-    the result of an integer skew matrix is always an integer.
+    The Pfaffian form of Bareiss elimination: step k pivots on the entry
+    (k, k+1), swapping row and column k+1 with the first column that has a
+    nonzero entry in row k (one sign flip per swap; none means Pf = 0), and
+    replaces each remaining entry by a bordered 4-index Pfaffian divided by
+    the previous pivot.  The Pfaffian form of Sylvester's identity makes every
+    division exact, so the arithmetic stays in Python integers and the last
+    pivot is the Pfaffian.
     """
     m = _validate_skew(matrix)
     size = m.shape[0]
-    a = [[Fraction(int(x)) for x in row] for row in m]
-    result = Fraction(1)
+    a = [[int(x) for x in row] for row in m]
+    sign = 1
+    prev = 1
     for k in range(0, size, 2):
-        pivot_col = next(
-            (j for j in range(k + 1, size) if a[k][j] != 0), None)
+        row_k = a[k]
+        pivot_col = next((j for j in range(k + 1, size) if row_k[j]), None)
         if pivot_col is None:
             return 0
         if pivot_col != k + 1:
             for row in a:
                 row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
             a[k + 1], a[pivot_col] = a[pivot_col], a[k + 1]
-            result = -result
-        pivot = a[k][k + 1]
-        result *= pivot
+            sign = -sign
+        row_k1 = a[k + 1]
+        pivot = row_k[k + 1]
+        # only the upper triangle is computed; the lower one is its mirror
         for i in range(k + 2, size):
-            # clear a[k][i] with row/col k+1, then a[k+1][i] with row/col k
-            for src, f in ((k + 1, a[k][i] / pivot),
-                           (k, -a[k + 1][i] / pivot)):
-                if f:
-                    for j in range(size):
-                        a[i][j] -= f * a[src][j]
-                    for j in range(size):
-                        a[j][i] -= f * a[j][src]
-    if result.denominator != 1:
-        raise AssertionError("integer Pfaffian came out fractional")
-    return int(result)
-
-
-def pfaffian_expansion(matrix: np.ndarray) -> int:
-    """Exact Pfaffian by first-row minor expansion (small sizes).
-
-    Pf(A) = sum over j of (-1)^j a_{1j} Pf(A with rows/cols 1 and j gone);
-    memoized over surviving index sets.
-    """
-    m = _validate_skew(matrix)
-    entries = [[int(x) for x in row] for row in m]
-
-    @lru_cache(maxsize=None)
-    def pf(indices: tuple[int, ...]) -> int:
-        if not indices:
-            return 1
-        first, rest = indices[0], indices[1:]
-        total = 0
-        for pos, j in enumerate(rest):
-            entry = entries[first][j]
-            if entry:
-                minor = pf(rest[:pos] + rest[pos + 1:])
-                total += (entry * minor if pos % 2 == 0 else -entry * minor)
-        return total
-
-    return pf(tuple(range(m.shape[0])))
+            row_i = a[i]
+            a_ki, a_k1i = row_k[i], row_k1[i]
+            for j in range(i + 1, size):
+                entry = (pivot * row_i[j] - a_ki * row_k1[j]
+                         + row_k[j] * a_k1i) // prev
+                row_i[j] = entry
+                a[j][i] = -entry
+        prev = pivot
+    return sign * prev
 
 
 def pfaffian_recurrence(n_max: int) -> list[int]:

@@ -29,6 +29,7 @@ from .braid import (
     Configuration,
     act_array,
     generator_step,
+    normalize,
     project_coefficient,
     random_configurations,
     tangent_basis,
@@ -120,10 +121,6 @@ def _jvp(k, state, vel):
     return out
 
 
-def _normalize(pts):
-    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-
-
 def _tangent_jacobian(word, pts, e1, e2):
     """Jacobian of g -> act(g) - g in the orthonormal tangent frames,
     shape (S, 3n, 2n), and the image act(g).  Column m is the image of frame
@@ -143,7 +140,7 @@ def _tangent_jacobian(word, pts, e1, e2):
 
 def _apply_tangent_step(pts, x, e1, e2):
     move = x[:, 0::2, None] * e1 + x[:, 1::2, None] * e2
-    return _normalize(pts + move)
+    return normalize(pts + move)
 
 
 def _gauss_newton(word, pts, iters=12, damping=None):
@@ -285,7 +282,7 @@ def _resample_component(word, rep, count, rng, tol):
     patch into a visibly curved one, inflating the dimension estimate."""
     pts = np.repeat(rep[None, :, :], count, axis=0)
     noise = rng.normal(size=pts.shape) * RESAMPLE_SCALE
-    pts = _normalize(pts + project_coefficient(pts, noise))
+    pts = normalize(pts + project_coefficient(pts, noise))
     pts = _gauss_newton(word, pts, iters=8, damping=1e-4)
     r = residual_array(word, pts)
     dist = np.linalg.norm((pts - rep[None]).reshape(count, -1), axis=1)

@@ -40,20 +40,9 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_inverse(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float) * -1.0
-    out[..., 0] *= -1.0
-    return out
-
-
 def pure_quat(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
-
-
-def rotate(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ad(g) v = vector part of g (0, v) g^-1 for unit quaternions g."""
-    return quat_mul(quat_mul(g, pure_quat(v)), quat_inverse(g))[..., 1:]
 
 
 def reflect(axis: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ share code (or bugs) with it.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -122,6 +124,11 @@ def pure(v_xyz: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
+def rotate(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ad(g) v = vector part of g (0, v) g^-1 for unit quaternions g."""
+    return quat_mul(quat_mul(g, pure(v)), quat_inv_unit(g))[..., 1:]
+
+
 def su2_matrix(q_wxyz: np.ndarray) -> np.ndarray:
     """The 2x2 complex matrix of the quaternion w + x i + y j + z k:
     [[w + x i, y + z i], [-y + z i, w - x i]] (any quaternion, not only
@@ -221,6 +228,44 @@ def det_float(M) -> float:
 def pfaffian_4x4(M) -> int:
     """Classical 4x4 closed form: a12 a34 - a13 a24 + a14 a23."""
     return M[0][1] * M[2][3] - M[0][2] * M[1][3] + M[0][3] * M[1][2]
+
+
+def pfaffian_expansion(M) -> int:
+    """Exact Pfaffian of an integer skew matrix by first-row minor expansion.
+
+    Pf(A) = sum over j of (-1)^j a_{1j} Pf(A with rows/cols 1 and j gone),
+    memoized over surviving index sets; exponential, so small sizes only.
+    """
+    m = np.asarray(M)
+    assert m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] % 2 == 0
+    assert np.array_equal(m, -m.T), "not antisymmetric"
+    entries = [[int(x) for x in row] for row in m]
+
+    @functools.cache
+    def pf(indices: tuple[int, ...]) -> int:
+        if not indices:
+            return 1
+        first, rest = indices[0], indices[1:]
+        total = 0
+        for pos, j in enumerate(rest):
+            if entries[first][j]:
+                minor = pf(rest[:pos] + rest[pos + 1:])
+                total += (-1) ** pos * entries[first][j] * minor
+        return total
+
+    return pf(tuple(range(m.shape[0])))
+
+
+def skew_reduction(hessian, odd: bool = True) -> np.ndarray:
+    """Alternate rows and columns of the skew form P @ hessian, with P the
+    permutation exchanging coordinates 2j-1 and 2j (1-based); `odd` keeps
+    the 1-based odd indices, and the even-indexed complement is the other
+    block of the determinant's square."""
+    h = np.asarray(hessian)
+    swap = np.arange(h.shape[0]) ^ 1  # 0<->1, 2<->3, ...
+    skew = h[swap]
+    keep = np.arange(0 if odd else 1, h.shape[0], 2)
+    return skew[np.ix_(keep, keep)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The claim registry: pinned bounds, selection, check records."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repvar import claims
@@ -69,3 +70,19 @@ def test_check_kinds():
         "passed": True}
     assert claims.describe(record("a", "abs_le", 2e-10, 1e-10)) == (
         "|2.000e-10| <= 1e-10")
+
+
+def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(len(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    names = ["hessian.signature_zero", "hessian.min_abs_eigenvalue"]
+    for _ in range(2):
+        calls.clear()
+        assert all(c["passed"] for c in claims.run(names))
+        assert sorted(calls) == [4 * n - 4 for n in claims.HESSIAN_SIZES]

@@ -217,6 +217,13 @@ def test_records_are_written_per_invocation(runner, tmp_path):
     }
 
 
+def test_json_stdout_is_the_record_file(runner, tmp_path):
+    result = _run(runner, tmp_path, ["verify", "hessian", "--json"])
+    assert result.exit_code == 0, result.output
+    (path,) = tmp_path.glob("verify-*.json")
+    assert result.output == path.read_text() + "\n"
+
+
 def test_record_config_holds_exactly_the_command_options(runner, tmp_path):
     io_keys = {"as_json", "run_dir"}
     cases = {

@@ -18,17 +18,15 @@ from repvar.hessian import (
     min_abs_eigenvalue,
     parity_swap,
     pfaffian,
-    pfaffian_expansion,
     pfaffian_recurrence,
     php_identity,
     signature,
-    skew_reduction,
 )
 
 PFAFFIAN_TABLE = (2, 5, 12, 29, 70, 169, 408)  # n = 2 .. 8
 
 
-def skew_int_matrices(max_half=4):
+def skew_int_matrices(max_half=5):
     def build(draw):
         half, entries = draw
         size = 2 * half
@@ -42,7 +40,7 @@ def skew_int_matrices(max_half=4):
 
     return st.tuples(
         st.integers(1, max_half),
-        st.lists(st.integers(-6, 6), min_size=1, max_size=28),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=45),
     ).map(build)
 
 
@@ -139,9 +137,10 @@ def test_reduced_form_small_cases():
 def test_reduction_recovers_the_banded_form():
     for n in range(2, 8):
         hp = build_hprime(n)
+        h = build_hessian(n)
         assert np.array_equal(hp, -hp.T)
-        assert np.array_equal(skew_reduction(n, odd=True), hp)
-        assert np.array_equal(skew_reduction(n, odd=False), -hp)
+        assert np.array_equal(oracles.skew_reduction(h, odd=True), hp)
+        assert np.array_equal(oracles.skew_reduction(h, odd=False), -hp)
 
 
 # --- Pfaffians --------------------------------------------------------------------------
@@ -150,13 +149,14 @@ def test_reduction_recovers_the_banded_form():
 def test_pfaffian_sign_convention():
     a = np.array([[0, 7], [-7, 0]])
     assert pfaffian(a) == 7
-    assert pfaffian_expansion(a) == 7
+    assert oracles.pfaffian_expansion(a) == 7
 
 
 def test_pfaffian_of_reduced_forms_matches_the_table():
     direct = tuple(pfaffian(build_hprime(n)) for n in range(2, 9))
     assert direct == PFAFFIAN_TABLE
-    expanded = tuple(pfaffian_expansion(build_hprime(n)) for n in range(2, 9))
+    expanded = tuple(
+        oracles.pfaffian_expansion(build_hprime(n)) for n in range(2, 9))
     assert expanded == PFAFFIAN_TABLE
 
 
@@ -173,6 +173,30 @@ def test_pfaffian_small_case_against_oracle():
         assert pfaffian(hp) == oracles.pfaffian_4x4(hp)
 
 
+def test_pfaffian_swaps_past_a_zero_leading_pivot():
+    # a01 = 0, so the first step swaps column 1 with column 2 and flips the
+    # sign: Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 3*5 + 1*2
+    upper = np.array([[0, 0, 3, 1], [0, 0, 2, 5], [0, 0, 0, 7], [0, 0, 0, 0]])
+    m = upper - upper.T
+    assert pfaffian(m) == -13 == oracles.pfaffian_expansion(m)
+
+
+def test_pfaffian_of_an_all_zero_pivot_row_is_zero():
+    first = np.zeros((4, 4), dtype=np.int64)
+    first[1, 2], first[2, 1] = 4, -4
+    later = np.zeros((6, 6), dtype=np.int64)
+    later[0, 1], later[1, 0] = 3, -3
+    later[3, 5], later[5, 3] = 2, -2  # row 2 stays zero after the first step
+    for m in (first, later):
+        assert pfaffian(m) == 0 == oracles.pfaffian_expansion(m)
+
+
+def test_pfaffian_of_reduced_forms_follows_the_recurrence_to_n_16():
+    # sizes up to 30: many exact divisions by earlier pivots
+    table = pfaffian_recurrence(16)
+    assert [pfaffian(build_hprime(n)) for n in range(2, 17)] == table
+
+
 def test_pfaffian_input_validation():
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3), dtype=np.int64))
@@ -184,7 +208,7 @@ def test_pfaffian_input_validation():
 @settings(max_examples=60, deadline=None)
 def test_pfaffian_routes_agree_and_square_to_the_determinant(m):
     p1 = pfaffian(m)
-    p2 = pfaffian_expansion(m)
+    p2 = oracles.pfaffian_expansion(m)
     assert p1 == p2
     assert p1 * p1 == integer_determinant(m)
 

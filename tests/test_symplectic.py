@@ -174,6 +174,13 @@ def test_form_vanishes_on_the_submanifold_and_its_braid_images():
         assert check_gamma_lagrangian(word, trials=150) < 1e-10
 
 
+def test_long_word_pushforward_stays_on_the_sphere():
+    # without renormalising the base point after each letter, the drift of
+    # the half-turns off the sphere gave |form| = 3.1e-10 on this word
+    word = parse_braid("4: 2 2 2 -1 -1 -1 2 2")
+    assert check_gamma_lagrangian(word, trials=1000, rng_seed=237772) < 1e-10
+
+
 def test_sigma_tilde_shifts_into_the_second_half():
     w = sigma_tilde(parse_braid("3: 1 -2 1"))
     assert w.strands == 6

@@ -9,7 +9,11 @@ piece the four frame sections, written in a complex basis where the
 almost-complex structure acts as the imaginary unit, form a 4x4 matrix
 whose determinant has an elementary closed form of modulus 32.  Every
 frame and closed form is a numpy function of an array of piece
-parameters, so a piece's determinants are one batched `np.linalg.det`.
+parameters, so the frames of all eight pieces stack into one array and the
+whole contour is one batched `np.linalg.det`.  That array is memoised per
+sample count: the modulus, junction, winding and pairing checks all read
+it, so a verify run evaluates the contour once (``claims.run`` clears the
+memo, so each run evaluates it afresh).
 
 The first-Chern pairing with the sphere class localizes to the winding
 number of that determinant around 0 -- once per degenerate circle.  Both
@@ -116,9 +120,6 @@ class ContourSegment:
     def parameters(self, samples: int) -> np.ndarray:
         return np.linspace(self.start, self.end, samples)
 
-    def determinants(self, t) -> np.ndarray:
-        return np.linalg.det(self.frame(t))
-
 
 # Traversal order around the cut contour.  The determinant is constant on
 # the four pieces away from the cut ends and sweeps a clockwise quarter
@@ -157,28 +158,45 @@ def _require_sampling(samples_per_segment: int) -> None:
             f"got {samples_per_segment}")
 
 
+@functools.cache
+def _first_contour(samples_per_segment: int) -> np.ndarray:
+    """Determinants along the first contour, one stacked det, read-only.
+
+    Segment k holds entries ``k * samples .. (k + 1) * samples - 1``; its
+    first and last entry sit exactly at its start and end parameter.
+    """
+    _require_sampling(samples_per_segment)
+    frames = np.concatenate(
+        [seg.frame(seg.parameters(samples_per_segment)) for seg in CONTOUR])
+    values = np.linalg.det(frames)
+    values.setflags(write=False)
+    return values
+
+
 def contour_determinants(samples_per_segment: int = 64, *,
                          second_contour: bool = False) -> np.ndarray:
     """Determinant values along the whole contour in traversal order.
 
     The contour around the second degenerate circle reuses the same
     parametrization with every section value negated, so its determinant is
-    the pointwise negative of the first.
+    the pointwise negative of the first.  The first contour's array is the
+    shared read-only memo.
     """
-    _require_sampling(samples_per_segment)
-    values = np.concatenate(
-        [seg.determinants(seg.parameters(samples_per_segment))
-         for seg in CONTOUR])
+    values = _first_contour(samples_per_segment)
     return -values if second_contour else values
+
+
+def _segment_values(samples_per_segment: int) -> np.ndarray:
+    """The first contour's determinants as (segment, sample) rows."""
+    return _first_contour(samples_per_segment).reshape(len(CONTOUR), -1)
 
 
 def closed_form_gap(samples_per_segment: int = 64) -> float:
     """Largest distance between a numeric determinant and its closed form."""
-    _require_sampling(samples_per_segment)
+    rows = _segment_values(samples_per_segment)
     gap = 0.0
-    for seg in CONTOUR:
-        t = seg.parameters(samples_per_segment)
-        diff = seg.determinants(t) - seg.closed_form(t)
+    for seg, values in zip(CONTOUR, rows):
+        diff = values - seg.closed_form(seg.parameters(samples_per_segment))
         gap = max(gap, float(np.max(np.abs(diff))))
     return gap
 
@@ -191,10 +209,14 @@ def modulus_deviation(samples_per_segment: int = 64, *,
     return float(np.max(np.abs(np.abs(values) - DETERMINANT_MODULUS)))
 
 
-def junction_gaps() -> np.ndarray:
-    """|determinant jump| at the eight segment-to-segment junctions."""
-    ends = np.array([seg.determinants([seg.start, seg.end]) for seg in CONTOUR])
-    return np.abs(ends[:, 1] - np.roll(ends[:, 0], -1))
+def junction_gaps(samples_per_segment: int = 64) -> np.ndarray:
+    """|determinant jump| at the eight segment-to-segment junctions.
+
+    Each segment's first and last sample are its values at its start and
+    end, so the gaps read the same array as the other checks.
+    """
+    rows = _segment_values(samples_per_segment)
+    return np.abs(rows[:, -1] - np.roll(rows[:, 0], -1))
 
 
 def _loop_winding(values: np.ndarray) -> int:

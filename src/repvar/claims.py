@@ -94,6 +94,16 @@ def _monotonicity() -> symplectic.MonotonicityReport:
     return symplectic.monotonicity_ratio()
 
 
+def clear_memos() -> None:
+    """Forget every memoised measurement: the Hessian spectra, the contour
+    determinants and the monotonicity report.  Each run and each report
+    command starts here, so none of them reads a value an earlier one left
+    behind."""
+    _monotonicity.cache_clear()
+    hessian.spectrum.cache_clear()
+    chern._first_contour.cache_clear()
+
+
 CLAIMS: tuple[Claim, ...] = (
     *(Claim(f"symplectic.invariance_all_generators_{s}_strands", "abs_le", 1e-10,
             functools.partial(_invariance, s))
@@ -159,6 +169,5 @@ def run(names: Iterable[str], seed: int = 0, trials: int = 1000) -> list[dict]:
     unknown = wanted - {c.name for c in CLAIMS}
     if unknown:
         raise KeyError(f"unknown claims: {sorted(unknown)}")
-    _monotonicity.cache_clear()
-    hessian.spectrum.cache_clear()
+    clear_memos()
     return [c.check(seed, trials) for c in CLAIMS if c.name in wanted]

@@ -290,6 +290,7 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
 @click.pass_context
 def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
     """Integer Hessian report: matrix, signature, Pfaffian table."""
+    claims.clear_memos()
     fact = hessian_mod.det_factorization(pairs)
     table_max = max(pairs, 3)
     results = {
@@ -329,9 +330,10 @@ def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
 @click.pass_context
 def chern_cmd(ctx, samples, as_json, run_dir) -> None:
     """Contour report: determinant modulus, junctions, windings, pairing."""
+    claims.clear_memos()
     modulus_first = chern_mod.modulus_deviation(samples)
     modulus_second = chern_mod.modulus_deviation(samples, second_contour=True)
-    junctions = chern_mod.junction_gaps()
+    junctions = chern_mod.junction_gaps(samples)
     winding_first = chern_mod.winding_number(samples)
     winding_second = chern_mod.winding_number(samples, second_contour=True)
     results = {

@@ -241,10 +241,20 @@ def integer_determinant(matrix: np.ndarray) -> int:
                 return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+            row_i = a[i]
+            a_ik = row_i[k]
+            # a zero in the pivot column drops the cross term, and the
+            # division stays exact
+            if a_ik:
+                for j in range(k + 1, size):
+                    row_i[j] = (row_i[j] * pivot - a_ik * row_k[j]) // prev
+            else:
+                for j in range(k + 1, size):
+                    row_i[j] = row_i[j] * pivot // prev
+        prev = pivot
     return sign * a[size - 1][size - 1]
 
 

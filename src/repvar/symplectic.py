@@ -31,45 +31,34 @@ Z_AXIS_ROW = np.array([0.0, 0.0, 1.0])
 # --- evaluation ---------------------------------------------------------------
 
 
-def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+def omega_c_array(base: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The full form: minus the sum of all partial pairings (batched).
 
-
-def omega_pair_array(j: int, base: np.ndarray, x: np.ndarray, y: np.ndarray
-                     ) -> np.ndarray:
-    """The j-th partial pairing, 1 <= j <= m-1 (batched over leading dims).
-
-    Value: (1/2) [ S_j(X) . Y_{j+1}  -  S_j(Y) . X_{j+1} ]  where
+    The j-th partial pairing, 1 <= j <= m-1, is
+    (1/2) [ S_j(X) . Y_{j+1}  -  S_j(Y) . X_{j+1} ]  where
     S_j(X) = sum_{i<=j} Ad((g_i ... g_j)^{-1}) X_i is the left
     Maurer-Cartan value of the partial product map.  Conjugation by a
-    trace-free class point is the half-turn about it, so each Ad step is a
-    reflection.
+    trace-free class point is the half-turn 2 (g . v) g - v about it, so
+    S_j follows from S_{j-1} by one reflection.
+
+    The loop runs over slot-major, component-major views, and each dot
+    product is the explicit sum u0 v0 + u1 v1 + u2 v2: the rounding order of
+    ``np.sum(u * v, axis=-1)`` without its reduction overhead.
     """
-    m = base.shape[-2]
-    if not 1 <= j <= m - 1:
-        raise ValueError(f"pairing index {j} out of range 1..{m - 1}")
-    sx = np.zeros_like(x[..., 0, :])
-    sy = np.zeros_like(sx)
-    for i in range(j):
-        g = base[..., i, :]
-        sx = reflect(g, sx + x[..., i, :])
-        sy = reflect(g, sy + y[..., i, :])
-    return 0.5 * (_batch_dot(sx, y[..., j, :]) - _batch_dot(sy, x[..., j, :]))
-
-
-def omega_c_array(base: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The full form: minus the sum of all partial pairings (batched)."""
-    m = base.shape[-2]
-    sx = np.zeros_like(x[..., 0, :])
-    sy = np.zeros_like(sx)
+    g, u, v = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (base, x, y))
+    sx = sy = (0.0, 0.0, 0.0)
     total = np.zeros(base.shape[:-2])
-    for j in range(1, m):
-        g = base[..., j - 1, :]
-        sx = reflect(g, sx + x[..., j - 1, :])
-        sy = reflect(g, sy + y[..., j - 1, :])
+    for j in range(1, g.shape[0]):
+        p = g[j - 1]
+        ax = [sx[c] + u[j - 1, c] for c in range(3)]
+        ay = [sy[c] + v[j - 1, c] for c in range(3)]
+        dx = 2.0 * (p[0] * ax[0] + p[1] * ax[1] + p[2] * ax[2])
+        dy = 2.0 * (p[0] * ay[0] + p[1] * ay[1] + p[2] * ay[2])
+        sx = [dx * p[c] - ax[c] for c in range(3)]
+        sy = [dy * p[c] - ay[c] for c in range(3)]
         total = total + 0.5 * (
-            _batch_dot(sx, y[..., j, :]) - _batch_dot(sy, x[..., j, :])
-        )
+            (sx[0] * v[j, 0] + sx[1] * v[j, 1] + sx[2] * v[j, 2])
+            - (sy[0] * u[j, 0] + sy[1] * u[j, 1] + sy[2] * u[j, 2]))
     return -total
 
 
@@ -294,11 +283,22 @@ def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
     return omega_c_array(base, d1, d2)
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].  The rule is
+    an input to the integral, not a measurement, so it is computed once per
+    order for the life of the process."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
     """Tensor Gauss-Legendre integral of the two-form pulled back to the
     cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
     cap_pullback_max)."""
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
+    nodes, weights = _gauss_legendre(quadrature_order)
     t1 = 0.5 * math.pi * (nodes + 1.0)
     w1 = 0.5 * math.pi * weights
     t2 = math.pi * (nodes + 1.0)

@@ -174,6 +174,58 @@ def fd_two_form_pair(j: int, base: np.ndarray, frame_x: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# The two-form, evaluated the plain way: whole (..., 3) vectors, dot products
+# by np.sum.  `omega_c_reference` is the yardstick for the library's
+# component-wise kernel, which must match it bit for bit.
+
+def half_turn(axis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """2 (p . v) p - v: conjugation by a pure unit quaternion p."""
+    dot = np.sum(axis * v, axis=-1, keepdims=True)
+    return 2.0 * dot * axis - v
+
+
+def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=-1)
+
+
+def omega_pair_array(j: int, base: np.ndarray, x: np.ndarray, y: np.ndarray
+                     ) -> np.ndarray:
+    """The j-th partial pairing, 1 <= j <= m-1 (batched over leading dims).
+
+    Value: (1/2) [ S_j(X) . Y_{j+1}  -  S_j(Y) . X_{j+1} ]  where
+    S_j(X) = sum_{i<=j} Ad((g_i ... g_j)^{-1}) X_i is the left
+    Maurer-Cartan value of the partial product map.
+    """
+    m = base.shape[-2]
+    if not 1 <= j <= m - 1:
+        raise ValueError(f"pairing index {j} out of range 1..{m - 1}")
+    sx = np.zeros_like(x[..., 0, :])
+    sy = np.zeros_like(sx)
+    for i in range(j):
+        g = base[..., i, :]
+        sx = half_turn(g, sx + x[..., i, :])
+        sy = half_turn(g, sy + y[..., i, :])
+    return 0.5 * (_batch_dot(sx, y[..., j, :]) - _batch_dot(sy, x[..., j, :]))
+
+
+def omega_c_reference(base: np.ndarray, x: np.ndarray, y: np.ndarray
+                      ) -> np.ndarray:
+    """The full form: minus the sum of all partial pairings (batched)."""
+    m = base.shape[-2]
+    sx = np.zeros_like(x[..., 0, :])
+    sy = np.zeros_like(sx)
+    total = np.zeros(base.shape[:-2])
+    for j in range(1, m):
+        g = base[..., j - 1, :]
+        sx = half_turn(g, sx + x[..., j - 1, :])
+        sy = half_turn(g, sy + y[..., j - 1, :])
+        total = total + 0.5 * (
+            _batch_dot(sx, y[..., j, :]) - _batch_dot(sy, x[..., j, :])
+        )
+    return -total
+
+
+# ---------------------------------------------------------------------------
 # Permutation-cycle oracle for braid closures.
 
 def closure_cycle_count(strands: int, letters: list[int]) -> int:

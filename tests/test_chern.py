@@ -17,6 +17,7 @@ from repvar.chern import (
     junction_gaps,
     modulus_deviation,
     winding_number,
+    _first_contour,
     _loop_winding,
 )
 
@@ -34,7 +35,7 @@ def test_pinned_determinant_values():
     pins = [(0, 0.0, 32.0), (2, 0.0, -32.0j), (4, math.pi, -32.0),
             (7, 2 * math.pi, 32.0)]
     for index, t, expected in pins:
-        values = CONTOUR[index].determinants(np.array([t]))
+        values = np.linalg.det(CONTOUR[index].frame(np.array([t])))
         assert values.shape == (1,)
         assert values[0] == pytest.approx(expected, abs=1e-12)
 
@@ -66,6 +67,33 @@ def test_second_contour_is_the_pointwise_negation():
     first = contour_determinants()
     second = contour_determinants(second_contour=True)
     assert np.max(np.abs(first + second)) < 1e-12
+
+
+def test_contour_memo_is_read_only_and_shared():
+    claims.clear_memos()
+    first = contour_determinants()
+    assert first is _first_contour(64)
+    assert first.shape == (8 * 64,)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    second = contour_determinants(second_contour=True)
+    assert np.array_equal(second, -first)
+
+
+def test_stacked_determinants_equal_per_segment_determinants():
+    values = contour_determinants(128).reshape(8, 128)
+    for seg, row in zip(CONTOUR, values):
+        want = np.linalg.det(seg.frame(seg.parameters(128)))
+        assert np.array_equal(row, want), seg.name
+
+
+def test_junction_gaps_equal_an_evaluation_at_the_segment_ends():
+    ends = np.array([np.linalg.det(seg.frame(np.array([seg.start, seg.end])))
+                     for seg in CONTOUR])
+    want = np.abs(ends[:, 1] - np.roll(ends[:, 0], -1))
+    for samples in (64, 257):
+        assert np.array_equal(junction_gaps(samples), want)
 
 
 def test_winding_numbers():

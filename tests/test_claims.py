@@ -86,3 +86,20 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
         calls.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert sorted(calls) == [4 * n - 4 for n in claims.HESSIAN_SIZES]
+
+
+def test_each_run_evaluates_the_contour_once(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return det(m)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    names = [c.name for c in claims.CLAIMS
+             if c.name.startswith(("chern.", "monotone."))]
+    for _ in range(2):
+        calls.clear()
+        assert all(c["passed"] for c in claims.run(names))
+        assert calls == [(8 * 64, 4, 4)]

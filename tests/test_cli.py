@@ -10,9 +10,11 @@ import shlex
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from repvar import claims
 from repvar.cli import SCHEMA_VERSION, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -170,6 +172,26 @@ def test_chern_verb(runner, tmp_path):
     assert res["winding_second_contour"] == -1
     assert res["pairing"] == -2
     assert record["passed"] is True
+
+
+def test_report_commands_do_not_read_an_earlier_run_s_memos(
+        runner, tmp_path, monkeypatch):
+    claims.run([c.name for c in claims.CLAIMS if c.name.startswith("chern.")])
+    claims.run(["hessian.signature_zero"])
+    calls = []
+    for name in ("det", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(m, name=name, original=original):
+            calls.append(name)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert _run(runner, tmp_path, ["chern"]).exit_code == 0
+    assert calls == ["det"]
+    calls.clear()
+    assert _run(runner, tmp_path, ["hessian", "--n", "4"]).exit_code == 0
+    assert calls == ["eigvalsh"]
 
 
 def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):

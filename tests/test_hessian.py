@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -214,15 +214,23 @@ def test_pfaffian_routes_agree_and_square_to_the_determinant(m):
 
 
 @given(
-    st.integers(1, 4),
-    st.lists(st.integers(-5, 5), min_size=1, max_size=16),
+    st.integers(1, 6),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=36),
+    st.lists(st.booleans(), min_size=1, max_size=36),
 )
 @settings(max_examples=60, deadline=None)
-def test_integer_determinant_matches_float_oracle(size, entries):
+@example(4, [1, 2, -3], [True, False])  # zero pivot-column entries
+@example(5, [0, 2, 0, 0, -1, 3], [False])  # zero leading pivots: row swaps
+@example(6, [2, -1, 3, 1], [True, True, False])  # two thirds zero
+def test_integer_determinant_matches_float_oracle(size, entries, zeroed):
+    # `zeroed` blanks entries, so sparse matrices with zeros in the pivot
+    # column are covered as well as dense ones
     m = np.zeros((size, size), dtype=np.int64)
     for i in range(size):
         for j in range(size):
-            m[i, j] = entries[(i * size + j) % len(entries)]
+            k = i * size + j
+            if not zeroed[k % len(zeroed)]:
+                m[i, j] = entries[k % len(entries)]
     got = integer_determinant(m)
     want = oracles.det_float(m)
     assert abs(got - want) < 0.5 + 1e-6 * abs(want)

@@ -24,7 +24,6 @@ from repvar.symplectic import (
     monotonicity_ratio,
     nondegeneracy_rank,
     omega_c_array,
-    omega_pair_array,
     product_deviation,
     random_coefficients,
     random_k_points,
@@ -60,12 +59,35 @@ def test_pair_form_matches_finite_difference_oracle():
         vy = np.cross(y, base)
         pairs = [oracles.fd_two_form_pair(j, base, vx, vy) for j in range(1, slots)]
         for j, want in enumerate(pairs, start=1):
-            got = omega_pair_array(j, base[None], x[None], y[None])[0]
+            got = oracles.omega_pair_array(j, base[None], x[None], y[None])[0]
             worst = max(worst, abs(float(got) - want))
         # the full form is minus the sum of the partial pairings
         total = omega_c_array(base[None], x[None], y[None])[0]
         worst = max(worst, abs(float(total) + sum(pairs)))
     assert worst < 1e-6, worst
+
+
+@pytest.mark.parametrize("slots", range(2, 9))
+def test_form_kernel_equals_the_reference_exactly(slots):
+    rng = np.random.default_rng(slots)
+    for shape in ((7,), (3, 5)):
+        base = random_configurations(slots, math.prod(shape), rng)
+        base = base.reshape(shape + (slots, 3))
+        x = random_coefficients(base, rng)
+        y = random_coefficients(base, rng)
+        got = omega_c_array(base, x, y)
+        assert got.shape == shape
+        assert np.array_equal(got, oracles.omega_c_reference(base, x, y))
+    # read-only broadcast views, as nondegeneracy_rank builds its Gram matrix
+    pts = random_configurations(slots, 1, rng)[0]
+    frames = random_coefficients(np.broadcast_to(pts, (4, slots, 3)), rng)
+    shape = (4, 4, slots, 3)
+    args = (np.broadcast_to(pts, shape), np.broadcast_to(frames[:, None], shape),
+            np.broadcast_to(frames[None, :], shape))
+    assert not args[0].flags.writeable
+    got = omega_c_array(*args)
+    assert got.shape == (4, 4)
+    assert np.array_equal(got, oracles.omega_c_reference(*args))
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -95,11 +95,13 @@ def _monotonicity() -> symplectic.MonotonicityReport:
 
 
 def clear_memos() -> None:
-    """Forget every memoised measurement: the Hessian spectra, the contour
-    determinants and the monotonicity report.  Each run and each report
-    command starts here, so none of them reads a value an earlier one left
-    behind."""
+    """Forget every memoised measurement: the Hessians H(n) and H'(n), the
+    Hessian spectra, the contour determinants and the monotonicity report.
+    Each run and each report command starts here, so none of them reads a
+    value an earlier one left behind."""
     _monotonicity.cache_clear()
+    hessian.build_hessian.cache_clear()
+    hessian.build_hprime.cache_clear()
     hessian.spectrum.cache_clear()
     chern._first_contour.cache_clear()
 

@@ -56,19 +56,19 @@ def _persist(run_dir: str, command: str, results: dict,
 
     Returns the record and the JSON text written, which `_emit` echoes.
     """
+    now = datetime.now(timezone.utc)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": dict(click.get_current_context().params),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": now.isoformat(),
         "results": results,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
     directory = Path(run_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    path = directory / f"{command}-{stamp}.json"
+    path = directory / f"{command}-{now.strftime('%Y%m%dT%H%M%S%f')}.json"
     text = json.dumps(record, indent=2, sort_keys=True, default=_jsonable)
     path.write_text(text)
     return record, text

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "build_hessian",
-    "parity_swap",
     "php_identity",
     "check_php",
     "signature",
@@ -62,13 +61,15 @@ def _require_pairs(n: int) -> None:
         raise ValueError(f"need at least two sphere pairs, got {n}")
 
 
+@functools.cache
 def build_hessian(n: int) -> np.ndarray:
-    """Exact (4n-4)x(4n-4) integer Hessian for n sphere pairs.
+    """Exact (4n-4)x(4n-4) integer Hessian for n sphere pairs, read-only.
 
     Block tridiagonal: every diagonal block is the same 4x4 symmetric-zero
     matrix, every superdiagonal block the same 4x4 matrix, and the
     subdiagonal its transpose.  Nonzero entries sit only where the row and
-    column index have opposite parity.
+    column index have opposite parity.  Memoised per n; ``claims.run``
+    clears it so that each run builds each matrix once.
     """
     _require_pairs(n)
     blocks = n - 1
@@ -80,27 +81,21 @@ def build_hessian(n: int) -> np.ndarray:
             nxt = slice(4 * b + 4, 4 * b + 8)
             h[sl, nxt] = _UPPER_BLOCK
             h[nxt, sl] = _UPPER_BLOCK.T
+    h.setflags(write=False)
     return h
 
 
-def parity_swap(size: int) -> np.ndarray:
-    """Permutation matrix exchanging coordinates 2j-1 and 2j (1-based)."""
-    if size % 2:
-        raise ValueError(f"parity swap needs even size, got {size}")
-    p = np.zeros((size, size), dtype=np.int64)
-    for j in range(0, size, 2):
-        p[j, j + 1] = 1
-        p[j + 1, j] = 1
-    return p
-
-
 def php_identity(matrix: np.ndarray) -> bool:
-    """Whether the parity swap conjugates ``matrix`` to its exact negative."""
+    """Whether the parity swap conjugates ``matrix`` to its exact negative.
+
+    The swap exchanges coordinates 2j and 2j+1 (0-based), so conjugating by
+    it permutes rows and columns by ``i -> i ^ 1``.
+    """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError("need an even-sized square matrix")
-    p = parity_swap(m.shape[0])
-    return bool(np.array_equal(p @ m @ p, -m))
+    swap = np.arange(m.shape[0]) ^ 1
+    return bool(np.array_equal(m[swap][:, swap], -m))
 
 
 def check_php(n: int) -> bool:
@@ -121,7 +116,7 @@ def spectrum(n: int) -> np.ndarray:
 
 
 def min_abs_eigenvalue(n: int) -> float:
-    return float(np.min(np.abs(spectrum(n))))
+    return float(np.abs(spectrum(n)).min())
 
 
 def signature(n: int) -> int:
@@ -132,19 +127,21 @@ def signature(n: int) -> int:
     than silently classified.
     """
     eigs = spectrum(n)
-    if float(np.min(np.abs(eigs))) <= EIGENVALUE_ZERO_THRESHOLD:
+    if float(np.abs(eigs).min()) <= EIGENVALUE_ZERO_THRESHOLD:
         raise ValueError(
             f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero at n={n}: "
             "matrix unexpectedly near-singular")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    return int(np.count_nonzero(eigs > 0) - np.count_nonzero(eigs < 0))
 
 
+@functools.cache
 def build_hprime(n: int) -> np.ndarray:
-    """Pentadiagonal skew (2n-2)x(2n-2) reduction of the Hessian.
+    """Pentadiagonal skew (2n-2)x(2n-2) reduction of the Hessian, read-only.
 
     First band alternates 2, -2, 2, ...; second band alternates -1, 1, -1,
     ...; lower triangle by antisymmetry.  Equals the odd-indexed rows and
-    columns (1-based) of parity_swap @ build_hessian(n).
+    columns (1-based) of build_hessian(n) with rows 2j and 2j+1 (0-based)
+    exchanged.  Memoised per n like :func:`build_hessian`.
     """
     _require_pairs(n)
     size = 2 * n - 2
@@ -153,17 +150,27 @@ def build_hprime(n: int) -> np.ndarray:
         m[i, i + 1] = 2 if i % 2 == 0 else -2
     for i in range(size - 2):
         m[i, i + 2] = -1 if i % 2 == 0 else 1
-    return m - m.T
+    m = m - m.T
+    m.setflags(write=False)
+    return m
 
 
-def _validate_skew(matrix: np.ndarray) -> np.ndarray:
+def _integer_rows(m: np.ndarray) -> list[list[int]]:
+    """The rows of ``m`` as Python ints; refuses entries that are not integers.
+
+    One ``tolist`` converts a whole integer or bool array; an object array
+    passes only if every entry is already a Python int.
+    """
+    if m.dtype.kind in "iub" or (
+            m.dtype.kind == "O" and all(isinstance(x, int) for x in m.flat)):
+        return m.tolist()
+    raise ValueError(f"need integer entries, got dtype {m.dtype}")
+
+
+def _validate_square(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
-    if m.shape[0] % 2:
-        raise ValueError(f"Pfaffian needs even size, got {m.shape[0]}")
-    if not np.array_equal(m, -m.T):
-        raise ValueError("matrix is not exactly antisymmetric")
     return m
 
 
@@ -178,9 +185,13 @@ def pfaffian(matrix: np.ndarray) -> int:
     division exact, so the arithmetic stays in Python integers and the last
     pivot is the Pfaffian.
     """
-    m = _validate_skew(matrix)
+    m = _validate_square(matrix)
     size = m.shape[0]
-    a = [[int(x) for x in row] for row in m]
+    if size % 2:
+        raise ValueError(f"Pfaffian needs even size, got {size}")
+    a = _integer_rows(m)
+    if (m + m.T).any():
+        raise ValueError("matrix is not exactly antisymmetric")
     sign = 1
     prev = 1
     for k in range(0, size, 2):
@@ -189,21 +200,25 @@ def pfaffian(matrix: np.ndarray) -> int:
         if pivot_col is None:
             return 0
         if pivot_col != k + 1:
-            for row in a:
+            # elimination updates only the upper triangle, which is all it
+            # reads; the swap also reads the lower one, so mirror the live
+            # block first
+            for i in range(k, size):
+                row_i = a[i]
+                for j in range(i + 1, size):
+                    a[j][i] = -row_i[j]
+            for row in a[k:]:
                 row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
             a[k + 1], a[pivot_col] = a[pivot_col], a[k + 1]
             sign = -sign
         row_k1 = a[k + 1]
         pivot = row_k[k + 1]
-        # only the upper triangle is computed; the lower one is its mirror
         for i in range(k + 2, size):
             row_i = a[i]
             a_ki, a_k1i = row_k[i], row_k1[i]
             for j in range(i + 1, size):
-                entry = (pivot * row_i[j] - a_ki * row_k1[j]
-                         + row_k[j] * a_k1i) // prev
-                row_i[j] = entry
-                a[j][i] = -entry
+                row_i[j] = (pivot * row_i[j] - a_ki * row_k1[j]
+                            + row_k[j] * a_k1i) // prev
         prev = pivot
     return sign * prev
 
@@ -224,10 +239,7 @@ def pfaffian_recurrence(n_max: int) -> list[int]:
 
 def integer_determinant(matrix: np.ndarray) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    a = [[int(x) for x in row] for row in m]
+    a = _integer_rows(_validate_square(matrix))
     size = len(a)
     if size == 0:
         return 1

@@ -308,6 +308,17 @@ def pfaffian_expansion(M) -> int:
     return pf(tuple(range(m.shape[0])))
 
 
+def parity_swap(size: int) -> np.ndarray:
+    """Permutation matrix exchanging coordinates 2j-1 and 2j (1-based)."""
+    if size % 2:
+        raise ValueError(f"parity swap needs even size, got {size}")
+    p = np.zeros((size, size), dtype=np.int64)
+    for j in range(0, size, 2):
+        p[j, j + 1] = 1
+        p[j + 1, j] = 1
+    return p
+
+
 def skew_reduction(hessian, odd: bool = True) -> np.ndarray:
     """Alternate rows and columns of the skew form P @ hessian, with P the
     permutation exchanging coordinates 2j-1 and 2j (1-based); `odd` keeps

@@ -88,6 +88,24 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
         assert sorted(calls) == [4 * n - 4 for n in claims.HESSIAN_SIZES]
 
 
+def test_each_run_builds_each_hessian_once(monkeypatch):
+    calls = []
+    zeros = np.zeros
+
+    def counting(shape, *args, **kwargs):
+        calls.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counting)
+    names = [c.name for c in claims.CLAIMS if c.name.startswith("hessian.")]
+    sizes = [4 * n - 4 for n in claims.HESSIAN_SIZES]  # H(n)
+    sizes += [2 * n - 2 for n in claims.HESSIAN_SIZES]  # H'(n)
+    for _ in range(2):
+        calls.clear()
+        assert all(c["passed"] for c in claims.run(names))
+        assert sorted(calls) == sorted((s, s) for s in sizes)
+
+
 def test_each_run_evaluates_the_contour_once(monkeypatch):
     calls = []
     det = np.linalg.det

@@ -8,6 +8,8 @@ import json
 import re
 import shlex
 import weakref
+from datetime import datetime
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +239,24 @@ def test_records_are_written_per_invocation(runner, tmp_path):
         "schema_version", "command", "config", "timestamp", "results",
         "checks", "passed",
     }
+
+
+def test_record_file_name_carries_the_record_timestamp(runner, tmp_path,
+                                                       monkeypatch):
+    ticks = count()
+
+    class TickingClock(datetime):
+        """Each read is one microsecond later than the one before."""
+
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 2, 3, 4, 5, next(ticks), tzinfo=tz)
+
+    monkeypatch.setattr("repvar.cli.datetime", TickingClock)
+    _run(runner, tmp_path, ["hessian", "--n", "2"])
+    (path,) = tmp_path.glob("hessian-*.json")
+    stamp = datetime.fromisoformat(json.loads(path.read_text())["timestamp"])
+    assert path.stem == f"hessian-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
 
 
 def test_json_stdout_is_the_record_file(runner, tmp_path):

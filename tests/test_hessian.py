@@ -16,7 +16,6 @@ from repvar.hessian import (
     det_factorization,
     integer_determinant,
     min_abs_eigenvalue,
-    parity_swap,
     pfaffian,
     pfaffian_recurrence,
     php_identity,
@@ -84,10 +83,10 @@ def test_hessian_is_symmetric_integer_tridiagonal():
 
 
 def test_parity_swap_is_an_involution():
-    p = parity_swap(8)
+    p = oracles.parity_swap(8)
     assert np.array_equal(p @ p, np.eye(8, dtype=np.int64))
     with pytest.raises(ValueError):
-        parity_swap(5)
+        oracles.parity_swap(5)
 
 
 def test_parity_conjugation_negates_the_hessian():
@@ -101,12 +100,44 @@ def test_php_identity_rejects_perturbations():
     assert not php_identity(h)
 
 
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=144),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+@example(2, [1, 0, -2, 3], False)  # not negated
+@example(3, [2, -1, 0, 5, 1], True)  # negated by construction
+def test_php_identity_matches_the_permutation_matrix_oracle(half, entries,
+                                                           negated):
+    size = 2 * half
+    m = np.array([entries[k % len(entries)] for k in range(size * size)],
+                 dtype=np.int64).reshape(size, size)
+    p = oracles.parity_swap(size)
+    if negated:
+        m = m - p @ m @ p  # P m P = -m for every such m
+    want = bool(np.array_equal(p @ m @ p, -m))
+    assert php_identity(m) == want
+    if negated:
+        assert want
+
+
+def test_builders_return_read_only_arrays():
+    for build in (build_hessian, build_hprime):
+        m = build(3)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 1] = 7
+        assert build(3) is m
+
+
 # --- spectrum -------------------------------------------------------------------------
 
 
 def test_signature_is_zero():
     for n in range(2, 9):
         assert signature(n) == 0
+        assert type(signature(n)) is int
 
 
 def test_spectral_gap_values():
@@ -197,11 +228,52 @@ def test_pfaffian_of_reduced_forms_follows_the_recurrence_to_n_16():
     assert [pfaffian(build_hprime(n)) for n in range(2, 17)] == table
 
 
+def test_pfaffian_mirrors_the_live_block_before_a_later_swap():
+    # step 0 pivots on a01 = -2 without a swap and turns row 2 into
+    # (0, 0, 0, 0, 0, -2): step 2 must swap column 3 with column 5, which
+    # reads the lower triangle that step 0 left stale
+    upper = np.array([
+        [0, -2, 0, 0, 0, -2],
+        [0, 0, 1, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, -2],
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+    ])
+    m = upper - upper.T
+    assert pfaffian(m) == -2 == oracles.pfaffian_expansion(m)
+
+
 def test_pfaffian_input_validation():
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(ValueError):
         pfaffian(np.eye(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("compute, matrix", [
+    (integer_determinant, [[1.9, 0], [0, 1.9]]),  # was truncated to 1
+    (integer_determinant, [[0.5]]),  # was truncated to 0
+    (pfaffian, [[0, 2.7], [-2.7, 0]]),  # was truncated to 2
+    (integer_determinant, np.eye(2, dtype=complex)),
+    (pfaffian, np.array([[0, 1.0], [-1, 0]], dtype=object)),
+    (integer_determinant, np.array([[1, "2"], [3, 4]], dtype=object)),
+], ids=["float_det", "fraction_det", "float_pfaffian", "complex_det",
+        "object_float_pfaffian", "object_str_det"])
+def test_non_integer_entries_are_refused(compute, matrix):
+    with pytest.raises(ValueError, match="integer entries"):
+        compute(matrix)
+
+
+def test_integer_bool_and_python_int_entries_are_accepted():
+    big = 3 ** 50  # beyond int64
+    assert integer_determinant(np.array([[2, 1], [1, 3]], dtype=np.uint8)) == 5
+    assert integer_determinant(np.array([[True, True], [False, True]])) == 1
+    assert integer_determinant(
+        np.array([[big, 1], [0, big]], dtype=object)) == big * big
+    assert pfaffian(np.array([[0, big], [-big, 0]], dtype=object)) == big
+    assert pfaffian(np.zeros((2, 2), dtype=bool)) == 0
+    assert pfaffian([[0, 3], [-3, 0]]) == 3
 
 
 @given(skew_int_matrices())
@@ -243,3 +315,9 @@ def test_determinant_is_the_fourth_power_of_the_pfaffian():
         assert fact.matches
         assert fact.hessian_det == expected[n]
         assert fact.hprime_pfaffian ** 4 == fact.hessian_det
+    # up to the 44 x 44 Hessian at n = 12
+    table = pfaffian_recurrence(12)
+    for n in range(2, 13):
+        fact = det_factorization(n)
+        assert fact.matches
+        assert fact.hprime_pfaffian == table[n - 2]

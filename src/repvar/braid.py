@@ -82,11 +82,6 @@ def normalize(pts: np.ndarray) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
-def project_coefficient(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Nearest tangent coefficient at p to an arbitrary algebra vector v."""
-    return v - np.sum(v * p, axis=-1, keepdims=True) * p
-
-
 def tangent_basis(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two orthonormal tangent vectors per slot, batched: e1 is p x h for a
     helper axis h far from p, and e2 = p x e1."""

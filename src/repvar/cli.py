@@ -170,6 +170,7 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
                 "residual": c.residual,
                 "is_abelian": c.is_abelian,
                 "is_binary_dihedral": c.is_binary_dihedral,
+                "null_gap": c.null_gap,
                 "representative": c.representative.as_array().tolist(),
             }
             for c in report.components

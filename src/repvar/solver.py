@@ -4,7 +4,7 @@ Pipeline: random seeds on the product of 2-spheres -> Levenberg-Marquardt
 on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
 damping weight and the exact Jacobian in orthonormal tangent coordinates
 -> Gauss-Newton polish to machine precision -> clustering into connected
-components -> per-component dimension estimate and topology tag.
+components -> per-component dimension and topology tag.
 
 Clustering detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -12,8 +12,9 @@ rotation orbits and is sampled extremely sparsely in ambient coordinates.
 Components are therefore linked in a rotation-invariant embedding (pairwise
 dot products plus signed triple volumes), where 2- and 3-dimensional
 components collapse to single points and a fixed linking radius is
-meaningful.  Dimensions are still estimated in ambient coordinates, from
-dedicated local samples regenerated around each representative.
+meaningful.  A component's dimension is not estimated from samples: it is
+the nullity of the fixed-point Jacobian at the representative, read off a
+clean gap in its singular values.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .braid import (
     act_array,
     generator_step,
     normalize,
-    project_coefficient,
     random_configurations,
     tangent_basis,
 )
@@ -38,14 +38,11 @@ from .su2 import InternalError, circle_point, reflect
 
 SINGULAR_TOL = 1e-9
 ABELIAN_TOL = 1e-6
-# Perturbation radius for local dimension samples.  It sits in the window
-# where both error sources stay below the PCA threshold band: the
-# Gauss-Newton re-convergence floor (~1e-8 absolute, so scale >> 3e-5) and
-# the curvature sagitta of a unit-radius patch (~scale/2, so scale << 6e-4).
-RESAMPLE_SCALE = 2e-4
 MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
-PCA_THRESHOLD = 1e-3  # singular-value ratio that counts as a local dimension
-SAMPLES_PER_COMPONENT = 48  # local samples per representative for the PCA
+# Relative singular value of the fixed-point Jacobian below which a tangent
+# direction counts as null.  A tag also needs a clean gap: no relative
+# singular value within a factor 100 of it.
+NULL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,9 @@ class ComponentReport:
     is_binary_dihedral: bool
     is_abelian: bool
     residual: float
+    # largest relative singular value counted as zero and smallest counted
+    # as nonzero (None where no value is on that side)
+    null_gap: tuple[float | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -143,27 +143,14 @@ def _apply_tangent_step(pts, x, e1, e2):
     return normalize(pts + move)
 
 
-def _gauss_newton(word, pts, iters=12, damping=None):
-    """Least-squares Newton steps on F(g) - g = 0 in tangent coordinates.
-
-    With `damping` set (a fraction of the top singular value), steps use a
-    damped solve instead of a pseudoinverse.  Near a point where the
-    linearization has extra near-null directions, plain pinv amplifies the
-    residual along them by 1/sv and the iterate slides far along the
-    solution set; damping caps that gain at 1/(2*lambda)."""
-    for _ in range(iters):
+def _gauss_newton(word, pts):
+    """Twelve least-squares Newton steps on F(g) - g = 0 in tangent
+    coordinates."""
+    for _ in range(12):
         e1, e2 = tangent_basis(pts)
         A, image = _tangent_jacobian(word, pts, e1, e2)
         b = -(image - pts).reshape(len(pts), -1)
-        if damping is None:
-            x = np.einsum("sij,sj->si", np.linalg.pinv(A, rcond=1e-8), b)
-        else:
-            U, s, Vt = np.linalg.svd(A, full_matrices=False)
-            lam = damping * s[:, :1]
-            gain = s / (s**2 + lam**2)
-            x = np.einsum(
-                "sji,sj->si", Vt, gain * np.einsum("sji,sj->si", U, b)
-            )
+        x = np.einsum("sij,sj->si", np.linalg.pinv(A, rcond=1e-8), b)
         pts = _apply_tangent_step(pts, x, e1, e2)
     return pts
 
@@ -272,40 +259,7 @@ def _is_binary_dihedral(pts: np.ndarray, tol: float = ABELIAN_TOL) -> bool:
 # --- the solver ---------------------------------------------------------------
 
 
-def _resample_component(word, rep, count, rng, tol):
-    """Local solution samples around a representative: tangent perturbation
-    at a tiny scale, re-converged by Gauss-Newton.  Used for PCA only.
-
-    Samples that Gauss-Newton carried far from the representative are
-    dropped: a near-singular least-squares step can slide a long way
-    *within* the solution set, and a distant sample turns the flat local
-    patch into a visibly curved one, inflating the dimension estimate."""
-    pts = np.repeat(rep[None, :, :], count, axis=0)
-    noise = rng.normal(size=pts.shape) * RESAMPLE_SCALE
-    pts = normalize(pts + project_coefficient(pts, noise))
-    pts = _gauss_newton(word, pts, iters=8, damping=1e-4)
-    r = residual_array(word, pts)
-    dist = np.linalg.norm((pts - rep[None]).reshape(count, -1), axis=1)
-    return pts[(r < tol) & (dist < 6.0 * RESAMPLE_SCALE)]
-
-
-def _estimate_dimension(samples: np.ndarray) -> tuple[int, bool]:
-    """(dimension, tie_flag) from the singular values of centered samples."""
-    centered = samples - samples.mean(axis=0, keepdims=True)
-    flat = centered.reshape(len(samples), -1)
-    sv = np.linalg.svd(flat, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0, False
-    ratios = sv / sv[0]
-    dim = int(np.sum(ratios > PCA_THRESHOLD))
-    tie = bool(np.any((ratios > PCA_THRESHOLD / 3.0)
-                      & (ratios < PCA_THRESHOLD * 3.0)))
-    return dim, tie
-
-
-def _topology_tag(dim: int, tie: bool, abelian: bool) -> str:
-    if tie:
-        return "UNKNOWN"
+def _topology_tag(dim: int, abelian: bool) -> str:
     if dim == 2 and abelian:
         return "S2"
     if dim == 3:
@@ -313,6 +267,30 @@ def _topology_tag(dim: int, tie: bool, abelian: bool) -> str:
     if dim == 4:
         return "PRODUCT_RP3_S1"
     return "UNKNOWN"
+
+
+def _classify(
+    sv: np.ndarray, abelian: bool
+) -> tuple[int, str, tuple[float | None, float | None]]:
+    """(nullity, topology tag, null gap) from the singular values of the
+    fixed-point Jacobian at a point of a component.
+
+    On a clean component the kernel of that Jacobian is the component's
+    tangent space, so the nullity is its dimension: the conjugation orbit
+    of a nonabelian point is RP3 (3), that of an abelian point S2 (2), and
+    one more direction is the RP3 x S1 family.  The tag is UNKNOWN when a
+    relative singular value lies within a factor 100 of NULL_TOL, i.e.
+    when there is no clean gap."""
+    rel = sv / sv[0]
+    null = rel < NULL_TOL
+    nullity = int(np.count_nonzero(null))
+    gap = (
+        float(rel[null].max()) if null.any() else None,
+        float(rel[~null].min()) if not null.all() else None,
+    )
+    if np.any((rel >= NULL_TOL / 100.0) & (rel <= NULL_TOL * 100.0)):
+        return nullity, "UNKNOWN", gap
+    return nullity, _topology_tag(nullity, abelian), gap
 
 
 def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport:
@@ -365,29 +343,21 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
             raise InternalError(
                 f"cluster representative fails re-verification: {rep_res:.3e}"
             )
-        local = _resample_component(
-            word, rep, SAMPLES_PER_COMPONENT, rng, config.descent_tol
-        )
-        if len(local) < max(8, len(rep) + 1):
-            dim, tie = 0, True
-        else:
-            dim, tie = _estimate_dimension(local)
-        abelian = is_singular_config(rep, ABELIAN_TOL) and all(
-            is_singular_config(p, ABELIAN_TOL) for p in local[:8]
-        )
-        dihedral = _is_binary_dihedral(rep) and all(
-            _is_binary_dihedral(p) for p in local[:8]
-        )
+        e1, e2 = tangent_basis(rep[None])
+        jac, _ = _tangent_jacobian(word, rep[None], e1, e2)
+        abelian = is_singular_config(rep, ABELIAN_TOL)
+        dim, tag, gap = _classify(np.linalg.svd(jac[0], compute_uv=False), abelian)
         reports.append(
             ComponentReport(
                 id=cid,
                 representative=Configuration.from_array(rep),
                 sample_count=int(len(idx)),
                 est_dimension=dim,
-                topology_tag=_topology_tag(dim, tie, abelian),
-                is_binary_dihedral=bool(dihedral),
-                is_abelian=bool(abelian),
+                topology_tag=tag,
+                is_binary_dihedral=_is_binary_dihedral(rep),
+                is_abelian=abelian,
                 residual=rep_res,
+                null_gap=gap,
             )
         )
     return SolveReport(

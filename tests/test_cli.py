@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 from repvar import claims
 from repvar.cli import SCHEMA_VERSION, cli
+from repvar.solver import NULL_TOL
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,6 +60,10 @@ def test_variety_by_name(runner, tmp_path):
     assert len(comps) == 2
     tags = sorted(c["topology_tag"] for c in comps)
     assert tags == ["RP3", "S2"]
+    # each tag comes with the singular values on either side of its gap
+    for c in comps:
+        zero, nonzero = c["null_gap"]
+        assert zero < NULL_TOL < nonzero
     kh = record["results"]["khovanov"]
     assert kh["variety_rank"] == 4 and kh["matches"] is True
     # and the same record landed in the run directory

@@ -11,14 +11,17 @@ import oracles
 from repvar.braid import (
     BraidWord,
     act_array,
+    differential_arrays,
     generator_step,
     parse_braid,
     random_configurations,
     tangent_basis,
 )
 from repvar.solver import (
+    NULL_TOL,
     AngleCaseSolution,
     SolverConfig,
+    _classify,
     _jvp,
     _tangent_jacobian,
     angle_case_9_42,
@@ -30,6 +33,7 @@ from repvar.solver import (
     torus_components,
     variety_rank,
 )
+from repvar.symplectic import lagrangian_tangent_arrays, sigma_tilde
 
 RNG = np.random.default_rng(23)
 FAST = SolverConfig(seeds=256)
@@ -204,6 +208,83 @@ def test_solve_trefoil_census():
     assert sphere.is_abelian
     rp3 = [c for c in report.components if c.topology_tag == "RP3"][0]
     assert rp3.is_binary_dihedral and not rp3.is_abelian
+
+
+def test_classify_reads_the_nullity_off_a_clean_gap():
+    # three zeros, the rest well clear of the band around NULL_TOL
+    nullity, tag, gap = _classify(np.array([4.0, 1.0, 0.2, 4e-12, 1e-14, 0.0]), False)
+    assert (nullity, tag) == (3, "RP3")
+    assert gap == (1e-12, 0.05)
+    assert gap[0] < NULL_TOL < gap[1]
+    sv = np.array([1.0, 0.3, 1e-12, 0.0])
+    assert _classify(sv, True)[:2] == (2, "S2")
+    assert _classify(sv, False)[:2] == (2, "UNKNOWN")  # a 2-dim nonabelian set
+    sv = np.array([1.0, 0.5, 0.1, 0.05, 1e-9, 0.0, 0.0, 0.0])
+    assert _classify(sv, True)[:2] == (4, "PRODUCT_RP3_S1")
+
+
+def test_classify_without_a_clean_gap_is_unknown():
+    # a value inside [NULL_TOL / 100, NULL_TOL * 100], on either side of NULL_TOL
+    for blurred in (2e-5, 3e-7, 1.5e-8):
+        sv = np.array([1.0, 0.5, blurred, 1e-13, 0.0])
+        nullity, tag, gap = _classify(sv, False)
+        assert tag == "UNKNOWN"
+        assert nullity == (3 if blurred < NULL_TOL else 2)
+        assert blurred in gap
+    # no value counted as zero: nullity 0, nothing on the zero side of the gap
+    nullity, tag, gap = _classify(np.array([2.0, 1.0, 0.5, 0.25]), True)
+    assert (nullity, tag, gap) == (0, "UNKNOWN", (None, 0.125))
+
+
+@pytest.mark.parametrize("n, seed", [(9, 103), (10, 7919)])
+def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
+    # at these seeds a dimension estimated from local samples around one
+    # representative comes out wrong; the Jacobian's nullity does not
+    report = solve(BraidWord(2, (1,) * n), SolverConfig(rng_seed=seed))
+    want = torus_components(n)
+    got = sorted((c.topology_tag, c.est_dimension) for c in report.components)
+    assert got == sorted((c.topology_tag, c.est_dimension) for c in want)
+    angles = []
+    for c in report.components:
+        p = c.representative.as_array()
+        angles.append(math.acos(float(np.clip(p[0] @ p[1], -1.0, 1.0))))
+    assert np.max(np.abs(np.sort(angles) - sorted(c.angle for c in want))) < 1e-6
+
+
+def _clean_intersection_dimension(word, g):
+    """dim(T L n d sigma~(word) T L) at (p, g), p = -reverse(g), where L is
+    the mirrored-tuple Lagrangian: 4n minus the rank of the two tangent
+    spaces stacked.  Built from the paper's construction alone, with no
+    solver code; also returns the relative singular values of the stack."""
+    n = word.strands
+    p = -g[::-1]
+    # T L from tangent coefficients only: a coefficient along its base point
+    # leaves the class, and its pushforward is not a tangent image
+    e1, e2 = tangent_basis(p)
+    slots = np.arange(n)
+    coeffs = np.zeros((2 * n, n, 3))
+    coeffs[2 * slots, slots] = e1
+    coeffs[2 * slots + 1, slots] = e2
+    base, frame = lagrangian_tangent_arrays(np.broadcast_to(p, coeffs.shape), coeffs)
+    moved, pushed = differential_arrays(sigma_tilde(word), base, frame)
+    assert np.max(np.abs(moved - base)) < 1e-6  # (p, g) is fixed by sigma~
+    # rank over velocities X x p, not over coefficients
+    vel = np.concatenate([np.cross(frame, base), np.cross(pushed, moved)])
+    sv = np.linalg.svd(vel.reshape(4 * n, 6 * n), compute_uv=False)
+    rel = sv / sv[0]
+    return 4 * n - int(np.count_nonzero(rel > 1e-8)), rel
+
+
+@pytest.mark.parametrize("name", ["3_1", "5_2"])
+def test_nullity_is_the_dimension_of_the_lagrangian_intersection(name, solve_table):
+    # each component is a clean component of L and sigma~(word)(L): their
+    # tangent spaces meet in exactly the component's dimension
+    report, _ = solve_table(name)
+    word = report.word
+    for comp in report.components:
+        dim, rel = _clean_intersection_dimension(word, comp.representative.as_array())
+        assert dim == comp.est_dimension, (name, comp.id, dim)
+        assert not np.any((rel > 1e-12) & (rel < 1e-3)), rel  # a clean gap
 
 
 def test_solve_component_representatives_are_on_the_variety():

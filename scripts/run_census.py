@@ -30,6 +30,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     names = args.names or sorted(load_knot_table())
     config = dataclasses.replace(

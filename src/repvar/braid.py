@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .su2 import InternalError, reflect
+from .su2 import InternalError, cross, reflect
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,10 @@ class Configuration:
         return len(self.points)
 
 
+# Largest |X . p| / max(|X|, 1) that `differential_arrays` accepts.
+TANGENCY_TOL = 1e-9
+
+
 def normalize(pts: np.ndarray) -> np.ndarray:
     """Radial projection of (..., 3) vectors onto the unit sphere."""
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
@@ -89,9 +93,9 @@ def tangent_basis(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     use_x = np.abs(pts[..., 0]) < 0.9
     helper[..., 0] = np.where(use_x, 1.0, 0.0)
     helper[..., 1] = np.where(use_x, 0.0, 1.0)
-    e1 = np.cross(pts, helper)
+    e1 = cross(pts, helper)
     e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(pts, e1)
+    e2 = cross(pts, e1)
     return e1, e2
 
 
@@ -134,7 +138,18 @@ def differential_arrays(
     The new base point is renormalised after each letter: the half-turn
     drifts off the sphere in floating point, and a long word amplifies the
     drift in the pushed-forward frames.
+
+    Every coefficient must be tangent, X . p = 0 at its base point p: a part
+    along p leaves the class, and the formulas above would push it into a
+    tangent image all the same.  A slot with
+    |X . p| > TANGENCY_TOL max(|X|, 1) raises ValueError.
     """
+    along = np.abs(np.einsum("...i,...i->...", coeffs, pts))
+    size = np.sqrt(np.einsum("...i,...i->...", coeffs, coeffs))
+    if np.any(along > TANGENCY_TOL * np.maximum(size, 1.0)):
+        raise ValueError(
+            "coefficients are not tangent to their base points: "
+            f"|X . p| reaches {float(np.max(along)):.3e}")
     pts = pts.copy()
     coeffs = coeffs.copy()
     for k in reversed(word.letters):

@@ -9,8 +9,9 @@ piece the four frame sections, written in a complex basis where the
 almost-complex structure acts as the imaginary unit, form a 4x4 matrix
 whose determinant has an elementary closed form of modulus 32.  Every
 frame and closed form is a numpy function of an array of piece
-parameters, so the frames of all eight pieces stack into one array and the
-whole contour is one batched `np.linalg.det`.  That array is memoised per
+parameters.  One `np.linspace` gives the parameters of all eight pieces,
+their frames are written into one array, and the whole contour is one
+batched `np.linalg.det`.  That array is memoised per
 sample count: the modulus, junction, winding and pairing checks all read
 it, so a verify run evaluates the contour once (``claims.run`` clears the
 memo, so each run evaluates it afresh).
@@ -52,54 +53,56 @@ MIN_SAMPLES_PER_SEGMENT = 64
 
 _DIAG = 2.0 * (1.0 + 1.0j)
 
-# Rows shared between segments.  The second frame section is constant on the
-# whole contour; the third is constant near each degenerate circle but flips
-# the sign of its first moving entry between the two; the fourth section has
-# one constant limit on each side of the cut.
-_ROW_SECOND = (_DIAG, 0.0, _DIAG, 0.0)
-_ROW_THIRD_FIRST = (0.0, _DIAG, 0.0, _DIAG)
-_ROW_THIRD_SECOND = (0.0, -_DIAG, 0.0, _DIAG)
+# Rows shared between segments, each written into a frame in one assignment.
+# The second frame section is constant on the whole contour; the third is
+# constant near each degenerate circle but flips the sign of its first moving
+# entry between the two; the fourth section has one constant limit on each
+# side of the cut.
+_ROW_SECOND = np.array([_DIAG, 0.0, _DIAG, 0.0])
+_ROW_THIRD_FIRST = np.array([0.0, _DIAG, 0.0, _DIAG])
+_ROW_THIRD_SECOND = np.array([0.0, -_DIAG, 0.0, _DIAG])
+_ROW_CUT_FIRST = np.array([0.0, _DIAG, 0.0, 0.0])
 _ROW_FOURTH_BELOW = np.array([1.0, 0.0, 1.0j, 0.0])
 _ROW_FOURTH_ABOVE = -_ROW_FOURTH_BELOW
 
 
-def _frame(t, *rows) -> np.ndarray:
-    """The (..., 4, 4) complex matrices over the parameter array `t`; each
-    row is four entries, each a number or an array shaped like `t`."""
-    out = np.empty(np.shape(t) + (4, 4), dtype=complex)
+def _fill(out: np.ndarray, rows) -> np.ndarray:
+    """Write four rows into the (..., 4, 4) array `out`: a constant row is an
+    array of four entries, a moving row a tuple of four numbers or arrays
+    shaped like the parameters."""
     for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
+        if isinstance(row, np.ndarray):
+            out[..., i, :] = row
+        else:
+            for j, entry in enumerate(row):
+                out[..., i, j] = entry
     return out
 
 
-def _frame_disc1_outer(t) -> np.ndarray:
-    s, c = np.sin(t), np.cos(t)
-    return _frame(t, (-2.0 * s, 2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
-                  _ROW_THIRD_FIRST, (-c, -s, -1.0j * c, -1.0j * s))
+# Each segment's rows as functions of (sin t, cos t).
+def _rows_disc1_outer(s, c):
+    return ((-2.0 * s, 2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
+            _ROW_THIRD_FIRST, (-c, -s, -1.0j * c, -1.0j * s))
 
 
-def _frame_disc1_inner(t, fourth) -> np.ndarray:
-    s, c = np.sin(t), np.cos(t)
-    return _frame(t, (0.0, 2.0 * (c - s * (1.0 + 1.0j)), 0.0, 2.0j * c),
-                  _ROW_SECOND, _ROW_THIRD_FIRST, fourth)
+def _rows_disc1_inner(s, c, fourth):
+    return ((0.0, 2.0 * (c - s * (1.0 + 1.0j)), 0.0, 2.0j * c),
+            _ROW_SECOND, _ROW_THIRD_FIRST, fourth)
 
 
-def _frame_cut(theta, fourth) -> np.ndarray:
-    return _frame(theta, (0.0, _DIAG, 0.0, 0.0), _ROW_SECOND,
-                  (0.0, 2.0 * np.cos(theta) * (1.0 + 1.0j), 0.0, _DIAG), fourth)
+def _rows_cut(s, c, fourth):
+    return (_ROW_CUT_FIRST, _ROW_SECOND,
+            (0.0, 2.0 * c * (1.0 + 1.0j), 0.0, _DIAG), fourth)
 
 
-def _frame_disc2_inner(t, fourth) -> np.ndarray:
-    s, c = np.sin(t), np.cos(t)
-    return _frame(t, (0.0, 2.0 * (-c + s * (1.0 + 1.0j)), 0.0, 2.0j * c),
-                  _ROW_SECOND, _ROW_THIRD_SECOND, fourth)
+def _rows_disc2_inner(s, c, fourth):
+    return ((0.0, 2.0 * (-c + s * (1.0 + 1.0j)), 0.0, 2.0j * c),
+            _ROW_SECOND, _ROW_THIRD_SECOND, fourth)
 
 
-def _frame_disc2_outer(t) -> np.ndarray:
-    s, c = np.sin(t), np.cos(t)
-    return _frame(t, (-2.0 * s, -2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
-                  _ROW_THIRD_SECOND, (-c, s, -1.0j * c, -1.0j * s))
+def _rows_disc2_outer(s, c):
+    return ((-2.0 * s, -2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
+            _ROW_THIRD_SECOND, (-c, s, -1.0j * c, -1.0j * s))
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,23 @@ class ContourSegment:
     """One piece of the cut contour, parametrized in traversal direction.
 
     ``frame(t)`` gives the (..., 4, 4) complex matrices of the four section
-    values at the parameters ``t``; ``closed_form(t)`` is the analytic
-    determinant there, against which the numeric one is checked.
+    values at the parameters ``t``, whose rows ``rows(sin t, cos t)``
+    spells out; ``closed_form(t)`` is the analytic determinant there,
+    against which the numeric one is checked.
     """
 
     name: str
     start: float
     end: float
-    frame: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray, np.ndarray], tuple]
     closed_form: Callable[[np.ndarray], np.ndarray]
 
     def parameters(self, samples: int) -> np.ndarray:
         return np.linspace(self.start, self.end, samples)
+
+    def frame(self, t) -> np.ndarray:
+        out = np.empty(np.shape(t) + (4, 4), dtype=complex)
+        return _fill(out, self.rows(np.sin(t), np.cos(t)))
 
 
 # Traversal order around the cut contour.  The determinant is constant on
@@ -127,28 +135,36 @@ class ContourSegment:
 #   32 -> -32i -> -32 -> 32i -> 32.
 CONTOUR: tuple[ContourSegment, ...] = (
     ContourSegment("disc1-outer", 0.0, math.pi,
-                   _frame_disc1_outer, lambda t: 32.0 + 0.0j),
+                   _rows_disc1_outer, lambda t: 32.0 + 0.0j),
     ContourSegment("disc1-below-cut", math.pi, 1.5 * math.pi,
-                   functools.partial(_frame_disc1_inner, fourth=_ROW_FOURTH_BELOW),
+                   functools.partial(_rows_disc1_inner, fourth=_ROW_FOURTH_BELOW),
                    lambda t: -32.0 * np.exp(-1.0j * t)),
     ContourSegment("cut-lower", 0.0, math.pi,
-                   functools.partial(_frame_cut, fourth=_ROW_FOURTH_BELOW),
+                   functools.partial(_rows_cut, fourth=_ROW_FOURTH_BELOW),
                    lambda t: -32.0j),
     ContourSegment("disc2-below-cut", 0.5 * math.pi, math.pi,
-                   functools.partial(_frame_disc2_inner, fourth=_ROW_FOURTH_BELOW),
+                   functools.partial(_rows_disc2_inner, fourth=_ROW_FOURTH_BELOW),
                    lambda t: 32.0 * np.exp(-1.0j * t)),
     ContourSegment("disc2-outer", math.pi, 2.0 * math.pi,
-                   _frame_disc2_outer, lambda t: -32.0 + 0.0j),
+                   _rows_disc2_outer, lambda t: -32.0 + 0.0j),
     ContourSegment("disc2-above-cut", 0.0, 0.5 * math.pi,
-                   functools.partial(_frame_disc2_inner, fourth=_ROW_FOURTH_ABOVE),
+                   functools.partial(_rows_disc2_inner, fourth=_ROW_FOURTH_ABOVE),
                    lambda t: -32.0 * np.exp(-1.0j * t)),
     ContourSegment("cut-upper", math.pi, 0.0,
-                   functools.partial(_frame_cut, fourth=_ROW_FOURTH_ABOVE),
+                   functools.partial(_rows_cut, fourth=_ROW_FOURTH_ABOVE),
                    lambda t: 32.0j),
     ContourSegment("disc1-above-cut", 1.5 * math.pi, 2.0 * math.pi,
-                   functools.partial(_frame_disc1_inner, fourth=_ROW_FOURTH_ABOVE),
+                   functools.partial(_rows_disc1_inner, fourth=_ROW_FOURTH_ABOVE),
                    lambda t: 32.0 * np.exp(-1.0j * t)),
 )
+_STARTS = np.array([seg.start for seg in CONTOUR])
+_ENDS = np.array([seg.end for seg in CONTOUR])
+
+
+def _parameters(samples_per_segment: int) -> np.ndarray:
+    """Every segment's parameters as (segment, sample) rows; row k equals
+    ``CONTOUR[k].parameters(samples_per_segment)`` exactly."""
+    return np.linspace(_STARTS, _ENDS, samples_per_segment, axis=-1)
 
 
 def _require_sampling(samples_per_segment: int) -> None:
@@ -166,9 +182,12 @@ def _first_contour(samples_per_segment: int) -> np.ndarray:
     first and last entry sit exactly at its start and end parameter.
     """
     _require_sampling(samples_per_segment)
-    frames = np.concatenate(
-        [seg.frame(seg.parameters(samples_per_segment)) for seg in CONTOUR])
-    values = np.linalg.det(frames)
+    params = _parameters(samples_per_segment)
+    sin, cos = np.sin(params), np.cos(params)
+    frames = np.empty(params.shape + (4, 4), dtype=complex)
+    for k, seg in enumerate(CONTOUR):
+        _fill(frames[k], seg.rows(sin[k], cos[k]))
+    values = np.linalg.det(frames.reshape(-1, 4, 4))
     values.setflags(write=False)
     return values
 
@@ -195,8 +214,8 @@ def closed_form_gap(samples_per_segment: int = 64) -> float:
     """Largest distance between a numeric determinant and its closed form."""
     rows = _segment_values(samples_per_segment)
     gap = 0.0
-    for seg, values in zip(CONTOUR, rows):
-        diff = values - seg.closed_form(seg.parameters(samples_per_segment))
+    for seg, t, values in zip(CONTOUR, _parameters(samples_per_segment), rows):
+        diff = values - seg.closed_form(t)
         gap = max(gap, float(np.max(np.abs(diff))))
     return gap
 

@@ -127,7 +127,7 @@ def cli() -> None:
               help='braid word, e.g. "3: 1 -2 1 -2"')
 @click.option("--seeds", type=click.IntRange(min=1), default=None,
               help="random solver restarts [default: solver's 1536]")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="RNG seed")
 @click.option("--tol", type=float, default=None,
               help="survivor residual tolerance [default: solver's 1e-12]")
@@ -262,7 +262,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
 
 @cli.command()
 @click.argument("which", type=click.Choice(VERIFY_SUITES))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True,
               help="random frame pairs per invariance/vanishing check")
 @_io_options

@@ -65,6 +65,21 @@ def slot_product(pts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of (..., 3) arrays, broadcast as
+    ``np.cross`` broadcasts them.  Each component is one product minus
+    another, so the result rounds exactly as ``np.cross``'s does, without
+    its axis bookkeeping."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def circle_point(theta) -> np.ndarray:
     """The class point at angle theta on the great circle through the first
     two coordinate axes, batched over the shape of theta."""

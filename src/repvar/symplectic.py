@@ -22,10 +22,7 @@ import numpy as np
 from .braid import BraidWord, differential_arrays, random_configurations, tangent_basis
 from .chern import chern_pairing
 from .solver import is_singular_config
-from .su2 import circle_point, reflect, slot_product
-
-X_AXIS_ROW = np.array([1.0, 0.0, 0.0])
-Z_AXIS_ROW = np.array([0.0, 0.0, 1.0])
+from .su2 import cross, reflect, slot_product
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -41,11 +38,12 @@ def omega_c_array(base: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     trace-free class point is the half-turn 2 (g . v) g - v about it, so
     S_j follows from S_{j-1} by one reflection.
 
-    The loop runs over slot-major, component-major views, and each dot
-    product is the explicit sum u0 v0 + u1 v1 + u2 v2: the rounding order of
-    ``np.sum(u * v, axis=-1)`` without its reduction overhead.
+    The loop runs over slot-major, component-major views (one transpose
+    each), and each dot product is the explicit sum u0 v0 + u1 v1 + u2 v2:
+    the rounding order of ``np.sum(u * v, axis=-1)`` without its reduction
+    overhead.
     """
-    g, u, v = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (base, x, y))
+    g, u, v = (a.transpose(-2, -1, *range(a.ndim - 2)) for a in (base, x, y))
     sx = sy = (0.0, 0.0, 0.0)
     total = np.zeros(base.shape[:-2])
     for j in range(1, g.shape[0]):
@@ -136,25 +134,13 @@ def check_gamma_lagrangian(
 # --- test spheres ---------------------------------------------------------------
 
 
-def _alternating_tail(shape: tuple[int, ...], pairs: int) -> np.ndarray:
-    """Slots 5..2n of both standard spheres: the first axis point with
-    alternating signs, starting negative at slot 5."""
-    tail_len = 2 * pairs - 4
-    signs = np.array([(-1.0) ** j for j in range(5, 2 * pairs + 1)])
-    tail = np.zeros(shape + (tail_len, 3))
-    tail[..., :, 0] = signs
-    return tail
-
-
 def _doubled_point_frame(a: np.ndarray, velocity: np.ndarray, slot: int,
                          slots: int) -> np.ndarray:
     """Pushforward of an ambient velocity u at a point A doubled (up to sign)
     at 0-based `slot` and `slot + 1`: both slots carry A x u."""
-    a = np.asarray(a, dtype=float)
-    coeff = np.cross(a, np.asarray(velocity, dtype=float))
-    out = np.zeros(a.shape[:-1] + (slots, 3))
-    out[..., slot, :] = coeff
-    out[..., slot + 1, :] = coeff
+    coeff = cross(np.asarray(a, dtype=float), np.asarray(velocity, dtype=float))
+    out = np.zeros(coeff.shape[:-1] + (slots, 3))
+    out[..., slot:slot + 2, :] = coeff[..., None, :]
     return out
 
 
@@ -205,24 +191,26 @@ class CapCylinderSphere:
         if self.pairs < 2:
             raise ValueError("need at least two pairs")
 
-    def _with_tail(self, head: np.ndarray) -> np.ndarray:
-        tail = _alternating_tail(head.shape[:-2], self.pairs)
-        return np.concatenate([head, tail], axis=-2)
+    def _chart(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A zeroed (..., 2n, 3) configuration array holding the slots all
+        three charts share: J at slot 2 and, from slot 5 on, J with
+        alternating signs, starting negative."""
+        out = np.zeros(shape + (2 * self.pairs, 3))
+        out[..., 1, 0] = 1.0
+        out[..., 4::2, 0] = -1.0
+        out[..., 5::2, 0] = 1.0
+        return out
 
     def cap_configuration(self, which: int, a: np.ndarray) -> np.ndarray:
         """Chart 1: (J, J, A, A, ...); chart 2: (-J, J, A, -A, ...)."""
-        a = np.asarray(a, dtype=float)
-        lead = np.zeros(a.shape[:-1] + (4, 3))
-        if which == 1:
-            lead[..., 0, 0] = 1.0
-        elif which == 2:
-            lead[..., 0, 0] = -1.0
-        else:
+        if which not in (1, 2):
             raise ValueError("cap index must be 1 or 2")
-        lead[..., 1, 0] = 1.0
-        lead[..., 2, :] = a
-        lead[..., 3, :] = a if which == 1 else -a
-        return self._with_tail(lead)
+        a = np.asarray(a, dtype=float)
+        out = self._chart(a.shape[:-1])
+        out[..., 0, 0] = 1.0 if which == 1 else -1.0
+        out[..., 2, :] = a
+        out[..., 3, :] = a if which == 1 else -a
+        return out
 
     def cap_frame(self, a: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """Pushforward of an ambient velocity at A on either cap: moving
@@ -236,16 +224,12 @@ class CapCylinderSphere:
         through the first two coordinate axes."""
         theta1 = np.asarray(theta1, dtype=float)
         theta2 = np.asarray(theta2, dtype=float)
-        head = np.stack(
-            [
-                circle_point(theta1),
-                np.broadcast_to(X_AXIS_ROW, theta1.shape + (3,)),
-                circle_point(theta2),
-                circle_point(theta1 + theta2),
-            ],
-            axis=-2,
-        )
-        return self._with_tail(head)
+        theta12 = theta1 + theta2
+        out = self._chart(theta12.shape)
+        for slot, theta in ((0, theta1), (2, theta2), (3, theta12)):
+            out[..., slot, 0] = np.cos(theta)
+            out[..., slot, 1] = np.sin(theta)
+        return out
 
     def cylinder_frames(
         self, theta1: np.ndarray, theta2: np.ndarray
@@ -257,10 +241,8 @@ class CapCylinderSphere:
         shape = theta1.shape + (2 * self.pairs, 3)
         d1 = np.zeros(shape)
         d2 = np.zeros(shape)
-        d1[..., 0, :] = Z_AXIS_ROW
-        d1[..., 3, :] = Z_AXIS_ROW
-        d2[..., 2, :] = Z_AXIS_ROW
-        d2[..., 3, :] = Z_AXIS_ROW
+        d1[..., 0:4:3, 2] = 1.0
+        d2[..., 2:4, 2] = 1.0
         return d1, d2
 
 
@@ -303,39 +285,47 @@ def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
     w1 = 0.5 * math.pi * weights
     t2 = math.pi * (nodes + 1.0)
     w2 = math.pi * weights
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
-    values = cylinder_integrand(pairs, g1, g2)
+    # the integrand on the flattened grid, node (i, j) at i * order + j
+    g1 = np.repeat(t1, quadrature_order)
+    g2 = np.tile(t2, quadrature_order)
+    values = cylinder_integrand(pairs, g1, g2).reshape(quadrature_order, -1)
     return float(np.einsum("i,j,ij->", w1, w2, values))
 
 
-def _orthonormal_tangent_pair(
-    a: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    u = random_coefficients(a, rng)
+def _sphere_points(charts: int, samples: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`samples` random unit points A per chart, each with an orthonormal
+    tangent pair (u, A x u), as (charts * samples, 3) arrays.  Chart after
+    chart, `rng` draws the points and then their tangent directions; one
+    draw of shape (charts, 2, samples, 3) holds them in that order."""
+    draws = rng.normal(size=(charts, 2, samples, 3))
+    a = draws[:, 0].reshape(-1, 3)
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    raw = draws[:, 1].reshape(-1, 3)
+    u = raw - np.sum(raw * a, axis=-1, keepdims=True) * a
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return u, np.cross(a, u)
+    return a, u, cross(a, u)
 
 
 def _pullback_max(configuration, frame, samples: int,
                   rng: np.random.Generator) -> float:
     """Max |pullback| of the form over `samples` random points A of a sphere
     chart; `rng` draws the points, then their tangent pairs."""
-    a = rng.normal(size=(samples, 3))
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    u1, u2 = _orthonormal_tangent_pair(a, rng)
+    a, u1, u2 = _sphere_points(1, samples, rng)
     values = omega_c_array(configuration(a), frame(a, u1), frame(a, u2))
     return float(np.max(np.abs(values)))
 
 
 def cap_pullback_max(pairs: int, samples: int = 256, rng_seed: int = 0) -> float:
     """Max |pullback| of the form over random points of both caps (the
-    claim under test is that it vanishes identically)."""
+    claim under test is that it vanishes identically).  The points of cap 1
+    are drawn first; both caps go through one evaluation of the form."""
     sphere = CapCylinderSphere(pairs)
-    rng = np.random.default_rng(rng_seed)
-    return max(
-        _pullback_max(functools.partial(sphere.cap_configuration, which),
-                      sphere.cap_frame, samples, rng)
-        for which in (1, 2))
+    a, u1, u2 = _sphere_points(2, samples, np.random.default_rng(rng_seed))
+    base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
+                           sphere.cap_configuration(2, a[samples:])])
+    values = omega_c_array(base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2))
+    return float(np.max(np.abs(values)))
 
 
 def adjacent_pair_pullback_max(

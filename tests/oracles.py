@@ -226,6 +226,50 @@ def omega_c_reference(base: np.ndarray, x: np.ndarray, y: np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# The cap-cylinder sphere's charts, assembled the plain way: circle points
+# stacked into the four-slot head, then the alternating tail concatenated.
+# The library writes every slot into one array and must match bit for bit.
+
+def cross_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, by numpy's own routine."""
+    return np.cross(a, b)
+
+
+def _circle(theta: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+
+
+def _chart_tail(shape: tuple[int, ...], pairs: int) -> np.ndarray:
+    """Slots 5..2n: the first axis point, sign (-1)^slot (1-based)."""
+    signs = np.array([(-1.0) ** j for j in range(5, 2 * pairs + 1)])
+    tail = np.zeros(shape + (2 * pairs - 4, 3))
+    tail[..., :, 0] = signs
+    return tail
+
+
+def cylinder_chart(pairs: int, theta1: np.ndarray, theta2: np.ndarray
+                   ) -> np.ndarray:
+    """(A_t1, J, A_t2, A_{t1+t2}, tail) with A_t = (cos t, sin t, 0)."""
+    head = np.stack(
+        [_circle(theta1),
+         np.broadcast_to(np.array([1.0, 0.0, 0.0]), theta1.shape + (3,)),
+         _circle(theta2),
+         _circle(theta1 + theta2)],
+        axis=-2)
+    return np.concatenate([head, _chart_tail(theta1.shape, pairs)], axis=-2)
+
+
+def cap_chart(pairs: int, which: int, a: np.ndarray) -> np.ndarray:
+    """Cap 1: (J, J, A, A, tail); cap 2: (-J, J, A, -A, tail)."""
+    lead = np.zeros(a.shape[:-1] + (4, 3))
+    lead[..., 0, 0] = 1.0 if which == 1 else -1.0
+    lead[..., 1, 0] = 1.0
+    lead[..., 2, :] = a
+    lead[..., 3, :] = a if which == 1 else -a
+    return np.concatenate([lead, _chart_tail(a.shape[:-1], pairs)], axis=-2)
+
+
+# ---------------------------------------------------------------------------
 # Permutation-cycle oracle for braid closures.
 
 def closure_cycle_count(strands: int, letters: list[int]) -> int:

@@ -181,6 +181,26 @@ def test_differential_chain_rule():
     assert np.max(np.abs(step - direct)) < 1e-10
 
 
+def test_differential_refuses_coefficients_along_the_base_point():
+    word = knot_by_name("5_2").word
+    n = word.strands
+    pts = random_configurations(n, 1, RNG)[0]
+    base = np.broadcast_to(pts, (3 * n, n, 3))
+    # the full coefficient basis has parts along the base points
+    with pytest.raises(ValueError, match="not tangent"):
+        differential_arrays(word, base, np.eye(3 * n).reshape(3 * n, n, 3))
+    # a coefficient barely off tangency is refused too
+    e1, e2 = tangent_basis(pts)
+    off = e1.copy()
+    off[0] += 1e-6 * pts[0]
+    with pytest.raises(ValueError):
+        differential_arrays(word, pts, off)
+    # tangent frames pass, and so do their pushforwards
+    for frame in (e1, e2, random_coefficients(pts[None], RNG)[0]):
+        moved, pushed = differential_arrays(word, pts, frame)
+        differential_arrays(word, moved, pushed)
+
+
 def test_tangent_basis_is_orthonormal_and_tangent():
     pts = random_configurations(4, 50, RNG)
     # the helper axis switches at |p_x| = 0.9; cover both branches

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repvar import claims
+from repvar import claims, symplectic
 
 # (name, kind, bound) of every claim, in report order.  A loosened bound or
 # a renamed, dropped or reordered claim fails here.
@@ -121,3 +121,20 @@ def test_each_run_evaluates_the_contour_once(monkeypatch):
         calls.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert calls == [(8 * 64, 4, 4)]
+
+
+def test_each_monotone_run_evaluates_the_form_three_times(monkeypatch):
+    # the cylinder grid, both caps together and the adjacent-pair sphere
+    calls = []
+    form = symplectic.omega_c_array
+
+    def counting(base, x, y):
+        calls.append(base.shape[:-2])
+        return form(base, x, y)
+
+    monkeypatch.setattr(symplectic, "omega_c_array", counting)
+    names = [c.name for c in claims.CLAIMS if c.name.startswith("monotone.")]
+    for _ in range(2):
+        calls.clear()
+        assert all(c["passed"] for c in claims.run(names))
+        assert sorted(calls) == [(256,), (512,), (1024,)]

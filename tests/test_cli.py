@@ -213,6 +213,8 @@ def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):
     ["variety", "--name", "3_1", "--seeds", "-1"],
     ["variety", "--name", "3_1", "--link-radius", "0"],
     ["variety", "--name", "3_1", "--link-radius", "-0.15"],
+    ["verify", "symplectic", "--seed", "-1"],
+    ["variety", "--name", "3_1", "--seed", "-1"],
 ])
 def test_out_of_range_counts_and_radii_are_usage_errors(runner, tmp_path, args):
     result = _run(runner, tmp_path, args)

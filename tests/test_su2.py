@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from repvar.su2 import (
     circle_point,
+    cross,
     pure_quat,
     quat_mul,
     reflect,
@@ -183,3 +184,33 @@ def test_axis_constants():
     assert pts.shape == (4, 5, 3)
     assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-15
     assert np.all(pts[..., 2] == 0.0)
+
+
+def _broadcast_pair(data):
+    """Two (..., 3) arrays whose leading shapes broadcast against each other."""
+    shape = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(shape),
+                              max_size=len(shape)))
+    other = [1 if m else d for d, m in zip(shape, mask)]
+    other = other[data.draw(st.integers(0, len(other))):]
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=tuple(shape) + (3,))
+    b = rng.normal(size=tuple(other) + (3,))
+    # exact zeros and negative zeros exercise the signs of the differences
+    a.flat[:: 5] = 0.0
+    b.flat[1:: 4] = -0.0
+    return a, b
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cross_equals_numpy_cross_exactly(data):
+    a, b = _broadcast_pair(data)
+    for x, y in ((a, b), (b, a)):
+        got = cross(x, y)
+        want = oracles.cross_reference(x, y)
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,6 +1,7 @@
 """The two-form: oracle agreement, invariance, the vanishing locus, pairings."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from repvar.braid import BraidWord, parse_braid, random_configurations
 from repvar.su2 import reflect, slot_product
 from repvar.symplectic import (
     AdjacentPairSphere,
+    _pullback_max,
     CapCylinderSphere,
     adjacent_pair_pullback_max,
     cap_pullback_max,
@@ -284,6 +286,36 @@ def test_caps_and_degree_zero_spheres_contribute_nothing():
             for sign in (1, -1):
                 sphere = AdjacentPairSphere(slot, sign, pairs)
                 assert adjacent_pair_pullback_max(sphere) < 1e-12
+
+
+@pytest.mark.parametrize("pairs", range(2, 6))
+def test_sphere_charts_equal_the_stacked_reference_exactly(pairs):
+    rng = np.random.default_rng(pairs)
+    sphere = CapCylinderSphere(pairs)
+    for shape in ((9,), (4, 6)):
+        t1 = rng.uniform(0.0, math.pi, size=shape)
+        t2 = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+        got = sphere.cylinder_configuration(t1, t2)
+        assert got.shape == shape + (2 * pairs, 3)
+        assert np.array_equal(got, oracles.cylinder_chart(pairs, t1, t2))
+        a = rng.normal(size=shape + (3,))
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        for which in (1, 2):
+            assert np.array_equal(sphere.cap_configuration(which, a),
+                                  oracles.cap_chart(pairs, which, a))
+
+
+@pytest.mark.parametrize("pairs", (2, 3))
+@pytest.mark.parametrize("seed", (0, 7))
+def test_one_evaluation_over_both_caps_equals_one_per_cap(pairs, seed):
+    # cap 1's points and tangents are drawn first, then cap 2's
+    sphere = CapCylinderSphere(pairs)
+    rng = np.random.default_rng(seed)
+    per_cap = [
+        _pullback_max(functools.partial(sphere.cap_configuration, which),
+                      sphere.cap_frame, 256, rng)
+        for which in (1, 2)]
+    assert cap_pullback_max(pairs, rng_seed=seed) == max(per_cap)
 
 
 def test_monotonicity_report():

@@ -12,9 +12,10 @@ frame and closed form is a numpy function of an array of piece
 parameters.  One `np.linspace` gives the parameters of all eight pieces,
 their frames are written into one array, and the whole contour is one
 batched `np.linalg.det`.  That array is memoised per
-sample count: the modulus, junction, winding and pairing checks all read
-it, so a verify run evaluates the contour once (``claims.run`` clears the
-memo, so each run evaluates it afresh).
+sample count, as are its negation (the second contour) and the winding of
+each: the modulus, junction, winding and pairing checks all read them, so a
+verify run evaluates the contour once and winds each contour once
+(``claims.run`` clears the memos, so each run evaluates them afresh).
 
 The first-Chern pairing with the sphere class localizes to the winding
 number of that determinant around 0 -- once per degenerate circle.  Both
@@ -192,17 +193,26 @@ def _first_contour(samples_per_segment: int) -> np.ndarray:
     return values
 
 
+@functools.cache
+def _second_contour(samples_per_segment: int) -> np.ndarray:
+    """The negated first contour, read-only; memoised like it."""
+    values = -_first_contour(samples_per_segment)
+    values.setflags(write=False)
+    return values
+
+
 def contour_determinants(samples_per_segment: int = 64, *,
                          second_contour: bool = False) -> np.ndarray:
     """Determinant values along the whole contour in traversal order.
 
     The contour around the second degenerate circle reuses the same
     parametrization with every section value negated, so its determinant is
-    the pointwise negative of the first.  The first contour's array is the
-    shared read-only memo.
+    the pointwise negative of the first.  Both arrays are shared read-only
+    memos.
     """
-    values = _first_contour(samples_per_segment)
-    return -values if second_contour else values
+    if second_contour:
+        return _second_contour(samples_per_segment)
+    return _first_contour(samples_per_segment)
 
 
 def _segment_values(samples_per_segment: int) -> np.ndarray:
@@ -258,12 +268,21 @@ def _loop_winding(values: np.ndarray) -> int:
     return int(nearest)
 
 
-def winding_number(samples_per_segment: int = 64, *,
-                   second_contour: bool = False) -> int:
-    """Winding of the section determinant around 0 along the closed contour."""
+@functools.cache
+def _winding(samples_per_segment: int, second_contour: bool) -> int:
     return _loop_winding(
         contour_determinants(samples_per_segment,
                              second_contour=second_contour))
+
+
+def winding_number(samples_per_segment: int = 64, *,
+                   second_contour: bool = False) -> int:
+    """Winding of the section determinant around 0 along the closed contour.
+
+    Memoised per contour like the determinants, so the winding claims and
+    the pairing share one winding of each contour per run.
+    """
+    return _winding(samples_per_segment, second_contour)
 
 
 def chern_pairing(samples_per_segment: int = 64) -> int:

@@ -94,16 +94,29 @@ def _monotonicity() -> symplectic.MonotonicityReport:
     return symplectic.monotonicity_ratio()
 
 
+@functools.cache
+def _hprime_pfaffians() -> tuple[int, ...]:
+    """Pf(H'(n)) for every n in HESSIAN_SIZES from one elimination of the
+    largest H', of which each smaller one is the leading block.  Shared by
+    two claims; `run` clears it so that each run eliminates once."""
+    return tuple(hessian.leading_pfaffians(
+        hessian.build_hprime(HESSIAN_SIZES[-1])))
+
+
 def clear_memos() -> None:
     """Forget every memoised measurement: the Hessians H(n) and H'(n), the
-    Hessian spectra, the contour determinants and the monotonicity report.
-    Each run and each report command starts here, so none of them reads a
-    value an earlier one left behind."""
+    Hessian spectra, the leading Pfaffians of H'(8), the contour
+    determinants (both contours), their windings and the monotonicity
+    report.  Each run and each report command starts here, so none of them
+    reads a value an earlier one left behind."""
     _monotonicity.cache_clear()
+    _hprime_pfaffians.cache_clear()
     hessian.build_hessian.cache_clear()
     hessian.build_hprime.cache_clear()
     hessian.spectrum.cache_clear()
     chern._first_contour.cache_clear()
+    chern._second_contour.cache_clear()
+    chern._winding.cache_clear()
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -133,12 +146,13 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("hessian.min_abs_eigenvalue", "gt", 1e-2,
           lambda *_: min(hessian.min_abs_eigenvalue(n) for n in HESSIAN_SIZES)),
     Claim("hessian.pfaffian_recurrence_vs_direct", "equals", PFAFFIANS_2_TO_8,
-          lambda *_: [hessian.pfaffian(hessian.build_hprime(n))
-                      for n in HESSIAN_SIZES]),
+          lambda *_: list(_hprime_pfaffians())),
     Claim("hessian.pfaffian_table", "equals", PFAFFIANS_2_TO_8,
           lambda *_: hessian.pfaffian_recurrence(8)),
     Claim("hessian.det_equals_pfaffian_fourth", "equals", [True] * 3,
-          lambda *_: [hessian.det_factorization(n).matches for n in (2, 3, 4)]),
+          lambda *_: [
+              hessian.det_factorization(n, _hprime_pfaffians()[n - 2]).matches
+              for n in (2, 3, 4)]),
     Claim("chern.modulus_deviation_first_contour", "abs_le", 1e-9,
           lambda *_: chern.modulus_deviation()),
     Claim("chern.modulus_deviation_second_contour", "abs_le", 1e-9,

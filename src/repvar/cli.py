@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 
 import click
 import numpy as np
@@ -50,6 +50,32 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+# a record file is always new: never truncate one another invocation wrote
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def _create_record_file(run_dir: str, stem: str) -> int:
+    """Open ``{stem}.json`` in ``run_dir`` for writing, as a new file.
+
+    A name already taken (two invocations in the same microsecond) gets a
+    ``-1``, ``-2``, ... suffix instead of overwriting the other record.  The
+    directory is made only when the first open finds it missing.
+    """
+    taken = 0
+    made_dir = False
+    while True:
+        name = f"{stem}-{taken}.json" if taken else f"{stem}.json"
+        try:
+            return os.open(os.path.join(run_dir, name), _NEW_FILE, 0o666)
+        except FileExistsError:
+            taken += 1
+        except FileNotFoundError:
+            if made_dir:
+                raise
+            os.makedirs(run_dir, exist_ok=True)
+            made_dir = True
+
+
 def _persist(run_dir: str, command: str, results: dict,
              checks: list[dict]) -> tuple[dict, str]:
     """Write the record; its config is exactly the command's parsed options.
@@ -66,11 +92,15 @@ def _persist(run_dir: str, command: str, results: dict,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    directory = Path(run_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{command}-{now.strftime('%Y%m%dT%H%M%S%f')}.json"
     text = json.dumps(record, indent=2, sort_keys=True, default=_jsonable)
-    path.write_text(text)
+    data = memoryview(text.encode())
+    fd = _create_record_file(
+        run_dir, f"{command}-{now.strftime('%Y%m%dT%H%M%S%f')}")
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     return record, text
 
 
@@ -276,9 +306,11 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
     results = {"suite": which, "trials": trials,
                "failed": [c["name"] for c in checks if not c["passed"]]}
     record, text = _persist(run_dir, "verify", results, checks)
-    lines = _check_table(checks)
-    lines.append("all checks passed" if record["passed"]
-                 else f"{len(results['failed'])} check(s) FAILED")
+    lines = []
+    if not as_json:
+        lines = _check_table(checks)
+        lines.append("all checks passed" if record["passed"]
+                     else f"{len(results['failed'])} check(s) FAILED")
     _emit(text, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)

@@ -7,9 +7,11 @@ repeating 4x4 diagonal block and one repeating off-diagonal block, the
 swap-adjacent-coordinates permutation conjugates it to its negative (hence
 signature 0), and deleting alternate rows and columns of its skew form
 leaves a pentadiagonal skew matrix whose Pfaffian obeys a two-term integer
-recurrence.  Floating point appears only in the eigenvalue-based signature
-check; determinants and Pfaffians come from fraction-free elimination over
-Python integers, so they are exact.
+recurrence.  That skew matrix for n pairs is the leading block of the one for
+any larger n, so one elimination of the largest gives the Pfaffians of all
+the smaller ones.  Floating point appears only in the eigenvalue-based
+signature check; determinants and Pfaffians come from fraction-free
+elimination over Python integers, so they are exact.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "spectrum",
     "build_hprime",
     "pfaffian",
+    "leading_pfaffians",
     "pfaffian_recurrence",
     "integer_determinant",
     "DetFactorization",
@@ -69,7 +72,8 @@ def build_hessian(n: int) -> np.ndarray:
     matrix, every superdiagonal block the same 4x4 matrix, and the
     subdiagonal its transpose.  Nonzero entries sit only where the row and
     column index have opposite parity.  Memoised per n; ``claims.run``
-    clears it so that each run builds each matrix once.
+    clears it, so a run builds each matrix at most once and nothing is kept
+    from one run to the next.
     """
     _require_pairs(n)
     blocks = n - 1
@@ -141,7 +145,11 @@ def build_hprime(n: int) -> np.ndarray:
     First band alternates 2, -2, 2, ...; second band alternates -1, 1, -1,
     ...; lower triangle by antisymmetry.  Equals the odd-indexed rows and
     columns (1-based) of build_hessian(n) with rows 2j and 2j+1 (0-based)
-    exchanged.  Memoised per n like :func:`build_hessian`.
+    exchanged.  The bands do not depend on n, so build_hprime(n) is the
+    leading block of build_hprime(m) for every m > n, and
+    ``leading_pfaffians(build_hprime(m))`` lists Pf(H'(n)) for n = 2..m.
+    Memoised per n like :func:`build_hessian`; a ``verify hessian`` run builds
+    only the largest.
     """
     _require_pairs(n)
     size = 2 * n - 2
@@ -174,8 +182,19 @@ def _validate_square(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def pfaffian(matrix: np.ndarray) -> int:
-    """Exact Pfaffian of an integer skew matrix by fraction-free elimination.
+def _skew_rows(matrix: np.ndarray) -> list[list[int]]:
+    """The rows of an even-sized, exactly antisymmetric integer matrix."""
+    m = _validate_square(matrix)
+    if m.shape[0] % 2:
+        raise ValueError(f"Pfaffian needs even size, got {m.shape[0]}")
+    a = _integer_rows(m)
+    if (m + m.T).any():
+        raise ValueError("matrix is not exactly antisymmetric")
+    return a
+
+
+def _eliminate(a: list[list[int]], leading: list[int]) -> int:
+    """Pfaffian of the skew rows ``a`` by fraction-free elimination, in place.
 
     The Pfaffian form of Bareiss elimination: step k pivots on the entry
     (k, k+1), swapping row and column k+1 with the first column that has a
@@ -183,19 +202,18 @@ def pfaffian(matrix: np.ndarray) -> int:
     replaces each remaining entry by a bordered 4-index Pfaffian divided by
     the previous pivot.  The Pfaffian form of Sylvester's identity makes every
     division exact, so the arithmetic stays in Python integers and the last
-    pivot is the Pfaffian.
+    pivot is the Pfaffian.  Until the first swap, entry (k, k+1) at step k is
+    the Pfaffian of the leading (k+2) block; those values, up to and
+    including the first zero one, are appended to ``leading``.
     """
-    m = _validate_square(matrix)
-    size = m.shape[0]
-    if size % 2:
-        raise ValueError(f"Pfaffian needs even size, got {size}")
-    a = _integer_rows(m)
-    if (m + m.T).any():
-        raise ValueError("matrix is not exactly antisymmetric")
+    size = len(a)
     sign = 1
     prev = 1
+    swapped = False
     for k in range(0, size, 2):
         row_k = a[k]
+        if not swapped:
+            leading.append(row_k[k + 1])
         pivot_col = next((j for j in range(k + 1, size) if row_k[j]), None)
         if pivot_col is None:
             return 0
@@ -211,6 +229,7 @@ def pfaffian(matrix: np.ndarray) -> int:
                 row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
             a[k + 1], a[pivot_col] = a[pivot_col], a[k + 1]
             sign = -sign
+            swapped = True
         row_k1 = a[k + 1]
         pivot = row_k[k + 1]
         for i in range(k + 2, size):
@@ -221,6 +240,35 @@ def pfaffian(matrix: np.ndarray) -> int:
                             + row_k[j] * a_k1i) // prev
         prev = pivot
     return sign * prev
+
+
+def pfaffian(matrix: np.ndarray) -> int:
+    """Exact Pfaffian of an integer skew matrix by fraction-free elimination.
+
+    Refuses odd sizes, matrices that are not exactly antisymmetric and
+    entries that are not integers.  Equals ``leading_pfaffians(matrix)[-1]``.
+    """
+    return _eliminate(_skew_rows(matrix), [])
+
+
+def leading_pfaffians(matrix: np.ndarray) -> list[int]:
+    """Exact Pfaffians of the leading 2x2, 4x4, ..., full blocks of ``matrix``.
+
+    One elimination gives them all while it needs no swap: its pivot at each
+    step is the Pfaffian of the next leading block.  A zero pivot means that
+    block's Pfaffian is 0; the swap that follows breaks the correspondence,
+    so each larger block short of the whole matrix is then eliminated on its
+    own.  The last value is :func:`pfaffian` of the whole matrix.
+    """
+    m = np.asarray(matrix)
+    a = _skew_rows(m)
+    size = len(a)
+    values: list[int] = []
+    whole = _eliminate(a, values)
+    values += [pfaffian(m[:j, :j]) for j in range(2 * len(values) + 2, size, 2)]
+    if len(values) < size // 2:
+        values.append(whole)
+    return values
 
 
 def pfaffian_recurrence(n_max: int) -> list[int]:
@@ -279,17 +327,21 @@ class DetFactorization:
     matches: bool
 
 
-def det_factorization(n: int) -> DetFactorization:
+def det_factorization(n: int,
+                      hprime_pfaffian: int | None = None) -> DetFactorization:
     """Certify det(H) = Pf(H')^4 exactly.
 
     The parity-swapped Hessian splits into two complementary skew blocks
     that are negatives of each other, so its determinant is the square of
     one block's determinant, i.e. the fourth power of that block's
-    Pfaffian.
+    Pfaffian.  A caller that already holds Pf(H'(n)), e.g. as a leading
+    Pfaffian of a larger H', passes it; otherwise it is computed from
+    ``build_hprime(n)``.
     """
     _require_pairs(n)
     det_h = integer_determinant(build_hessian(n))
-    pf = pfaffian(build_hprime(n))
+    pf = (pfaffian(build_hprime(n)) if hprime_pfaffian is None
+          else hprime_pfaffian)
     return DetFactorization(
         n=n, hessian_det=det_h, hprime_pfaffian=pf,
         matches=det_h == pf ** 4)

@@ -79,6 +79,8 @@ def test_contour_memo_is_read_only_and_shared():
         first[0] = 0.0
     second = contour_determinants(second_contour=True)
     assert np.array_equal(second, -first)
+    assert second is contour_determinants(second_contour=True)
+    assert not second.flags.writeable
 
 
 def test_stacked_determinants_equal_per_segment_determinants():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repvar import claims, symplectic
+from repvar import chern, claims, hessian, symplectic
 
 # (name, kind, bound) of every claim, in report order.  A loosened bound or
 # a renamed, dropped or reordered claim fails here.
@@ -89,21 +89,32 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
 
 
 def test_each_run_builds_each_hessian_once(monkeypatch):
+    # H(n) for every n, but H'(n) only for the largest n: the smaller ones
+    # are its leading blocks, and one elimination gives all their Pfaffians
     calls = []
     zeros = np.zeros
+    eliminations = []
+    eliminate = hessian._eliminate
 
     def counting(shape, *args, **kwargs):
         calls.append(shape)
         return zeros(shape, *args, **kwargs)
 
+    def counting_eliminate(a, leading):
+        eliminations.append(len(a))
+        return eliminate(a, leading)
+
     monkeypatch.setattr(np, "zeros", counting)
+    monkeypatch.setattr(hessian, "_eliminate", counting_eliminate)
     names = [c.name for c in claims.CLAIMS if c.name.startswith("hessian.")]
     sizes = [4 * n - 4 for n in claims.HESSIAN_SIZES]  # H(n)
-    sizes += [2 * n - 2 for n in claims.HESSIAN_SIZES]  # H'(n)
+    sizes.append(2 * claims.HESSIAN_SIZES[-1] - 2)  # H'(8) only
     for _ in range(2):
         calls.clear()
+        eliminations.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert sorted(calls) == sorted((s, s) for s in sizes)
+        assert eliminations == [14]
 
 
 def test_each_run_evaluates_the_contour_once(monkeypatch):
@@ -138,3 +149,20 @@ def test_each_monotone_run_evaluates_the_form_three_times(monkeypatch):
         calls.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert sorted(calls) == [(256,), (512,), (1024,)]
+
+
+@pytest.mark.parametrize("suite", ["chern", "monotone"])
+def test_each_run_winds_each_contour_once(monkeypatch, suite):
+    calls = []
+    loop_winding = chern._loop_winding
+
+    def counting(values):
+        calls.append(len(values))
+        return loop_winding(values)
+
+    monkeypatch.setattr(chern, "_loop_winding", counting)
+    names = [c.name for c in claims.CLAIMS if c.name.startswith(f"{suite}.")]
+    for _ in range(2):
+        calls.clear()
+        assert all(c["passed"] for c in claims.run(names))
+        assert calls == [8 * 64, 8 * 64]

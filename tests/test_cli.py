@@ -267,10 +267,32 @@ def test_record_file_name_carries_the_record_timestamp(runner, tmp_path,
 
 
 def test_json_stdout_is_the_record_file(runner, tmp_path):
-    result = _run(runner, tmp_path, ["verify", "hessian", "--json"])
-    assert result.exit_code == 0, result.output
-    (path,) = tmp_path.glob("verify-*.json")
-    assert result.output == path.read_text() + "\n"
+    for args in (["verify", "hessian"], ["hessian", "--n", "3"], ["chern"]):
+        result = _run(runner, tmp_path, [*args, "--json"])
+        assert result.exit_code == 0, result.output
+        (path,) = tmp_path.glob(f"{args[0]}-*.json")
+        assert result.stdout_bytes == path.read_bytes() + b"\n", args[0]
+
+
+def test_records_in_the_same_microsecond_are_both_kept(runner, tmp_path,
+                                                       monkeypatch):
+    class FrozenClock(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 2, 3, 4, 5, 6, tzinfo=tz)
+
+    monkeypatch.setattr("repvar.cli.datetime", FrozenClock)
+    run_dir = tmp_path / "not" / "yet"
+    for trials in (1, 2):
+        result = _run(runner, run_dir, ["verify", "hessian", "--json",
+                                        "--trials", str(trials)])
+        assert result.exit_code == 0, result.output
+    paths = sorted(run_dir.glob("verify-*.json"))
+    assert [p.name for p in paths] == ["verify-20260102T030405000006-1.json",
+                                       "verify-20260102T030405000006.json"]
+    # neither run truncated the other's record
+    assert sorted(json.loads(p.read_text())["config"]["trials"]
+                  for p in paths) == [1, 2]
 
 
 def test_record_config_holds_exactly_the_command_options(runner, tmp_path):

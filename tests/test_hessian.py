@@ -15,6 +15,7 @@ from repvar.hessian import (
     check_php,
     det_factorization,
     integer_determinant,
+    leading_pfaffians,
     min_abs_eigenvalue,
     pfaffian,
     pfaffian_recurrence,
@@ -26,21 +27,83 @@ PFAFFIAN_TABLE = (2, 5, 12, 29, 70, 169, 408)  # n = 2 .. 8
 
 
 def skew_int_matrices(max_half=5):
+    """Skew matrices up to 2*max_half square; a cyclic mask blanks entries,
+    so zero leading pivots and zero pivot rows come up as well as dense
+    matrices."""
     def build(draw):
-        half, entries = draw
+        half, entries, zeroed = draw
         size = 2 * half
         m = np.zeros((size, size), dtype=np.int64)
         idx = 0
         for i in range(size):
             for j in range(i + 1, size):
-                m[i, j] = entries[idx % len(entries)]
+                if not zeroed[idx % len(zeroed)]:
+                    m[i, j] = entries[idx % len(entries)]
                 idx += 1
         return m - m.T
 
     return st.tuples(
         st.integers(1, max_half),
         st.lists(st.integers(-6, 6), min_size=1, max_size=45),
+        st.lists(st.booleans(), min_size=1, max_size=13),
     ).map(build)
+
+
+def _skew(upper) -> np.ndarray:
+    upper = np.triu(np.array(upper, dtype=np.int64), 1)
+    return upper - upper.T
+
+
+def _leading_by_expansion(m) -> list[int]:
+    return [oracles.pfaffian_expansion(m[:j, :j])
+            for j in range(2, len(m) + 1, 2)]
+
+
+# a01 = 0: the 2x2 block's Pfaffian is 0 and every larger block needs the
+# fallback
+ZERO_FIRST_PIVOT = _skew([
+    [0, 0, 3, 1, 2, -1],
+    [0, 0, 2, 5, 0, 1],
+    [0, 0, 0, 7, 1, 0],
+    [0, 0, 0, 0, -2, 3],
+    [0, 0, 0, 0, 0, 4],
+    [0, 0, 0, 0, 0, 0],
+])
+# a01 = a02 = a03 = 0: the first swap brings in column 4, outside the 4x4
+# block, so a pivot after it is not that block's Pfaffian up to sign
+FAR_PIVOT = _skew([
+    [0, 0, 0, 0, 2, 1, 0, 1],
+    [0, 0, 1, 3, 0, 2, 1, 0],
+    [0, 0, 0, -1, 2, 0, 1, 1],
+    [0, 0, 0, 0, 1, 1, 0, 2],
+    [0, 0, 0, 0, 0, 3, 1, 0],
+    [0, 0, 0, 0, 0, 0, 2, -1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+])
+# a01 a23 - a02 a13 + a03 a12 = 1*2 - 1*1 + 1*(-1) = 0: the 4x4 block's
+# Pfaffian is 0, found as the second pivot after a swap-free first step
+ZERO_SECOND_PIVOT = _skew([
+    [0, 1, 1, 1, 0, 2, 1, 0],
+    [0, 0, -1, 1, 1, 0, 0, 3],
+    [0, 0, 0, 2, 0, 1, 2, 0],
+    [0, 0, 0, 0, 1, 0, 1, 1],
+    [0, 0, 0, 0, 0, 3, 0, 2],
+    [0, 0, 0, 0, 0, 0, 1, -1],
+    [0, 0, 0, 0, 0, 0, 0, 5],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+])
+# row 2 is zero after the first step, so the elimination stops there
+ZERO_PIVOT_ROW = _skew([
+    [0, 3, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 2, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 4, 0],
+    [0, 0, 0, 0, 0, 0, 0, 6],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+])
 
 
 # --- construction ----------------------------------------------------------------
@@ -244,11 +307,48 @@ def test_pfaffian_mirrors_the_live_block_before_a_later_swap():
     assert pfaffian(m) == -2 == oracles.pfaffian_expansion(m)
 
 
+def test_reduced_forms_nest_as_leading_blocks():
+    # what lets one elimination of H'(8) stand in for H'(2..8)
+    big = build_hprime(16)
+    for n in range(2, 17):
+        size = 2 * n - 2
+        assert np.array_equal(big[:size, :size], build_hprime(n)), n
+
+
+def test_leading_pfaffians_of_a_reduced_form_follow_the_recurrence():
+    assert leading_pfaffians(build_hprime(16)) == pfaffian_recurrence(16)
+
+
+@given(skew_int_matrices(max_half=6))
+@settings(max_examples=80, deadline=None)
+@example(ZERO_FIRST_PIVOT)
+@example(FAR_PIVOT)
+@example(ZERO_SECOND_PIVOT)
+@example(ZERO_PIVOT_ROW)
+def test_leading_pfaffians_match_the_expansion_oracle(m):
+    values = leading_pfaffians(m)
+    assert values == _leading_by_expansion(m)
+    assert values[-1] == pfaffian(m)
+
+
+@pytest.mark.parametrize("m, zero_block", [
+    (ZERO_FIRST_PIVOT, 0), (FAR_PIVOT, 0), (ZERO_SECOND_PIVOT, 1),
+    (ZERO_PIVOT_ROW, 1)], ids=["first", "far", "second", "row"])
+def test_leading_pfaffians_past_a_zero_leading_pivot(m, zero_block):
+    # the examples above really take the fallback: a zero block, then
+    # larger blocks with nonzero Pfaffians or a zero pivot row
+    values = leading_pfaffians(m)
+    assert values[zero_block] == 0
+    assert values == _leading_by_expansion(m)
+    assert values[-1] != 0 or m is ZERO_PIVOT_ROW
+
+
 def test_pfaffian_input_validation():
-    with pytest.raises(ValueError):
-        pfaffian(np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        pfaffian(np.eye(4, dtype=np.int64))
+    for compute in (pfaffian, leading_pfaffians):
+        with pytest.raises(ValueError):
+            compute(np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            compute(np.eye(4, dtype=np.int64))
 
 
 @pytest.mark.parametrize("compute, matrix", [
@@ -258,8 +358,12 @@ def test_pfaffian_input_validation():
     (integer_determinant, np.eye(2, dtype=complex)),
     (pfaffian, np.array([[0, 1.0], [-1, 0]], dtype=object)),
     (integer_determinant, np.array([[1, "2"], [3, 4]], dtype=object)),
+    (leading_pfaffians, [[0, 2.7], [-2.7, 0]]),
+    (leading_pfaffians, np.array([[0, 1j], [-1j, 0]])),
+    (leading_pfaffians, np.array([[0, 1.0], [-1, 0]], dtype=object)),
 ], ids=["float_det", "fraction_det", "float_pfaffian", "complex_det",
-        "object_float_pfaffian", "object_str_det"])
+        "object_float_pfaffian", "object_str_det", "float_leading",
+        "complex_leading", "object_float_leading"])
 def test_non_integer_entries_are_refused(compute, matrix):
     with pytest.raises(ValueError, match="integer entries"):
         compute(matrix)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Census sweep over (2, n) torus links: solve the 2-strand word with n
 positive crossings and compare with the closed-form component list.
+Exits 1 when any census differs from it.
 
     python3 scripts/run_torus_sweep.py --max-n 9
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 import time
 
 import numpy as np
@@ -30,6 +32,8 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=9)
     parser.add_argument("--seeds", type=int, default=SolverConfig().seeds)
     args = parser.parse_args()
+    if args.max_n < 2:
+        parser.error("--max-n must be at least 2")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
@@ -55,6 +59,8 @@ def main() -> None:
               f"{[f'{t}@{a:.3f}' for t, _, a in got]} "
               f"(angle err {angle_err:.1e}) [{elapsed:.1f}s] {marker}")
     print(f"\ntotal {total:.1f}s; censuses {'all exact' if exact else 'DIFFER'}")
+    if not exact:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -11,17 +11,18 @@ whose determinant has an elementary closed form of modulus 32.  Every
 frame and closed form is a numpy function of an array of piece
 parameters.  One `np.linspace` gives the parameters of all eight pieces,
 their frames are written into one array, and the whole contour is one
-batched `np.linalg.det`.  That array is memoised per
-sample count, as are its negation (the second contour) and the winding of
-each: the modulus, junction, winding and pairing checks all read them, so a
-verify run evaluates the contour once and winds each contour once
-(``claims.run`` clears the memos, so each run evaluates them afresh).
+batched `np.linalg.det`.  The modulus, junction and winding checks are
+functions of that array of determinants; the contour around the second
+degenerate circle negates every section value, so its determinants are the
+negated array.
 
 The first-Chern pairing with the sphere class localizes to the winding
 number of that determinant around 0 -- once per degenerate circle.  Both
 windings are -1 (the two determinants differ only by sign, which does not
-move the winding), so the pairing is the integer -2, independently of how
-many sphere pairs sit in the tail of the configuration.
+move the winding), so the pairing, their sum, is the integer -2.  The tail
+slots of the sphere family are constant, so the frame sections -- and with
+them both windings -- do not depend on how many sphere pairs sit in the
+tail of the configuration.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "modulus_deviation",
     "junction_gaps",
     "winding_number",
-    "chern_pairing",
     "DETERMINANT_MODULUS",
     "MIN_SAFE_MODULUS",
     "MIN_SAMPLES_PER_SEGMENT",
@@ -175,9 +175,9 @@ def _require_sampling(samples_per_segment: int) -> None:
             f"got {samples_per_segment}")
 
 
-@functools.cache
-def _first_contour(samples_per_segment: int) -> np.ndarray:
-    """Determinants along the first contour, one stacked det, read-only.
+def contour_determinants(samples_per_segment: int = 64) -> np.ndarray:
+    """Determinants along the first contour in traversal order, one stacked
+    det, read-only.
 
     Segment k holds entries ``k * samples .. (k + 1) * samples - 1``; its
     first and last entry sit exactly at its start and end parameter.
@@ -193,36 +193,14 @@ def _first_contour(samples_per_segment: int) -> np.ndarray:
     return values
 
 
-@functools.cache
-def _second_contour(samples_per_segment: int) -> np.ndarray:
-    """The negated first contour, read-only; memoised like it."""
-    values = -_first_contour(samples_per_segment)
-    values.setflags(write=False)
-    return values
-
-
-def contour_determinants(samples_per_segment: int = 64, *,
-                         second_contour: bool = False) -> np.ndarray:
-    """Determinant values along the whole contour in traversal order.
-
-    The contour around the second degenerate circle reuses the same
-    parametrization with every section value negated, so its determinant is
-    the pointwise negative of the first.  Both arrays are shared read-only
-    memos.
-    """
-    if second_contour:
-        return _second_contour(samples_per_segment)
-    return _first_contour(samples_per_segment)
-
-
-def _segment_values(samples_per_segment: int) -> np.ndarray:
-    """The first contour's determinants as (segment, sample) rows."""
-    return _first_contour(samples_per_segment).reshape(len(CONTOUR), -1)
+def _segment_values(values: np.ndarray) -> np.ndarray:
+    """Contour determinants as (segment, sample) rows."""
+    return values.reshape(len(CONTOUR), -1)
 
 
 def closed_form_gap(samples_per_segment: int = 64) -> float:
     """Largest distance between a numeric determinant and its closed form."""
-    rows = _segment_values(samples_per_segment)
+    rows = _segment_values(contour_determinants(samples_per_segment))
     gap = 0.0
     for seg, t, values in zip(CONTOUR, _parameters(samples_per_segment), rows):
         diff = values - seg.closed_form(t)
@@ -230,25 +208,26 @@ def closed_form_gap(samples_per_segment: int = 64) -> float:
     return gap
 
 
-def modulus_deviation(samples_per_segment: int = 64, *,
-                      second_contour: bool = False) -> float:
-    """Largest deviation of |determinant| from 32 along the contour."""
-    values = contour_determinants(samples_per_segment,
-                                  second_contour=second_contour)
+def modulus_deviation(values: np.ndarray) -> float:
+    """Largest deviation of |determinant| from 32 along a contour."""
     return float(np.max(np.abs(np.abs(values) - DETERMINANT_MODULUS)))
 
 
-def junction_gaps(samples_per_segment: int = 64) -> np.ndarray:
-    """|determinant jump| at the eight segment-to-segment junctions.
+def junction_gaps(values: np.ndarray) -> np.ndarray:
+    """|determinant jump| at the eight segment-to-segment junctions of the
+    contour determinants ``values``.
 
     Each segment's first and last sample are its values at its start and
     end, so the gaps read the same array as the other checks.
     """
-    rows = _segment_values(samples_per_segment)
+    rows = _segment_values(values)
     return np.abs(rows[:, -1] - np.roll(rows[:, 0], -1))
 
 
-def _loop_winding(values: np.ndarray) -> int:
+def winding_number(values: np.ndarray) -> int:
+    """Winding of the determinants ``values`` around 0 along the closed
+    contour; refuses a loop that comes near 0, is sampled too coarsely or
+    does not close."""
     moduli = np.abs(values)
     if float(np.min(moduli)) < MIN_SAFE_MODULUS:
         raise ValueError(
@@ -266,32 +245,3 @@ def _loop_winding(values: np.ndarray) -> int:
         raise ValueError(
             f"accumulated argument {total} turns is not an integer")
     return int(nearest)
-
-
-@functools.cache
-def _winding(samples_per_segment: int, second_contour: bool) -> int:
-    return _loop_winding(
-        contour_determinants(samples_per_segment,
-                             second_contour=second_contour))
-
-
-def winding_number(samples_per_segment: int = 64, *,
-                   second_contour: bool = False) -> int:
-    """Winding of the section determinant around 0 along the closed contour.
-
-    Memoised per contour like the determinants, so the winding claims and
-    the pairing share one winding of each contour per run.
-    """
-    return _winding(samples_per_segment, second_contour)
-
-
-def chern_pairing(samples_per_segment: int = 64) -> int:
-    """First-Chern pairing with the cap-cylinder sphere class: always -2.
-
-    The tail slots of the sphere family are constant, so the frame
-    sections -- and with them both windings -- do not depend on how many
-    pairs the configuration has.
-    """
-    first = winding_number(samples_per_segment)
-    second = winding_number(samples_per_segment, second_contour=True)
-    return first + second

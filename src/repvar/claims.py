@@ -2,10 +2,13 @@
 
 Each entry is one check that ``repvar verify`` reports: its ``suite.check``
 name, its kind (``abs_le``: |value| <= bound, ``gt``: value > bound,
-``equals``: value == bound), its bound, and its measurement from a seed and
-a trial count (seedless claims ignore both).  ``repvar verify`` and the
-acceptance gate both run claims from here.  The library is called through
-module attributes, so a profiler that swaps them sees every call.
+``equals``: value == bound), its bound, and its measurement, a function of
+one run's `Measurements`.  That object carries the run's seed, trial count
+and contour sampling, and measures each value that several claims share at
+most once; every run makes a fresh one, so no run reads a value another
+left behind.  ``repvar verify``, ``repvar chern`` and the acceptance gate
+all run claims from here.  The library is called through module
+attributes, so a profiler that swaps them sees every call.
 """
 from __future__ import annotations
 
@@ -45,37 +48,90 @@ def describe(check: dict) -> str:
 
 
 @dataclass(frozen=True)
+class Measurements:
+    """One run's inputs and the values its claims share.
+
+    Each shared value is a cached property, measured on first use and kept
+    only as long as this object: the Hessians H(n) and their spectra, the
+    leading Pfaffians of H'(8), the contour determinants, the windings of
+    both contours and the monotonicity report.
+    """
+
+    seed: int = 0
+    trials: int = 1000
+    samples: int = 64  # per contour segment
+
+    @functools.cached_property
+    def hessians(self) -> list[np.ndarray]:
+        """H(n) for every n in HESSIAN_SIZES, each read as the leading
+        (4n-4) block of the one largest H."""
+        largest = hessian.build_hessian(HESSIAN_SIZES[-1])
+        return [largest[:4 * n - 4, :4 * n - 4] for n in HESSIAN_SIZES]
+
+    @functools.cached_property
+    def spectra(self) -> list[np.ndarray]:
+        return [hessian.spectrum(h) for h in self.hessians]
+
+    @functools.cached_property
+    def hprime_pfaffians(self) -> tuple[int, ...]:
+        """Pf(H'(n)) for every n in HESSIAN_SIZES from one elimination of the
+        largest H', of which each smaller one is the leading block."""
+        return tuple(hessian.leading_pfaffians(
+            hessian.build_hprime(HESSIAN_SIZES[-1])))
+
+    @functools.cached_property
+    def contour(self) -> np.ndarray:
+        """Determinants along the first contour; the second is its negation."""
+        return chern.contour_determinants(self.samples)
+
+    @functools.cached_property
+    def windings(self) -> tuple[int, int]:
+        """Windings of the first and the second contour."""
+        return (chern.winding_number(self.contour),
+                chern.winding_number(-self.contour))
+
+    @property
+    def chern_pairing(self) -> int:
+        """First-Chern pairing with the cap-cylinder sphere class: the sum of
+        the two windings."""
+        return sum(self.windings)
+
+    @functools.cached_property
+    def monotonicity(self) -> symplectic.MonotonicityReport:
+        return symplectic.monotonicity_ratio(self.chern_pairing)
+
+
+@dataclass(frozen=True)
 class Claim:
     name: str
     kind: str
     bound: Any
-    measure: Callable[[int, int], Any]
+    measure: Callable[[Measurements], Any]
 
-    def check(self, seed: int, trials: int) -> dict:
-        return check_record(self.name, self.kind, self.measure(seed, trials),
-                            self.bound)
+    def check(self, m: Measurements) -> dict:
+        return check_record(self.name, self.kind, self.measure(m), self.bound)
 
 
-def _invariance(strands: int, seed: int, trials: int) -> float:
+def _invariance(strands: int, m: Measurements) -> float:
     """Worst deviation of the form under every generator and its inverse."""
     worst = 0.0
     for k in range(1, strands):
         for sign in (1, -1):
             worst = max(worst, symplectic.check_braid_invariance(
-                braid.BraidWord(strands, (sign * k,)), trials, seed))
+                braid.BraidWord(strands, (sign * k,)), m.trials, m.seed))
     return worst
 
 
-def _form_ranks(pairs: int, seed: int, trials: int) -> list[int]:
+def _form_ranks(pairs: int, m: Measurements) -> list[int]:
     """The distinct form ranks at 100 random product-one points."""
-    pts = symplectic.random_k_points(pairs, 100, np.random.default_rng(seed))
+    pts = symplectic.random_k_points(pairs, 100, np.random.default_rng(m.seed))
     return sorted({symplectic.nondegeneracy_rank(p) for p in pts})
 
 
-def _random_word_images(strands: int, seed: int, trials: int,
+def _random_word_images(strands: int, m: Measurements,
                         words: int = 20) -> float:
     """Worst |form| over the images under 20 random words of length 1..8."""
-    rng = np.random.default_rng(seed + strands)
+    rng = np.random.default_rng(m.seed + strands)
     worst = 0.0
     for _ in range(words):
         length = int(rng.integers(1, 9))
@@ -83,40 +139,8 @@ def _random_word_images(strands: int, seed: int, trials: int,
             int(rng.integers(1, strands)) * (1 if rng.random() < 0.5 else -1)
             for _ in range(length))
         worst = max(worst, symplectic.check_gamma_lagrangian(
-            braid.BraidWord(strands, letters), trials, seed))
+            braid.BraidWord(strands, letters), m.trials, m.seed))
     return worst
-
-
-@functools.cache
-def _monotonicity() -> symplectic.MonotonicityReport:
-    """Shared by four claims; `run` clears it so that each run measures it
-    once."""
-    return symplectic.monotonicity_ratio()
-
-
-@functools.cache
-def _hprime_pfaffians() -> tuple[int, ...]:
-    """Pf(H'(n)) for every n in HESSIAN_SIZES from one elimination of the
-    largest H', of which each smaller one is the leading block.  Shared by
-    two claims; `run` clears it so that each run eliminates once."""
-    return tuple(hessian.leading_pfaffians(
-        hessian.build_hprime(HESSIAN_SIZES[-1])))
-
-
-def clear_memos() -> None:
-    """Forget every memoised measurement: the Hessians H(n) and H'(n), the
-    Hessian spectra, the leading Pfaffians of H'(8), the contour
-    determinants (both contours), their windings and the monotonicity
-    report.  Each run and each report command starts here, so none of them
-    reads a value an earlier one left behind."""
-    _monotonicity.cache_clear()
-    _hprime_pfaffians.cache_clear()
-    hessian.build_hessian.cache_clear()
-    hessian.build_hprime.cache_clear()
-    hessian.spectrum.cache_clear()
-    chern._first_contour.cache_clear()
-    chern._second_contour.cache_clear()
-    chern._winding.cache_clear()
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -127,63 +151,64 @@ CLAIMS: tuple[Claim, ...] = (
             [4 * n], functools.partial(_form_ranks, n))
       for n in (2, 3)),
     Claim("lagrangian.doubled_word_image", "abs_le", 1e-10,
-          lambda seed, trials: symplectic.check_gamma_lagrangian(
-              symplectic.sigma_tilde(braid.knot_by_name("3_1").word), trials, seed)),
+          lambda m: symplectic.check_gamma_lagrangian(
+              symplectic.sigma_tilde(braid.knot_by_name("3_1").word),
+              m.trials, m.seed)),
     Claim("lagrangian.identity_4_strands", "abs_le", 1e-10,
-          lambda seed, trials: symplectic.check_gamma_lagrangian(
-              braid.BraidWord(4, ()), trials, seed)),
+          lambda m: symplectic.check_gamma_lagrangian(
+              braid.BraidWord(4, ()), m.trials, m.seed)),
     Claim("lagrangian.random_words_4_strands", "abs_le", 1e-10,
           functools.partial(_random_word_images, 4)),
     Claim("lagrangian.identity_6_strands", "abs_le", 1e-10,
-          lambda seed, trials: symplectic.check_gamma_lagrangian(
-              braid.BraidWord(6, ()), trials, seed)),
+          lambda m: symplectic.check_gamma_lagrangian(
+              braid.BraidWord(6, ()), m.trials, m.seed)),
     Claim("lagrangian.random_words_6_strands", "abs_le", 1e-10,
           functools.partial(_random_word_images, 6)),
     Claim("hessian.parity_swap_negates", "equals", [True] * 7,
-          lambda *_: [hessian.check_php(n) for n in HESSIAN_SIZES]),
+          lambda m: [hessian.php_identity(h) for h in m.hessians]),
     Claim("hessian.signature_zero", "equals", [0] * 7,
-          lambda *_: [hessian.signature(n) for n in HESSIAN_SIZES]),
+          lambda m: [hessian.signature(eigs) for eigs in m.spectra]),
     Claim("hessian.min_abs_eigenvalue", "gt", 1e-2,
-          lambda *_: min(hessian.min_abs_eigenvalue(n) for n in HESSIAN_SIZES)),
+          lambda m: min(hessian.min_abs_eigenvalue(eigs) for eigs in m.spectra)),
     Claim("hessian.pfaffian_recurrence_vs_direct", "equals", PFAFFIANS_2_TO_8,
-          lambda *_: list(_hprime_pfaffians())),
+          lambda m: list(m.hprime_pfaffians)),
     Claim("hessian.pfaffian_table", "equals", PFAFFIANS_2_TO_8,
-          lambda *_: hessian.pfaffian_recurrence(8)),
+          lambda m: hessian.pfaffian_recurrence(8)),
     Claim("hessian.det_equals_pfaffian_fourth", "equals", [True] * 3,
-          lambda *_: [
-              hessian.det_factorization(n, _hprime_pfaffians()[n - 2]).matches
-              for n in (2, 3, 4)]),
+          lambda m: [hessian.det_factorization(h, pf).matches
+                     for h, pf in zip(m.hessians[:3], m.hprime_pfaffians)]),
     Claim("chern.modulus_deviation_first_contour", "abs_le", 1e-9,
-          lambda *_: chern.modulus_deviation()),
+          lambda m: chern.modulus_deviation(m.contour)),
     Claim("chern.modulus_deviation_second_contour", "abs_le", 1e-9,
-          lambda *_: chern.modulus_deviation(second_contour=True)),
+          lambda m: chern.modulus_deviation(-m.contour)),
     Claim("chern.junction_gap_max", "abs_le", 1e-9,
-          lambda *_: float(np.max(chern.junction_gaps()))),
+          lambda m: float(np.max(chern.junction_gaps(m.contour)))),
     Claim("chern.winding_first_contour", "equals", -1,
-          lambda *_: chern.winding_number()),
+          lambda m: m.windings[0]),
     Claim("chern.winding_second_contour", "equals", -1,
-          lambda *_: chern.winding_number(second_contour=True)),
-    Claim("chern.chern_pairing", "equals", -2, lambda *_: chern.chern_pairing()),
+          lambda m: m.windings[1]),
+    Claim("chern.chern_pairing", "equals", -2, lambda m: m.chern_pairing),
     Claim("monotone.cylinder_integral_plus_pi_squared", "abs_le", 1e-8,
-          lambda *_: _monotonicity().fn_integral + math.pi ** 2),
+          lambda m: m.monotonicity.fn_integral + math.pi ** 2),
     Claim("monotone.cap_pullback_max", "abs_le", 1e-12,
-          lambda *_: symplectic.cap_pullback_max(2)),
+          lambda m: symplectic.cap_pullback_max(2)),
     Claim("monotone.adjacent_pair_sphere_form_max", "abs_le", 1e-12,
-          lambda *_: _monotonicity().gamma_form_max),
+          lambda m: m.monotonicity.gamma_form_max),
     Claim("monotone.chern_pairing", "equals", -2,
-          lambda *_: _monotonicity().chern_pairing),
+          lambda m: m.monotonicity.chern_pairing),
     Claim("monotone.ratio_minus_half_pi_squared", "abs_le", 1e-6,
-          lambda *_: _monotonicity().ratio - math.pi ** 2 / 2.0),
+          lambda m: m.monotonicity.ratio - math.pi ** 2 / 2.0),
 )
 
 SUITES = tuple(dict.fromkeys(c.name.partition(".")[0] for c in CLAIMS))
 
 
 def run(names: Iterable[str], seed: int = 0, trials: int = 1000) -> list[dict]:
-    """Check records of the named claims, in registry order."""
+    """Check records of the named claims, in registry order, measured on one
+    fresh `Measurements`."""
     wanted = set(names)
     unknown = wanted - {c.name for c in CLAIMS}
     if unknown:
         raise KeyError(f"unknown claims: {sorted(unknown)}")
-    clear_memos()
-    return [c.check(seed, trials) for c in CLAIMS if c.name in wanted]
+    m = Measurements(seed, trials)
+    return [c.check(m) for c in CLAIMS if c.name in wanted]

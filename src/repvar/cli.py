@@ -3,11 +3,12 @@
 Verbs: ``variety`` (solve a braid closure's trace-free variety),
 ``invariants`` (exact Alexander / determinant / component prediction),
 ``verify`` (run the registered claims with pass/fail scorecard), ``hessian``
-and ``chern`` (emit those modules' reports).  Every invocation persists a
-schema-versioned JSON record to the run directory; ``verify``, ``hessian``
-and ``chern`` exit nonzero iff a check fails.  Flags mirror to environment
-variables with the REPVAR_ prefix (command-qualified, e.g.
-REPVAR_VARIETY_SEEDS); explicit flags win.
+(the Hessian report for one pair count) and ``chern`` (the contour report
+with the registry's ``chern.*`` claims at a chosen sampling).  Every
+invocation persists a schema-versioned JSON record to the run directory;
+``verify``, ``hessian`` and ``chern`` exit nonzero iff a check fails.  Flags
+mirror to environment variables with the REPVAR_ prefix (command-qualified,
+e.g. REPVAR_VARIETY_SEEDS); explicit flags win.
 """
 
 from __future__ import annotations
@@ -267,14 +268,11 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
         "determinant": det,
         "two_bridge_prediction": dataclasses.asdict(prediction),
     }
-    try:
-        ranks = load_khovanov_ranks(khovanov_csv)
-        if label in ranks:
-            results["khovanov_rank"] = ranks[label]
-            results["prediction_matches_khovanov"] = (
-                prediction.cohomology_rank == ranks[label])
-    except OSError:
-        pass
+    ranks = load_khovanov_ranks(khovanov_csv)
+    if label in ranks:
+        results["khovanov_rank"] = ranks[label]
+        results["prediction_matches_khovanov"] = (
+            prediction.cohomology_rank == ranks[label])
 
     _, text = _persist(run_dir, "invariants", results, [])
     lines = [
@@ -323,22 +321,24 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
 @click.pass_context
 def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
     """Integer Hessian report: matrix, signature, Pfaffian table."""
-    claims.clear_memos()
-    fact = hessian_mod.det_factorization(pairs)
+    matrix = hessian_mod.build_hessian(pairs)
+    hprime = hessian_mod.build_hprime(pairs)
+    eigs = hessian_mod.spectrum(matrix)
+    fact = hessian_mod.det_factorization(matrix, hessian_mod.pfaffian(hprime))
     table_max = max(pairs, 3)
     results = {
         "n": pairs,
-        "matrix": hessian_mod.build_hessian(pairs).tolist(),
-        "signature": hessian_mod.signature(pairs),
-        "min_abs_eigenvalue": hessian_mod.min_abs_eigenvalue(pairs),
-        "hprime": hessian_mod.build_hprime(pairs).tolist(),
+        "matrix": matrix.tolist(),
+        "signature": hessian_mod.signature(eigs),
+        "min_abs_eigenvalue": hessian_mod.min_abs_eigenvalue(eigs),
+        "hprime": hprime.tolist(),
         "pfaffian_table": hessian_mod.pfaffian_recurrence(table_max),
         "hessian_det": fact.hessian_det,
         "hprime_pfaffian": fact.hprime_pfaffian,
     }
     checks = [
         check_record("parity_swap_negates", "equals",
-                     hessian_mod.check_php(pairs), True),
+                     hessian_mod.php_identity(matrix), True),
         check_record("signature_zero", "equals", results["signature"], 0),
         check_record("det_equals_pfaffian_fourth", "equals", fact.matches, True),
         check_record("recurrence_matches_direct", "equals",
@@ -363,29 +363,19 @@ def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
 @click.pass_context
 def chern_cmd(ctx, samples, as_json, run_dir) -> None:
     """Contour report: determinant modulus, junctions, windings, pairing."""
-    claims.clear_memos()
-    modulus_first = chern_mod.modulus_deviation(samples)
-    modulus_second = chern_mod.modulus_deviation(samples, second_contour=True)
-    junctions = chern_mod.junction_gaps(samples)
-    winding_first = chern_mod.winding_number(samples)
-    winding_second = chern_mod.winding_number(samples, second_contour=True)
+    m = claims.Measurements(samples=samples)
+    checks = [c.check(m) for c in claims.CLAIMS if c.name.startswith("chern.")]
+    winding_first, winding_second = m.windings
     results = {
         "samples_per_segment": samples,
-        "modulus_deviation_first_contour": modulus_first,
-        "modulus_deviation_second_contour": modulus_second,
-        "junction_gaps": junctions.tolist(),
+        "modulus_deviation_first_contour": chern_mod.modulus_deviation(m.contour),
+        "modulus_deviation_second_contour":
+            chern_mod.modulus_deviation(-m.contour),
+        "junction_gaps": chern_mod.junction_gaps(m.contour).tolist(),
         "winding_first_contour": winding_first,
         "winding_second_contour": winding_second,
-        "pairing": winding_first + winding_second,
+        "pairing": m.chern_pairing,
     }
-    checks = [
-        check_record("per_segment_modulus_first", "abs_le", modulus_first, 1e-9),
-        check_record("per_segment_modulus_second", "abs_le", modulus_second, 1e-9),
-        check_record("junction_gap_max", "abs_le", float(np.max(junctions)), 1e-9),
-        check_record("winding_first_contour", "equals", winding_first, -1),
-        check_record("winding_second_contour", "equals", winding_second, -1),
-        check_record("pairing", "equals", results["pairing"], -2),
-    ]
     record, text = _persist(run_dir, "chern", results, checks)
     lines = [f"windings {winding_first} + {winding_second} = "
              f"{results['pairing']}"]

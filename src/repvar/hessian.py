@@ -7,16 +7,16 @@ repeating 4x4 diagonal block and one repeating off-diagonal block, the
 swap-adjacent-coordinates permutation conjugates it to its negative (hence
 signature 0), and deleting alternate rows and columns of its skew form
 leaves a pentadiagonal skew matrix whose Pfaffian obeys a two-term integer
-recurrence.  That skew matrix for n pairs is the leading block of the one for
-any larger n, so one elimination of the largest gives the Pfaffians of all
-the smaller ones.  Floating point appears only in the eigenvalue-based
+recurrence.  Both matrices for n pairs are leading blocks of the ones for
+any larger n, so one elimination of the largest H' gives the Pfaffians of
+all the smaller ones.  Floating point appears only in the eigenvalue-based
 signature check; determinants and Pfaffians come from fraction-free
-elimination over Python integers, so they are exact.
+elimination over Python integers, so they are exact.  Every function here
+is a plain function of its inputs and keeps nothing between calls.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "build_hessian",
     "php_identity",
-    "check_php",
     "signature",
     "min_abs_eigenvalue",
     "spectrum",
@@ -64,16 +63,15 @@ def _require_pairs(n: int) -> None:
         raise ValueError(f"need at least two sphere pairs, got {n}")
 
 
-@functools.cache
 def build_hessian(n: int) -> np.ndarray:
     """Exact (4n-4)x(4n-4) integer Hessian for n sphere pairs, read-only.
 
     Block tridiagonal: every diagonal block is the same 4x4 symmetric-zero
     matrix, every superdiagonal block the same 4x4 matrix, and the
     subdiagonal its transpose.  Nonzero entries sit only where the row and
-    column index have opposite parity.  Memoised per n; ``claims.run``
-    clears it, so a run builds each matrix at most once and nothing is kept
-    from one run to the next.
+    column index have opposite parity.  The blocks do not depend on n, so
+    build_hessian(n) is the leading block of build_hessian(m) for every
+    m > n.
     """
     _require_pairs(n)
     blocks = n - 1
@@ -102,43 +100,34 @@ def php_identity(matrix: np.ndarray) -> bool:
     return bool(np.array_equal(m[swap][:, swap], -m))
 
 
-def check_php(n: int) -> bool:
-    return php_identity(build_hessian(n))
-
-
-@functools.cache
-def spectrum(n: int) -> np.ndarray:
-    """Ascending eigenvalues of build_hessian(n), read-only.
-
-    Memoised per n, so that :func:`signature` and :func:`min_abs_eigenvalue`
-    share one eigensolve; ``claims.run`` clears it so that each run computes
-    each spectrum once.
-    """
-    eigs = np.linalg.eigvalsh(build_hessian(n).astype(float))
+def spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric integer matrix, read-only, so
+    that :func:`signature` and :func:`min_abs_eigenvalue` can share one
+    eigensolve."""
+    eigs = np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
     eigs.setflags(write=False)
     return eigs
 
 
-def min_abs_eigenvalue(n: int) -> float:
-    return float(np.abs(spectrum(n)).min())
+def min_abs_eigenvalue(eigs: np.ndarray) -> float:
+    return float(np.abs(eigs).min())
 
 
-def signature(n: int) -> int:
-    """Positive minus negative eigenvalue count; refuses a near-singular case.
+def signature(eigs: np.ndarray) -> int:
+    """Positive minus negative count of the eigenvalues ``eigs``; refuses a
+    near-singular case.
 
     The parity-swap identity forces the value 0 whenever the matrix is
     invertible, so a near-zero eigenvalue is reported as an error rather
     than silently classified.
     """
-    eigs = spectrum(n)
-    if float(np.abs(eigs).min()) <= EIGENVALUE_ZERO_THRESHOLD:
+    if min_abs_eigenvalue(eigs) <= EIGENVALUE_ZERO_THRESHOLD:
         raise ValueError(
-            f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero at n={n}: "
-            "matrix unexpectedly near-singular")
+            f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero: "
+            f"{len(eigs)}x{len(eigs)} matrix unexpectedly near-singular")
     return int(np.count_nonzero(eigs > 0) - np.count_nonzero(eigs < 0))
 
 
-@functools.cache
 def build_hprime(n: int) -> np.ndarray:
     """Pentadiagonal skew (2n-2)x(2n-2) reduction of the Hessian, read-only.
 
@@ -148,8 +137,6 @@ def build_hprime(n: int) -> np.ndarray:
     exchanged.  The bands do not depend on n, so build_hprime(n) is the
     leading block of build_hprime(m) for every m > n, and
     ``leading_pfaffians(build_hprime(m))`` lists Pf(H'(n)) for n = 2..m.
-    Memoised per n like :func:`build_hessian`; a ``verify hessian`` run builds
-    only the largest.
     """
     _require_pairs(n)
     size = 2 * n - 2
@@ -321,27 +308,20 @@ def integer_determinant(matrix: np.ndarray) -> int:
 @dataclass(frozen=True)
 class DetFactorization:
     """Exact determinant of the Hessian against the fourth Pfaffian power."""
-    n: int
     hessian_det: int
     hprime_pfaffian: int
     matches: bool
 
 
-def det_factorization(n: int,
-                      hprime_pfaffian: int | None = None) -> DetFactorization:
-    """Certify det(H) = Pf(H')^4 exactly.
+def det_factorization(hessian_matrix: np.ndarray,
+                      hprime_pfaffian: int) -> DetFactorization:
+    """Certify det(H(n)) = Pf(H'(n))^4 exactly, given H(n) and Pf(H'(n)).
 
     The parity-swapped Hessian splits into two complementary skew blocks
     that are negatives of each other, so its determinant is the square of
     one block's determinant, i.e. the fourth power of that block's
-    Pfaffian.  A caller that already holds Pf(H'(n)), e.g. as a leading
-    Pfaffian of a larger H', passes it; otherwise it is computed from
-    ``build_hprime(n)``.
+    Pfaffian.
     """
-    _require_pairs(n)
-    det_h = integer_determinant(build_hessian(n))
-    pf = (pfaffian(build_hprime(n)) if hprime_pfaffian is None
-          else hprime_pfaffian)
-    return DetFactorization(
-        n=n, hessian_det=det_h, hprime_pfaffian=pf,
-        matches=det_h == pf ** 4)
+    det_h = integer_determinant(hessian_matrix)
+    return DetFactorization(hessian_det=det_h, hprime_pfaffian=hprime_pfaffian,
+                            matches=det_h == hprime_pfaffian ** 4)

@@ -8,8 +8,8 @@ sums with a global minus sign.  This module evaluates the form, checks the
 properties that make it usable (braid invariance, vanishing on the
 mirrored-tuple submanifold and its braid images, nondegeneracy on the
 product-one locus), and computes its pairing with the two standard test
-spheres, whose ratio against the first-Chern pairing is the monotonicity
-constant pi^2/2.
+spheres, whose ratio against the first-Chern pairing (measured by
+`repvar.chern` and passed in) is the monotonicity constant pi^2/2.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, differential_arrays, random_configurations, tangent_basis
-from .chern import chern_pairing
 from .solver import is_singular_config
 from .su2 import cross, reflect, slot_product
 
@@ -406,19 +405,18 @@ class MonotonicityReport:
     gamma_chern_pairing: int
 
 
-def monotonicity_ratio(pairs: int = 2, quadrature_order: int = 32
-                       ) -> MonotonicityReport:
-    """Ratio of the form's pairing with the cap-cylinder sphere to the
-    first-Chern pairing (expected pi^2/2), with the adjacent-pair sphere's
-    0/0 pair recorded rather than divided."""
+def monotonicity_ratio(c1: int, pairs: int = 2,
+                       quadrature_order: int = 32) -> MonotonicityReport:
+    """Ratio of the form's pairing with the cap-cylinder sphere to its
+    first-Chern pairing ``c1`` (expected pi^2/2), with the adjacent-pair
+    sphere's 0/0 pair recorded rather than divided."""
     fn_val = integrate_fn_pullback(pairs, quadrature_order)
-    c1_val = chern_pairing()
     gamma = AdjacentPairSphere(slot=3, sign=1, pairs=pairs)
     gamma_form = adjacent_pair_pullback_max(gamma)
     return MonotonicityReport(
         fn_integral=fn_val,
-        chern_pairing=c1_val,
-        ratio=fn_val / c1_val,
+        chern_pairing=c1,
+        ratio=fn_val / c1,
         gamma_form_max=gamma_form,
         gamma_chern_pairing=0,
     )

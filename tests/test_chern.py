@@ -11,14 +11,11 @@ from repvar.chern import (
     CONTOUR,
     DETERMINANT_MODULUS,
     MIN_SAMPLES_PER_SEGMENT,
-    chern_pairing,
     closed_form_gap,
     contour_determinants,
     junction_gaps,
     modulus_deviation,
     winding_number,
-    _first_contour,
-    _loop_winding,
 )
 
 
@@ -26,7 +23,7 @@ def test_contour_has_eight_connected_segments():
     assert len(CONTOUR) == 8
     names = [s.name for s in CONTOUR]
     assert len(set(names)) == 8
-    assert np.max(junction_gaps()) < 1e-12
+    assert np.max(junction_gaps(contour_determinants())) < 1e-12
 
 
 def test_pinned_determinant_values():
@@ -59,28 +56,22 @@ def test_batched_frames_equal_per_parameter_frames():
 
 def test_determinant_modulus_is_constant():
     assert DETERMINANT_MODULUS == 32.0
-    assert modulus_deviation() < 1e-12
-    assert modulus_deviation(second_contour=True) < 1e-12
+    values = contour_determinants()
+    assert modulus_deviation(values) < 1e-12
+    assert modulus_deviation(-values) < 1e-12
 
 
-def test_second_contour_is_the_pointwise_negation():
-    first = contour_determinants()
-    second = contour_determinants(second_contour=True)
-    assert np.max(np.abs(first + second)) < 1e-12
-
-
-def test_contour_memo_is_read_only_and_shared():
-    claims.clear_memos()
-    first = contour_determinants()
-    assert first is _first_contour(64)
+def test_contour_is_read_only_and_shared_within_a_run():
+    m = claims.Measurements()
+    first = m.contour
+    assert first is m.contour
     assert first.shape == (8 * 64,)
+    assert np.array_equal(first, contour_determinants(64))
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 0.0
-    second = contour_determinants(second_contour=True)
-    assert np.array_equal(second, -first)
-    assert second is contour_determinants(second_contour=True)
-    assert not second.flags.writeable
+    # a new run evaluates the contour afresh
+    assert claims.Measurements().contour is not first
 
 
 def test_stacked_determinants_equal_per_segment_determinants():
@@ -95,22 +86,23 @@ def test_junction_gaps_equal_an_evaluation_at_the_segment_ends():
                      for seg in CONTOUR])
     want = np.abs(ends[:, 1] - np.roll(ends[:, 0], -1))
     for samples in (64, 257):
-        assert np.array_equal(junction_gaps(samples), want)
+        assert np.array_equal(junction_gaps(contour_determinants(samples)), want)
 
 
 def test_winding_numbers():
-    assert winding_number() == -1
-    assert winding_number(second_contour=True) == -1
-    assert winding_number(samples_per_segment=256) == -1
+    values = contour_determinants()
+    assert winding_number(values) == -1
+    assert winding_number(-values) == -1
+    assert winding_number(contour_determinants(256)) == -1
     # reversing the traversal (an orientation control) flips the sign
-    assert _loop_winding(contour_determinants()[::-1]) == 1
-    assert _loop_winding(contour_determinants(second_contour=True)[::-1]) == 1
+    assert winding_number(values[::-1]) == 1
+    assert winding_number(-values[::-1]) == 1
 
 
 def test_sampling_floor_is_enforced():
     assert MIN_SAMPLES_PER_SEGMENT == 64
     with pytest.raises(ValueError):
-        winding_number(samples_per_segment=63)
+        claims.Measurements(samples=63).windings
     with pytest.raises(ValueError):
         contour_determinants(samples_per_segment=10)
 
@@ -118,25 +110,25 @@ def test_sampling_floor_is_enforced():
 def test_winding_guards():
     t = np.linspace(0.0, 2 * math.pi, 512)
     loop = 32.0 * np.exp(1j * t)
-    assert _loop_winding(loop) == 1
+    assert winding_number(loop) == 1
     # too close to the origin for a trustworthy argument
     with pytest.raises(ValueError):
-        _loop_winding(2.0 * np.exp(1j * t))
+        winding_number(2.0 * np.exp(1j * t))
     # a non-closing arc has no integer winding
     with pytest.raises(ValueError):
-        _loop_winding(32.0 * np.exp(1j * t[: len(t) // 2]))
+        winding_number(32.0 * np.exp(1j * t[: len(t) // 2]))
     # angular steps of pi or more are ambiguous
     coarse = 32.0 * np.exp(1j * np.linspace(0.0, 2 * math.pi, 3))
     with pytest.raises(ValueError):
-        _loop_winding(coarse)
+        winding_number(coarse)
 
 
 def test_junction_tolerance_is_stricter_than_observed():
     (claim,) = [c for c in claims.CLAIMS if c.name == "chern.junction_gap_max"]
-    assert np.max(junction_gaps()) < claim.bound
+    assert np.max(junction_gaps(contour_determinants())) < claim.bound
 
 
 def test_pairing_is_minus_two_for_any_pair_count():
     # the frames do not depend on the pair count, so neither does the pairing
-    assert chern_pairing() == -2
-    assert chern_pairing(samples_per_segment=128) == -2
+    assert claims.Measurements().chern_pairing == -2
+    assert claims.Measurements(samples=128).chern_pairing == -2

@@ -89,8 +89,8 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
 
 
 def test_each_run_builds_each_hessian_once(monkeypatch):
-    # H(n) for every n, but H'(n) only for the largest n: the smaller ones
-    # are its leading blocks, and one elimination gives all their Pfaffians
+    # H(n) and H'(n) only for the largest n: the smaller ones are their
+    # leading blocks, and one elimination gives all the Pfaffians
     calls = []
     zeros = np.zeros
     eliminations = []
@@ -107,8 +107,8 @@ def test_each_run_builds_each_hessian_once(monkeypatch):
     monkeypatch.setattr(np, "zeros", counting)
     monkeypatch.setattr(hessian, "_eliminate", counting_eliminate)
     names = [c.name for c in claims.CLAIMS if c.name.startswith("hessian.")]
-    sizes = [4 * n - 4 for n in claims.HESSIAN_SIZES]  # H(n)
-    sizes.append(2 * claims.HESSIAN_SIZES[-1] - 2)  # H'(8) only
+    sizes = [4 * claims.HESSIAN_SIZES[-1] - 4,  # H(8)
+             2 * claims.HESSIAN_SIZES[-1] - 2]  # H'(8)
     for _ in range(2):
         calls.clear()
         eliminations.clear()
@@ -154,13 +154,13 @@ def test_each_monotone_run_evaluates_the_form_three_times(monkeypatch):
 @pytest.mark.parametrize("suite", ["chern", "monotone"])
 def test_each_run_winds_each_contour_once(monkeypatch, suite):
     calls = []
-    loop_winding = chern._loop_winding
+    winding_number = chern.winding_number
 
     def counting(values):
         calls.append(len(values))
-        return loop_winding(values)
+        return winding_number(values)
 
-    monkeypatch.setattr(chern, "_loop_winding", counting)
+    monkeypatch.setattr(chern, "winding_number", counting)
     names = [c.name for c in claims.CLAIMS if c.name.startswith(f"{suite}.")]
     for _ in range(2):
         calls.clear()

@@ -122,6 +122,19 @@ def test_invariants_for_a_table_knot(runner, tmp_path):
     assert res["prediction_matches_khovanov"] is True
 
 
+def test_invariants_fails_when_the_khovanov_table_cannot_be_read(
+        runner, tmp_path, monkeypatch):
+    def unreadable(path=None):
+        raise OSError("unreadable")
+
+    monkeypatch.setattr("repvar.cli.load_khovanov_ranks", unreadable)
+    result = runner.invoke(
+        cli, ["invariants", "--name", "4_1", "--run-dir", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, OSError)
+    assert not list(tmp_path.glob("invariants-*.json"))
+
+
 def test_invariants_rejects_links(runner, tmp_path):
     result = runner.invoke(
         cli, ["invariants", "--braid", "2: 1 1", "--run-dir", str(tmp_path)]
@@ -179,6 +192,15 @@ def test_chern_verb(runner, tmp_path):
     assert res["winding_second_contour"] == -1
     assert res["pairing"] == -2
     assert record["passed"] is True
+
+
+def test_chern_verb_reports_the_registry_s_chern_claims(runner, tmp_path):
+    verified = json.loads(
+        _run(runner, tmp_path, ["verify", "chern", "--json"]).output)
+    reported = json.loads(
+        _run(runner, tmp_path, ["chern", "--samples", "64", "--json"]).output)
+    assert len(reported["checks"]) == 6
+    assert reported["checks"] == verified["checks"]
 
 
 def test_report_commands_do_not_read_an_earlier_run_s_memos(

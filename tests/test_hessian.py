@@ -12,7 +12,6 @@ from repvar.hessian import (
     PFAFFIAN_SEEDS,
     build_hessian,
     build_hprime,
-    check_php,
     det_factorization,
     integer_determinant,
     leading_pfaffians,
@@ -21,6 +20,7 @@ from repvar.hessian import (
     pfaffian_recurrence,
     php_identity,
     signature,
+    spectrum,
 )
 
 PFAFFIAN_TABLE = (2, 5, 12, 29, 70, 169, 408)  # n = 2 .. 8
@@ -154,7 +154,7 @@ def test_parity_swap_is_an_involution():
 
 def test_parity_conjugation_negates_the_hessian():
     for n in range(2, 9):
-        assert check_php(n)
+        assert php_identity(build_hessian(n))
 
 
 def test_php_identity_rejects_perturbations():
@@ -191,7 +191,8 @@ def test_builders_return_read_only_arrays():
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 1] = 7
-        assert build(3) is m
+    eigs = spectrum(build_hessian(3))
+    assert not eigs.flags.writeable
 
 
 # --- spectrum -------------------------------------------------------------------------
@@ -199,14 +200,17 @@ def test_builders_return_read_only_arrays():
 
 def test_signature_is_zero():
     for n in range(2, 9):
-        assert signature(n) == 0
-        assert type(signature(n)) is int
+        eigs = spectrum(build_hessian(n))
+        assert signature(eigs) == 0
+        assert type(signature(eigs)) is int
+    with pytest.raises(ValueError, match="near-singular"):
+        signature(spectrum(np.zeros((4, 4), dtype=np.int64)))
 
 
 def test_spectral_gap_values():
     # decreasing but comfortably bounded away from zero
     expected = [2.0, 1.4495, 1.0917, 0.8797, 0.7352, 0.6314, 0.5531]
-    got = [min_abs_eigenvalue(n) for n in range(2, 9)]
+    got = [min_abs_eigenvalue(spectrum(build_hessian(n))) for n in range(2, 9)]
     assert got == pytest.approx(expected, abs=5e-4)
     assert all(g > 1e-2 for g in got)
     assert got == sorted(got, reverse=True)
@@ -308,11 +312,14 @@ def test_pfaffian_mirrors_the_live_block_before_a_later_swap():
 
 
 def test_reduced_forms_nest_as_leading_blocks():
-    # what lets one elimination of H'(8) stand in for H'(2..8)
+    # what lets one elimination of H'(8) stand in for H'(2..8), and H(8)
+    # for H(2..8)
     big = build_hprime(16)
+    big_h = build_hessian(16)
     for n in range(2, 17):
         size = 2 * n - 2
         assert np.array_equal(big[:size, :size], build_hprime(n)), n
+        assert np.array_equal(big_h[:2 * size, :2 * size], build_hessian(n)), n
 
 
 def test_leading_pfaffians_of_a_reduced_form_follow_the_recurrence():
@@ -415,13 +422,13 @@ def test_integer_determinant_matches_float_oracle(size, entries, zeroed):
 def test_determinant_is_the_fourth_power_of_the_pfaffian():
     expected = {2: 16, 3: 625, 4: 20736}
     for n in (2, 3, 4):
-        fact = det_factorization(n)
+        fact = det_factorization(build_hessian(n), pfaffian(build_hprime(n)))
         assert fact.matches
         assert fact.hessian_det == expected[n]
         assert fact.hprime_pfaffian ** 4 == fact.hessian_det
     # up to the 44 x 44 Hessian at n = 12
     table = pfaffian_recurrence(12)
     for n in range(2, 13):
-        fact = det_factorization(n)
+        fact = det_factorization(build_hessian(n), pfaffian(build_hprime(n)))
         assert fact.matches
         assert fact.hprime_pfaffian == table[n - 2]

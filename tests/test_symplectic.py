@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from repvar import claims
 from repvar.braid import BraidWord, parse_braid, random_configurations
 from repvar.su2 import reflect, slot_product
 from repvar.symplectic import (
@@ -319,7 +320,7 @@ def test_one_evaluation_over_both_caps_equals_one_per_cap(pairs, seed):
 
 
 def test_monotonicity_report():
-    report = monotonicity_ratio(pairs=2)
+    report = monotonicity_ratio(claims.Measurements().chern_pairing, pairs=2)
     assert abs(report.fn_integral + PI_SQ) < 1e-8
     assert report.chern_pairing == -2
     assert abs(report.ratio - PI_SQ / 2.0) < 1e-6

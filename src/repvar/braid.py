@@ -51,7 +51,8 @@ class BraidWord:
 
 def parse_braid(text: str) -> BraidWord:
     """Parse 'n: k1 k2 ...' (e.g. '2: 1 1 1'); 'n:' is the identity word."""
-    m = re.fullmatch(r"\s*(\d+)\s*:\s*((?:-?\d+[\s,]*)*)", text)
+    # (?!\d): never split a run of digits, or rejecting takes exponential time
+    m = re.fullmatch(r"\s*(\d+)\s*:\s*((?:-?\d+(?!\d)[\s,]*)*)", text)
     if not m:
         raise ValueError(f"cannot parse braid word {text!r}")
     strands = int(m.group(1))

@@ -1,14 +1,15 @@
-"""The registry of the paper's geometric claims.
+"""The registry of the paper's claims.
 
-Each entry is one check that ``repvar verify`` reports: its ``suite.check``
-name, its kind (``abs_le``: |value| <= bound, ``gt``: value > bound,
-``equals``: value == bound), its bound, and its measurement, a function of
-one run's `Measurements`.  That object carries the run's seed, trial count
+Each geometric claim is one check that ``repvar verify`` reports: its
+``suite.check`` name, its kind (``abs_le``: |value| <= bound, ``gt``: value >
+bound, ``equals``: value == bound), its bound, and its measurement, a function
+of one run's `Measurements`.  That object carries the run's seed, trials
 and contour sampling, and measures each value that several claims share at
 most once; every run makes a fresh one, so no run reads a value another
 left behind.  ``repvar verify``, ``repvar chern`` and the acceptance gate
-all run claims from here.  The library is called through module
-attributes, so a profiler that swaps them sees every call.
+all run claims from here, and ``repvar variety`` its reference censuses
+(`census_checks`).  The library is called through module attributes, so a
+profiler that swaps them sees every call.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import braid, chern, hessian, symplectic
+from . import braid, chern, hessian, invariants, symplectic
+from .solver import SolveReport
 
 HESSIAN_SIZES = range(2, 9)
 # Pf(H'(n)) for n = 2..8, the table the recurrence Pf(n+2) = 2 Pf(n+1) + Pf(n)
@@ -212,3 +214,81 @@ def run(names: Iterable[str], seed: int = 0, trials: int = 1000) -> list[dict]:
         raise KeyError(f"unknown claims: {sorted(unknown)}")
     m = Measurements(seed, trials)
     return [c.check(m) for c in CLAIMS if c.name in wanted]
+
+
+# --- reference censuses ---------------------------------------------------------
+#
+# From the paper's statements: a two-bridge knot of determinant det has one
+# abelian S2 and (det - 1) / 2 copies of RP3, 9_42 one abelian S2 and seven
+# three-dimensional components, the square knot components of dimensions 2,
+# 3, 3 and 4, and the (2, n) torus link the components of `torus_components`.
+
+TWO_BRIDGE_KNOTS = ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1")
+KNOT_DIMENSIONS = {"9_42": [2] + [3] * 7, "square": [2, 3, 3, 4]}
+ONE_ABELIAN_SPHERE = (*TWO_BRIDGE_KNOTS, "9_42")
+
+
+@dataclass(frozen=True)
+class PredictedComponent:
+    topology_tag: str
+    est_dimension: int
+    angle: float | None = None
+
+
+def torus_components(n: int) -> tuple[PredictedComponent, ...]:
+    """Component census for the (2, n) torus link (closure of the 2-strand
+    word with n positive letters): the diagonal sphere, the antidiagonal
+    sphere when n is even, and floor((n-1)/2) three-manifolds, one per
+    fixed angle 2*pi*j/n between the two coordinates."""
+    if n < 1:
+        raise ValueError("need at least one crossing")
+    out = [PredictedComponent("S2", 2, 0.0)]
+    if n % 2 == 0:
+        out.append(PredictedComponent("S2", 2, math.pi))
+    for j in range(1, (n - 1) // 2 + 1):
+        out.append(PredictedComponent("RP3", 3, 2.0 * math.pi * j / n))
+    return tuple(out)
+
+
+def _pair_angle(component) -> float:
+    """Angle between the two points of a 2-strand representative."""
+    a, b = component.representative.as_array()
+    return math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
+
+
+def census_checks(report: SolveReport) -> list[dict]:
+    """Check records of a solve report against every reference census of its
+    word: that of the table knot with this word, and T(2, n) for a 2-strand
+    word of exponent sum +-n, n >= 1.  A word with neither gets none."""
+    word, comps = report.word, report.components
+    tagged = sorted([c.topology_tag, c.est_dimension] for c in comps)
+    knot = {e.word: name for name, e in braid.load_knot_table().items()}.get(word)
+    checks = []
+    if knot in TWO_BRIDGE_KNOTS:
+        pred = invariants.two_bridge_prediction(invariants.determinant(word))
+        checks.append(check_record(
+            "census.components", "equals", tagged,
+            sorted([["S2", 2]] * pred.spheres
+                   + [["RP3", 3]] * pred.projective_spaces)))
+    elif knot is not None:
+        checks.append(check_record(
+            "census.dimensions", "equals",
+            sorted(c.est_dimension for c in comps), KNOT_DIMENSIONS[knot]))
+    if knot in ONE_ABELIAN_SPHERE:
+        checks.append(check_record(
+            "census.abelian_dimensions", "equals",
+            sorted(c.est_dimension for c in comps if c.is_abelian), [2]))
+    crossings = abs(sum(word.letters))
+    if word.strands == 2 and crossings >= 1:
+        torus = torus_components(crossings)
+        angles = sorted(_pair_angle(c) for c in comps)
+        want_angles = sorted(c.angle for c in torus)
+        # a census of the wrong size scores pi, the largest angle error
+        error = (max(abs(a - b) for a, b in zip(angles, want_angles))
+                 if len(angles) == len(want_angles) else math.pi)
+        checks += [
+            check_record("census.torus_components", "equals", tagged,
+                         sorted([c.topology_tag, c.est_dimension]
+                                for c in torus)),
+            check_record("census.torus_angles", "abs_le", error, 1e-6)]
+    return checks

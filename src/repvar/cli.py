@@ -6,15 +6,16 @@ Verbs: ``variety`` (solve a braid closure's trace-free variety),
 (the Hessian report for one pair count) and ``chern`` (the contour report
 with the registry's ``chern.*`` claims at a chosen sampling).  Every
 invocation persists a schema-versioned JSON record to the run directory;
-``verify``, ``hessian`` and ``chern`` exit nonzero iff a check fails.  Flags
-mirror to environment variables with the REPVAR_ prefix (command-qualified,
-e.g. REPVAR_VARIETY_SEEDS); explicit flags win.
+``variety`` (its census), ``verify``, ``hessian`` and ``chern`` exit nonzero
+iff a check fails.  Flags mirror to environment variables with the REPVAR_
+prefix (command-qualified, e.g. REPVAR_VARIETY_SEEDS); explicit flags win.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -134,6 +135,12 @@ def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidW
         raise click.UsageError(str(exc)) from None
 
 
+def _positive_finite(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a positive finite number")
+    return value
+
+
 def _io_options(fn):
     fn = click.option("--run-dir", default="runs", show_default=True,
                       type=click.Path(file_okay=False),
@@ -160,27 +167,23 @@ def cli() -> None:
               help="random solver restarts [default: solver's 1536]")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="RNG seed")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_positive_finite,
               help="survivor residual tolerance [default: solver's 1e-12]")
-@click.option("--link-radius", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--link-radius", type=float, default=None,
+              callback=_positive_finite,
               help="clustering radius [default: solver's 0.15]")
 @click.option("--khovanov-csv", type=click.Path(exists=True, dir_okay=False),
               default=None, help="'name,rank' CSV overriding the shipped one")
 @_io_options
-def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
+@click.pass_context
+def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
             as_json, run_dir) -> None:
-    """Solve for the components of the variety of a braid closure."""
+    """Solve for the components of the variety of a braid closure; exit
+    nonzero iff its census differs from the reference census of its word."""
     label, word = _resolve_word(name, braid_text)
-    config = SolverConfig(rng_seed=seed)
-    overrides = {}
-    if seeds is not None:
-        overrides["seeds"] = seeds
-    if tol is not None:
-        overrides["descent_tol"] = tol
-    if link_radius is not None:
-        overrides["link_radius"] = link_radius
-    config = dataclasses.replace(config, **overrides)
-    report = solve(word, config)
+    given = {"seeds": seeds, "descent_tol": tol, "link_radius": link_radius}
+    report = solve(word, SolverConfig(
+        rng_seed=seed, **{k: v for k, v in given.items() if v is not None}))
 
     results = {
         "input": label,
@@ -211,17 +214,16 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
     if (results["closure_components"] == 1 and report.components
             and rank is not None):
         try:
-            cmp_report = compare_khovanov(label, rank, khovanov_csv)
+            comparison = compare_khovanov(label, rank, khovanov_csv)
         except KeyError:
-            cmp_report = None
-        if cmp_report is not None:
-            results["khovanov"] = {
-                "variety_rank": cmp_report.variety_rank,
-                "khovanov_rank": cmp_report.khovanov_rank,
-                "matches": cmp_report.matches,
-            }
+            pass
+        else:
+            results["khovanov"] = {"variety_rank": comparison.variety_rank,
+                                   "khovanov_rank": comparison.khovanov_rank,
+                                   "matches": comparison.matches}
 
-    _, text = _persist(run_dir, "variety", results, [])
+    checks = claims.census_checks(report)
+    record, text = _persist(run_dir, "variety", results, checks)
     lines = [f"{label}: {len(report.components)} component(s), "
              f"{report.seeds_converged}/{report.seeds_total} seeds converged"]
     if report.full_variety:
@@ -235,7 +237,10 @@ def variety(name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
         verdict = "match" if kh["matches"] else "MISMATCH"
         lines.append(f"  khovanov: variety rank {kh['variety_rank']} vs "
                      f"{kh['khovanov_rank']} ({verdict})")
+    lines += _check_table(checks)
     _emit(text, as_json, lines)
+    if not record["passed"]:
+        ctx.exit(1)
 
 
 @cli.command()

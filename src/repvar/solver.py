@@ -368,31 +368,6 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     )
 
 
-# --- reference predictions ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictedComponent:
-    topology_tag: str
-    est_dimension: int
-    angle: float | None = None
-
-
-def torus_components(n: int) -> tuple[PredictedComponent, ...]:
-    """Component census for the (2, n) torus link (closure of the 2-strand
-    word with n positive letters): the diagonal sphere, the antidiagonal
-    sphere when n is even, and floor((n-1)/2) three-manifolds, one per
-    fixed angle 2*pi*j/n between the two coordinates."""
-    if n < 1:
-        raise ValueError("need at least one crossing")
-    out = [PredictedComponent("S2", 2, 0.0)]
-    if n % 2 == 0:
-        out.append(PredictedComponent("S2", 2, math.pi))
-    for j in range(1, (n - 1) // 2 + 1):
-        out.append(PredictedComponent("RP3", 3, 2.0 * math.pi * j / n))
-    return tuple(out)
-
-
 # --- the exact crossing-equation cases for the 8-component knot ---------------
 #
 # The three conjugation equations come from a 9-crossing diagram whose arcs

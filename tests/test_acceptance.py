@@ -3,13 +3,12 @@
 One test per published claim, each run at its stated tolerance and wall
 budget.  Every test prints exactly one PASS/FAIL line with the measured
 numbers (visible under `pytest -s`, and in the captured output of any
-failure); the assertion carries the same message.  Criteria 07-12 run the
-geometric claims of `repvar.claims`, the registry `repvar verify` runs.
+failure); the assertion carries the same message.  Criteria 01-04 check
+solved censuses against the reference censuses of `repvar.claims`, the ones
+`repvar variety` checks, and criteria 07-12 run the geometric claims of the
+same registry, the ones `repvar verify` runs.
 """
 from __future__ import annotations
-
-import math
-import time
 
 import numpy as np
 
@@ -23,10 +22,8 @@ from repvar.braid import (
     random_configurations,
 )
 from repvar.invariants import alexander, compare_khovanov, determinant, two_bridge_prediction
-from repvar.solver import angle_case_9_42, solve, torus_components, variety_rank
+from repvar.solver import angle_case_9_42, variety_rank
 from repvar.symplectic import random_coefficients
-
-_TORUS_CACHE: dict[int, tuple] = {}
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -35,41 +32,22 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _solve_torus(n: int, solve_table):
-    """Torus words shared with the knot table reuse its cache."""
-    reroute = {3: "3_1", 5: "5_1", 7: "7_1"}
-    if n in reroute:
-        return solve_table(reroute[n])
-    if n not in _TORUS_CACHE:
-        t0 = time.monotonic()
-        report = solve(BraidWord(2, (1,) * n))
-        _TORUS_CACHE[n] = (report, time.monotonic() - t0)
-    return _TORUS_CACHE[n]
-
-
-def _census(report):
-    return sorted((c.topology_tag, c.est_dimension) for c in report.components)
-
-
-def _angles(report):
-    out = []
-    for c in report.components:
-        pts = c.representative.as_array()
-        out.append(math.acos(float(np.clip(np.dot(pts[0], pts[1]), -1.0, 1.0))))
-    return sorted(out)
+def _census(report, *names: str) -> tuple[dict[str, dict], bool]:
+    """The report's census checks (`repvar.claims`) by name, and whether each
+    of `names` is among them and every check passed."""
+    checks = {c["name"]: c for c in claims.census_checks(report)}
+    ok = set(names) <= set(checks) and all(c["passed"] for c in checks.values())
+    return checks, ok
 
 
 def test_criterion_01_torus_census(solve_table):
     total = 0.0
     for n in range(2, 10):
-        report, elapsed = _solve_torus(n, solve_table)
+        report, elapsed = solve_table(BraidWord(2, (1,) * n))
         total += elapsed
-        predicted = torus_components(n)
-        want_census = sorted((c.topology_tag, c.est_dimension) for c in predicted)
-        assert _census(report) == want_census, (n, _census(report))
-        want_angles = sorted(c.angle for c in predicted)
-        got_angles = _angles(report)
-        assert np.max(np.abs(np.array(got_angles) - np.array(want_angles))) < 1e-6
+        checks, ok = _census(report, "census.torus_components",
+                             "census.torus_angles")
+        assert ok, (n, list(checks.values()))
     _report(
         "criterion 01 torus-census",
         total < 60.0,
@@ -78,34 +56,31 @@ def test_criterion_01_torus_census(solve_table):
 
 
 def test_criterion_02_two_bridge_counts(solve_table):
-    want = {"4_1": 3, "5_2": 4, "6_1": 5}
+    names = ("4_1", "5_2", "6_1")
+    counts = []
     worst = 0.0
-    for name, count in want.items():
+    for name in names:
         report, elapsed = solve_table(name)
         worst = max(worst, elapsed)
-        assert len(report.components) == count, (name, len(report.components))
+        checks, ok = _census(report, "census.components",
+                             "census.abelian_dimensions")
+        assert ok, (name, list(checks.values()))
+        counts.append(str(len(checks["census.components"]["expected"])))
     _report(
         "criterion 02 component-counts",
         worst < 120.0,
-        f"4_1/5_2/6_1 -> 3/4/5 components, slowest {worst:.1f}s (budget 120s each)",
+        f"{'/'.join(names)} -> {'/'.join(counts)} components, slowest "
+        f"{worst:.1f}s (budget 120s each)",
     )
 
 
 def test_criterion_03_eight_component_knot(solve_table):
     report, elapsed = solve_table("9_42")
-    comps = report.components
-    abelian = [c for c in comps if c.is_abelian]
-    dims = sorted(c.est_dimension for c in comps)
+    _, census_ok = _census(report, "census.dimensions",
+                           "census.abelian_dimensions")
     cases = angle_case_9_42()
     worst_res = max(s.residual for s in cases)
-    ok = (
-        len(comps) == 8
-        and len(abelian) == 1
-        and abelian[0].est_dimension == 2
-        and dims == [2] + [3] * 7
-        and worst_res < 1e-10
-        and elapsed < 300.0
-    )
+    ok = census_ok and worst_res < 1e-10 and elapsed < 300.0
     _report(
         "criterion 03 9_42-variety",
         ok,
@@ -116,20 +91,21 @@ def test_criterion_03_eight_component_knot(solve_table):
 
 def test_criterion_04_square_knot(solve_table):
     report, elapsed = solve_table("square")
-    dims = sorted(c.est_dimension for c in report.components)
-    ok = dims == [2, 3, 3, 4] and elapsed < 180.0
+    checks, census_ok = _census(report, "census.dimensions")
+    dims = checks["census.dimensions"]
+    ok = census_ok and elapsed < 180.0
     _report(
         "criterion 04 square-knot",
         ok,
-        f"dimension census {dims} == [2, 3, 3, 4], solve {elapsed:.1f}s "
-        f"(budget 180s)",
+        f"dimension census {dims['value']} == {dims['expected']}, solve "
+        f"{elapsed:.1f}s (budget 180s)",
     )
 
 
 def test_criterion_05_two_bridge_predictor(solve_table):
     rows = []
     ok = True
-    for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1"):
+    for name in claims.TWO_BRIDGE_KNOTS:
         det = determinant(knot_by_name(name).word)
         pred = two_bridge_prediction(det)
         report, _ = solve_table(name)

@@ -1,6 +1,8 @@
 """Braid action on configurations: algebra, closure counting, differential."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,17 @@ def test_parse_braid_rejects_garbage():
     for text in ("4", "1: 1", "3: 0", "3: 5", "3: -3", "x: 1", "3: a"):
         with pytest.raises(ValueError):
             parse_braid(text)
+
+
+def test_parse_braid_rejects_a_long_malformed_word_quickly():
+    # a run of digits is one letter: trying every split of it would take time
+    # exponential in its length
+    text = "2: " + "1" * 10_000 + "x"
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_braid(text)
+    assert time.perf_counter() - t0 < 0.1
+    assert parse_braid("12: 11,-1  10") == BraidWord(12, (11, -1, 10))
 
 
 def test_word_validation():

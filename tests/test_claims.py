@@ -1,10 +1,15 @@
-"""The claim registry: pinned bounds, selection, check records."""
+"""The claim registry: pinned bounds, selection, check records, reference
+censuses."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from repvar import chern, claims, hessian, symplectic
+from repvar.braid import BraidWord, Configuration, load_knot_table, parse_braid
+from repvar.solver import ComponentReport, SolveReport
 
 # (name, kind, bound) of every claim, in report order.  A loosened bound or
 # a renamed, dropped or reordered claim fails here.
@@ -166,3 +171,87 @@ def test_each_run_winds_each_contour_once(monkeypatch, suite):
         calls.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert calls == [8 * 64, 8 * 64]
+
+
+# --- reference censuses ----------------------------------------------------------
+
+
+def _solved(word: BraidWord, census) -> SolveReport:
+    """A report of `word` with one component per (tag, dimension, abelian,
+    angle) entry; the angle is the one between the first two points."""
+    comps = []
+    for cid, (tag, dim, abelian, angle) in enumerate(census):
+        rep = np.zeros((word.strands, 3))
+        rep[:, 0] = 1.0
+        rep[1] = [math.cos(angle), math.sin(angle), 0.0]
+        comps.append(ComponentReport(
+            cid, Configuration.from_array(rep), 10, dim, tag, False, abelian,
+            0.0, (None, None)))
+    return SolveReport(word, tuple(comps), 64, 64)
+
+
+def _torus_census(n: int) -> list[tuple]:
+    return [(c.topology_tag, c.est_dimension, c.topology_tag == "S2", c.angle)
+            for c in claims.torus_components(n)]
+
+
+def test_every_table_knot_has_a_reference_census():
+    for name, entry in load_knot_table().items():
+        checks = claims.census_checks(_solved(entry.word, []))
+        assert checks, name
+        assert not any(c["passed"] for c in checks), name
+        if name in claims.TWO_BRIDGE_KNOTS:
+            # one S2 and (det - 1) / 2 RP3, det from the table's own column
+            want = checks[0]["expected"]
+            assert len(want) == 1 + (entry.expected_determinant - 1) // 2
+    assert set(claims.TWO_BRIDGE_KNOTS) | set(claims.KNOT_DIMENSIONS) == set(
+        load_knot_table())
+
+
+def test_a_table_knot_is_checked_against_its_own_census():
+    word = load_knot_table()["9_42"].word
+    census = [("S2", 2, True, 0.0)] + [("RP3", 3, False, 1.0)] * 7
+    checks = claims.census_checks(_solved(word, census))
+    assert [c["name"] for c in checks] == ["census.dimensions",
+                                           "census.abelian_dimensions"]
+    assert all(c["passed"] for c in checks)
+    # a second abelian component fails only the abelian check
+    census[1] = ("RP3", 3, True, 1.0)
+    checks = claims.census_checks(_solved(word, census))
+    assert [c["passed"] for c in checks] == [True, False]
+
+
+@pytest.mark.parametrize("text, n", [("2: 1 1 1 1", 4), ("2: -1 -1 -1 -1 -1", 5),
+                                     ("2: 1 -1 1", 1)])
+def test_a_two_strand_word_is_checked_against_its_torus_census(text, n):
+    checks = claims.census_checks(_solved(parse_braid(text), _torus_census(n)))
+    assert [c["name"] for c in checks] == ["census.torus_components",
+                                           "census.torus_angles"]
+    assert all(c["passed"] for c in checks), checks
+
+
+def test_a_torus_word_of_the_table_gets_both_censuses():
+    checks = claims.census_checks(_solved(parse_braid("2: 1 1 1"),
+                                          _torus_census(3)))
+    assert [c["name"] for c in checks] == [
+        "census.components", "census.abelian_dimensions",
+        "census.torus_components", "census.torus_angles"]
+    assert all(c["passed"] for c in checks)
+
+
+def test_torus_angles_must_match():
+    word = BraidWord(2, (1,) * 9)
+    census = _torus_census(9)
+    tag, dim, abelian, angle = census[1]
+    census[1] = (tag, dim, abelian, angle + 2e-6)
+    angles = claims.census_checks(_solved(word, census))[-1]
+    assert angles["name"] == "census.torus_angles"
+    assert angles["value"] == pytest.approx(2e-6) and not angles["passed"]
+    # a census of the wrong size scores the largest angle error there is
+    angles = claims.census_checks(_solved(word, census[1:]))[-1]
+    assert angles["value"] == math.pi and not angles["passed"]
+
+
+@pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:", "4: 1 -2 3"])
+def test_a_word_with_no_reference_gets_no_checks(text):
+    assert claims.census_checks(_solved(parse_braid(text), [])) == []

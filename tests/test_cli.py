@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 
 from repvar import claims
 from repvar.cli import SCHEMA_VERSION, cli
-from repvar.solver import NULL_TOL
+from repvar.solver import NULL_TOL, solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,6 +57,9 @@ def test_variety_by_name(runner, tmp_path):
     assert record["schema_version"] == SCHEMA_VERSION
     assert record["command"] == "variety"
     assert record["passed"] is True
+    assert [c["name"] for c in record["checks"]] == [
+        "census.components", "census.abelian_dimensions",
+        "census.torus_components", "census.torus_angles"]
     comps = record["results"]["components"]
     assert len(comps) == 2
     tags = sorted(c["topology_tag"] for c in comps)
@@ -79,6 +83,40 @@ def test_variety_by_braid_text(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "component(s)" in result.output
     assert "tag=" in result.output
+    assert "PASS  census.torus_angles: " in result.output
+
+
+def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
+                                                       monkeypatch):
+    def short(word, config):
+        report = solve(word, config)
+        return dataclasses.replace(report, components=report.components[1:])
+
+    monkeypatch.setattr("repvar.cli.solve", short)
+    args = ["variety", "--name", "3_1", "--seeds", "192"]
+    table = _run(runner, tmp_path, [*args, "--table"])
+    assert table.exit_code == 1
+    assert "FAIL  census.components: " in table.output
+    assert _record(tmp_path, "variety")["passed"] is False
+    as_json = _run(runner, tmp_path, [*args, "--json"])
+    assert as_json.exit_code == 1
+    assert json.loads(as_json.output)["passed"] is False
+
+
+@pytest.mark.parametrize("text, names", [
+    ("3: 1 1", []),
+    ("2: 1 -1 1", ["census.torus_components", "census.torus_angles"]),
+])
+def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
+                                                         text, names):
+    result = _run(runner, tmp_path,
+                  ["variety", "--braid", text, "--seeds", "128", "--json"])
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output)
+    assert [c["name"] for c in record["checks"]] == names
+    assert record["passed"] is True
+    if names:  # the word is sigma_1: the unknot's one S2
+        assert record["checks"][0]["expected"] == [["S2", 2]]
 
 
 def test_variety_requires_exactly_one_word(runner, tmp_path):
@@ -237,6 +275,12 @@ def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):
     ["variety", "--name", "3_1", "--link-radius", "-0.15"],
     ["verify", "symplectic", "--seed", "-1"],
     ["variety", "--name", "3_1", "--seed", "-1"],
+    ["variety", "--name", "3_1", "--link-radius", "nan"],
+    ["variety", "--name", "3_1", "--link-radius", "inf"],
+    ["variety", "--name", "3_1", "--tol", "-1"],
+    ["variety", "--name", "3_1", "--tol", "0"],
+    ["variety", "--name", "3_1", "--tol", "nan"],
+    ["variety", "--name", "3_1", "--tol", "inf"],
 ])
 def test_out_of_range_counts_and_radii_are_usage_errors(runner, tmp_path, args):
     result = _run(runner, tmp_path, args)

@@ -17,6 +17,7 @@ from repvar.braid import (
     random_configurations,
     tangent_basis,
 )
+from repvar.claims import census_checks, torus_components
 from repvar.solver import (
     NULL_TOL,
     AngleCaseSolution,
@@ -30,7 +31,6 @@ from repvar.solver import (
     is_singular_config,
     residual_array,
     solve,
-    torus_components,
     variety_rank,
 )
 from repvar.symplectic import lagrangian_tangent_arrays, sigma_tilde
@@ -241,14 +241,10 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
     # at these seeds a dimension estimated from local samples around one
     # representative comes out wrong; the Jacobian's nullity does not
     report = solve(BraidWord(2, (1,) * n), SolverConfig(rng_seed=seed))
-    want = torus_components(n)
-    got = sorted((c.topology_tag, c.est_dimension) for c in report.components)
-    assert got == sorted((c.topology_tag, c.est_dimension) for c in want)
-    angles = []
-    for c in report.components:
-        p = c.representative.as_array()
-        angles.append(math.acos(float(np.clip(p[0] @ p[1], -1.0, 1.0))))
-    assert np.max(np.abs(np.sort(angles) - sorted(c.angle for c in want))) < 1e-6
+    checks = census_checks(report)
+    assert [c["name"] for c in checks] == ["census.torus_components",
+                                           "census.torus_angles"]
+    assert all(c["passed"] for c in checks), checks
 
 
 def _clean_intersection_dimension(word, g):

@@ -100,6 +100,16 @@ def tangent_basis(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+SINGULAR_TOL = 1e-9
+
+
+def is_singular_config(pts: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
+    """True when every coordinate of an (n, 3) configuration is +- one common
+    class point (the abelian, singular locus of the total space)."""
+    dots = pts @ pts.T
+    return bool(np.all(np.abs(np.abs(dots) - 1.0) <= tol))
+
+
 # --- the action --------------------------------------------------------------
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from . import braid, chern, hessian, invariants, symplectic
-from .solver import SolveReport
+from . import braid, chern, hessian, symplectic
+
+if TYPE_CHECKING:  # the verify suites never load the solver
+    from .solver import SolveReport
 
 HESSIAN_SIZES = range(2, 9)
 # Pf(H'(n)) for n = 2..8, the table the recurrence Pf(n+2) = 2 Pf(n+1) + Pf(n)
@@ -260,6 +262,8 @@ def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
     word: that of the table knot with this word, and T(2, n) for a 2-strand
     word of exponent sum +-n, n >= 1.  A word with neither gets none."""
+    from . import invariants  # only a census needs the knot invariants
+
     word, comps = report.word, report.components
     tagged = sorted([c.topology_tag, c.est_dimension] for c in comps)
     knot = {e.word: name for name, e in braid.load_knot_table().items()}.get(word)

@@ -25,15 +25,7 @@ import numpy as np
 
 from . import __version__, chern as chern_mod, claims, hessian as hessian_mod
 from .braid import BraidWord, closure_components, knot_by_name, parse_braid
-from .invariants import (
-    alexander,
-    compare_khovanov,
-    determinant,
-    load_khovanov_ranks,
-    two_bridge_prediction,
-)
 from .claims import check_record, describe
-from .solver import SolverConfig, solve, variety_rank
 
 SCHEMA_VERSION = 1
 VERIFY_SUITES = (*claims.SUITES, "all")
@@ -135,6 +127,16 @@ def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidW
         raise click.UsageError(str(exc)) from None
 
 
+def _khovanov_ranks(path: str | None) -> dict[str, int]:
+    """The Khovanov catalog; a malformed row is a usage error."""
+    from .invariants import load_khovanov_ranks
+
+    try:
+        return load_khovanov_ranks(path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--khovanov-csv'") from None
+
+
 def _positive_finite(ctx, param, value):
     if value is not None and not (math.isfinite(value) and value > 0):
         raise click.BadParameter(f"{value} is not a positive finite number")
@@ -180,9 +182,12 @@ def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
             as_json, run_dir) -> None:
     """Solve for the components of the variety of a braid closure; exit
     nonzero iff its census differs from the reference census of its word."""
+    from . import solver  # imported here, so that `verify` never loads it
+
     label, word = _resolve_word(name, braid_text)
+    ranks = _khovanov_ranks(khovanov_csv)
     given = {"seeds": seeds, "descent_tol": tol, "link_radius": link_radius}
-    report = solve(word, SolverConfig(
+    report = solver.solve(word, solver.SolverConfig(
         rng_seed=seed, **{k: v for k, v in given.items() if v is not None}))
 
     results = {
@@ -210,17 +215,12 @@ def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
             for c in report.components
         ],
     }
-    rank = variety_rank(c.topology_tag for c in report.components)
+    rank = solver.variety_rank(c.topology_tag for c in report.components)
     if (results["closure_components"] == 1 and report.components
-            and rank is not None):
-        try:
-            comparison = compare_khovanov(label, rank, khovanov_csv)
-        except KeyError:
-            pass
-        else:
-            results["khovanov"] = {"variety_rank": comparison.variety_rank,
-                                   "khovanov_rank": comparison.khovanov_rank,
-                                   "matches": comparison.matches}
+            and rank is not None and label in ranks):
+        results["khovanov"] = {"variety_rank": rank,
+                               "khovanov_rank": ranks[label],
+                               "matches": rank == ranks[label]}
 
     checks = claims.census_checks(report)
     record, text = _persist(run_dir, "variety", results, checks)
@@ -252,15 +252,18 @@ def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
 @_io_options
 def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
     """Exact Alexander polynomial, determinant, component prediction."""
+    from . import invariants as invariants_mod  # as `solver` in `variety`
+
     label, word = _resolve_word(name, braid_text)
     pieces = closure_components(word)
     if pieces != 1:
         raise click.UsageError(
             f"closure of {label!r} is a {pieces}-component link; "
             "invariants need a knot")
-    poly = alexander(word)
-    det = determinant(word)
-    prediction = two_bridge_prediction(det)
+    ranks = _khovanov_ranks(khovanov_csv)
+    poly = invariants_mod.alexander(word)
+    det = invariants_mod.determinant(word)
+    prediction = invariants_mod.two_bridge_prediction(det)
     results = {
         "input": label,
         "strands": word.strands,
@@ -273,7 +276,6 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
         "determinant": det,
         "two_bridge_prediction": dataclasses.asdict(prediction),
     }
-    ranks = load_khovanov_ranks(khovanov_csv)
     if label in ranks:
         results["khovanov_rank"] = ranks[label]
         results["prediction_matches_khovanov"] = (

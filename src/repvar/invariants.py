@@ -326,17 +326,29 @@ class KhovanovComparison:
 
 
 def load_khovanov_ranks(path: str | Path | None = None) -> dict[str, int]:
-    """User-supplied 'name,rank' CSV; a small reference file ships as data."""
+    """User-supplied 'name,rank' CSV; a small reference file ships as data.
+
+    A row that is not a name and a non-negative integer rank raises
+    `ValueError` naming the file and the line.
+    """
     if path is None:
         text = resources.files("repvar").joinpath("data/khovanov.csv").read_text()
         lines = text.splitlines()
     else:
         lines = Path(path).read_text().splitlines()
     out: dict[str, int] = {}
-    for row in csv.reader(lines):
+    reader = csv.reader(lines)
+    for row in reader:
         if not row or row[0].strip().startswith("#") or row[0].strip() == "name":
             continue
-        out[row[0].strip()] = int(row[1])
+        where = f"{path or 'khovanov.csv'}, line {reader.line_num}"
+        if len(row) != 2:
+            raise ValueError(f"{where}: expected 'name,rank', got {row!r}")
+        rank = row[1].strip()
+        if not rank.isdecimal():
+            raise ValueError(
+                f"{where}: rank {row[1]!r} is not a non-negative integer")
+        out[row[0].strip()] = int(rank)
     return out
 
 

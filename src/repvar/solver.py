@@ -30,13 +30,13 @@ from .braid import (
     Configuration,
     act_array,
     generator_step,
+    is_singular_config,
     normalize,
     random_configurations,
     tangent_basis,
 )
 from .su2 import InternalError, circle_point, reflect
 
-SINGULAR_TOL = 1e-9
 ABELIAN_TOL = 1e-6
 MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
 # Relative singular value of the fixed-point Jacobian below which a tangent
@@ -232,13 +232,6 @@ def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray
 
 
 # --- per-configuration predicates --------------------------------------------
-
-
-def is_singular_config(pts: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
-    """True when every coordinate of an (n, 3) configuration is +- one common
-    class point (the abelian, singular locus of the total space)."""
-    dots = pts @ pts.T
-    return bool(np.all(np.abs(np.abs(dots) - 1.0) <= tol))
 
 
 def _is_binary_dihedral(pts: np.ndarray, tol: float = ABELIAN_TOL) -> bool:

@@ -19,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import BraidWord, differential_arrays, random_configurations, tangent_basis
-from .solver import is_singular_config
+from .braid import (
+    BraidWord,
+    differential_arrays,
+    is_singular_config,
+    random_configurations,
+    tangent_basis,
+)
 from .su2 import cross, reflect, slot_product
 
 
@@ -291,49 +296,51 @@ def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
     return float(np.einsum("i,j,ij->", w1, w2, values))
 
 
-def _sphere_points(charts: int, samples: int, rng: np.random.Generator
+def _sphere_points(charts: int, samples: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`samples` random unit points A per chart, each with an orthonormal
-    tangent pair (u, A x u), as (charts * samples, 3) arrays.  Chart after
-    chart, `rng` draws the points and then their tangent directions; one
-    draw of shape (charts, 2, samples, 3) holds them in that order."""
-    draws = rng.normal(size=(charts, 2, samples, 3))
-    a = draws[:, 0].reshape(-1, 3)
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    raw = draws[:, 1].reshape(-1, 3)
-    u = raw - np.sum(raw * a, axis=-1, keepdims=True) * a
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    """Test points A on a sphere chart, each with an orthonormal tangent pair
+    (u, A x u), as (charts * samples, 3) arrays.
+
+    Every chart gets the same golden-angle spiral lattice over the whole
+    sphere: point i sits at height z = 1 - (2i + 1) / samples and longitude
+    i times the golden angle, and u is the unit eastward direction there.
+    """
+    i = np.arange(samples)
+    z = 1.0 - (2.0 * i + 1.0) / samples
+    r = np.sqrt(1.0 - z * z)
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    a = np.stack([r * cos_phi, r * sin_phi, z], axis=-1)
+    u = np.stack([-sin_phi, cos_phi, np.zeros(samples)], axis=-1)
+    a, u = np.tile(a, (charts, 1)), np.tile(u, (charts, 1))
     return a, u, cross(a, u)
 
 
-def _pullback_max(configuration, frame, samples: int,
-                  rng: np.random.Generator) -> float:
-    """Max |pullback| of the form over `samples` random points A of a sphere
-    chart; `rng` draws the points, then their tangent pairs."""
-    a, u1, u2 = _sphere_points(1, samples, rng)
+def _pullback_max(configuration, frame, samples: int) -> float:
+    """Max |pullback| of the form over the `samples` lattice points A of a
+    sphere chart."""
+    a, u1, u2 = _sphere_points(1, samples)
     values = omega_c_array(configuration(a), frame(a, u1), frame(a, u2))
     return float(np.max(np.abs(values)))
 
 
-def cap_pullback_max(pairs: int, samples: int = 256, rng_seed: int = 0) -> float:
-    """Max |pullback| of the form over random points of both caps (the
-    claim under test is that it vanishes identically).  The points of cap 1
-    are drawn first; both caps go through one evaluation of the form."""
+def cap_pullback_max(pairs: int, samples: int = 256) -> float:
+    """Max |pullback| of the form over the lattice points of both caps (the
+    claim under test is that it vanishes identically).  Both caps go through
+    one evaluation of the form, cap 1 first."""
     sphere = CapCylinderSphere(pairs)
-    a, u1, u2 = _sphere_points(2, samples, np.random.default_rng(rng_seed))
+    a, u1, u2 = _sphere_points(2, samples)
     base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
                            sphere.cap_configuration(2, a[samples:])])
     values = omega_c_array(base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2))
     return float(np.max(np.abs(values)))
 
 
-def adjacent_pair_pullback_max(
-    sphere: AdjacentPairSphere, samples: int = 256, rng_seed: int = 0
-) -> float:
-    """Max |pullback| of the form over random points of an adjacent-pair
+def adjacent_pair_pullback_max(sphere: AdjacentPairSphere,
+                               samples: int = 256) -> float:
+    """Max |pullback| of the form over the lattice points of an adjacent-pair
     sphere (vanishes identically)."""
-    return _pullback_max(sphere.configuration, sphere.frame, samples,
-                         np.random.default_rng(rng_seed))
+    return _pullback_max(sphere.configuration, sphere.frame, samples)
 
 
 # --- nondegeneracy on the product-one locus -------------------------------------
@@ -402,14 +409,14 @@ class MonotonicityReport:
     chern_pairing: int
     ratio: float
     gamma_form_max: float
-    gamma_chern_pairing: int
 
 
 def monotonicity_ratio(c1: int, pairs: int = 2,
                        quadrature_order: int = 32) -> MonotonicityReport:
     """Ratio of the form's pairing with the cap-cylinder sphere to its
-    first-Chern pairing ``c1`` (expected pi^2/2), with the adjacent-pair
-    sphere's 0/0 pair recorded rather than divided."""
+    first-Chern pairing ``c1`` (expected pi^2/2), and the largest value of
+    the form on the adjacent-pair sphere, where both pairings vanish, so
+    there is no ratio to take."""
     fn_val = integrate_fn_pullback(pairs, quadrature_order)
     gamma = AdjacentPairSphere(slot=3, sign=1, pairs=pairs)
     gamma_form = adjacent_pair_pullback_max(gamma)
@@ -418,5 +425,4 @@ def monotonicity_ratio(c1: int, pairs: int = 2,
         chern_pairing=c1,
         ratio=fn_val / c1,
         gamma_form_max=gamma_form,
-        gamma_chern_pairing=0,
     )

@@ -6,8 +6,11 @@ import dataclasses
 import gc
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import weakref
 from datetime import datetime
 from itertools import count
@@ -22,6 +25,7 @@ from repvar.cli import SCHEMA_VERSION, cli
 from repvar.solver import NULL_TOL, solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -92,7 +96,7 @@ def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
         report = solve(word, config)
         return dataclasses.replace(report, components=report.components[1:])
 
-    monkeypatch.setattr("repvar.cli.solve", short)
+    monkeypatch.setattr("repvar.solver.solve", short)
     args = ["variety", "--name", "3_1", "--seeds", "192"]
     table = _run(runner, tmp_path, [*args, "--table"])
     assert table.exit_code == 1
@@ -165,12 +169,25 @@ def test_invariants_fails_when_the_khovanov_table_cannot_be_read(
     def unreadable(path=None):
         raise OSError("unreadable")
 
-    monkeypatch.setattr("repvar.cli.load_khovanov_ranks", unreadable)
+    monkeypatch.setattr("repvar.invariants.load_khovanov_ranks", unreadable)
     result = runner.invoke(
         cli, ["invariants", "--name", "4_1", "--run-dir", str(tmp_path)])
     assert result.exit_code != 0
     assert isinstance(result.exception, OSError)
     assert not list(tmp_path.glob("invariants-*.json"))
+
+
+@pytest.mark.parametrize("command", ["invariants", "variety"])
+@pytest.mark.parametrize("row", ["4_1", "4_1,six", "4_1,-6"])
+def test_a_malformed_khovanov_row_is_a_usage_error(runner, tmp_path, command,
+                                                   row):
+    csv = tmp_path / "ranks.csv"
+    csv.write_text(f"name,rank\n{row}\n")
+    result = _run(runner, tmp_path / "runs",
+                  [command, "--name", "4_1", "--khovanov-csv", str(csv)])
+    assert result.exit_code == 2, result.output
+    assert "line 2" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_invariants_rejects_links(runner, tmp_path):
@@ -200,6 +217,24 @@ def test_verify_sampling_suites_with_reduced_trials(runner, tmp_path):
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["passed"] is True
+
+
+@pytest.mark.parametrize("suite", ["hessian", "chern", "monotone"])
+def test_verify_suites_load_neither_the_solver_nor_numpy_random(tmp_path,
+                                                                 suite):
+    # a fresh interpreter, so no other test's imports are counted
+    script = (
+        "import sys\n"
+        "from repvar import cli\n"
+        f"cli.cli.main(['verify', {suite!r}, '--json', '--run-dir', {str(tmp_path)!r}],\n"
+        "             standalone_mode=False)\n"
+        "print([m for m in ('numpy.random', 'repvar.solver', 'repvar.invariants')\n"
+        "       if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    record, loaded = done.stdout.rstrip().rsplit("\n", 1)
+    assert json.loads(record)["passed"] is True
+    assert loaded == "[]"
 
 
 def test_verify_rejects_unknown_suite(runner, tmp_path):

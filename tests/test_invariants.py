@@ -226,3 +226,16 @@ def test_khovanov_custom_csv(tmp_path):
     csv = tmp_path / "ranks.csv"
     csv.write_text("name,rank\nmystery,12\n")
     assert load_khovanov_ranks(csv) == {"mystery": 12}
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("name,rank\n4_1\n", 2, "expected 'name,rank'"),
+    ("name,rank\n3_1,4\n4_1,six\n", 3, "'six' is not a non-negative integer"),
+    ("# ranks\nname,rank\n4_1,-6\n", 3, "'-6' is not a non-negative integer"),
+])
+def test_khovanov_csv_rejects_a_malformed_row_by_line(tmp_path, body, line,
+                                                      message):
+    csv = tmp_path / "ranks.csv"
+    csv.write_text(body)
+    with pytest.raises(ValueError, match=f"line {line}: .*{message}"):
+        load_khovanov_ranks(csv)

@@ -13,6 +13,7 @@ from repvar.braid import (
     act_array,
     differential_arrays,
     generator_step,
+    is_singular_config,
     parse_braid,
     random_configurations,
     tangent_basis,
@@ -28,7 +29,6 @@ from repvar.solver import (
     angle_case_9_42,
     cluster_indices,
     invariant_features,
-    is_singular_config,
     residual_array,
     solve,
     variety_rank,

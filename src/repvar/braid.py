@@ -275,3 +275,9 @@ def knot_by_name(name: str) -> KnotEntry:
     if name not in table:
         raise KeyError(f"unknown knot {name!r}; known: {sorted(table)}")
     return table[name]
+
+
+def knot_name(word: BraidWord) -> str | None:
+    """The name of the table knot whose shipped braid is ``word``, or None."""
+    return next((name for name, entry in load_knot_table().items()
+                 if entry.word == word), None)

@@ -3,13 +3,13 @@
 Each geometric claim is one check that ``repvar verify`` reports: its
 ``suite.check`` name, its kind (``abs_le``: |value| <= bound, ``gt``: value >
 bound, ``equals``: value == bound), its bound, and its measurement, a function
-of one run's `Measurements`.  That object carries the run's seed, trials
-and contour sampling, and measures each value that several claims share at
-most once; every run makes a fresh one, so no run reads a value another
-left behind.  ``repvar verify``, ``repvar chern`` and the acceptance gate
-all run claims from here, and ``repvar variety`` its reference censuses
-(`census_checks`).  The library is called through module attributes, so a
-profiler that swaps them sees every call.
+of one run's `Measurements`.  That object carries the run's seed and
+trials, and measures each value that several claims share at most once;
+every run makes a fresh one, so no run reads a value another left behind.
+``repvar verify`` and the acceptance gate run claims from here, and
+``repvar variety`` and the gate its reference censuses (`census_checks`).
+The library is called through module attributes, so a profiler that swaps
+them sees every call.
 """
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ class Measurements:
 
     seed: int = 0
     trials: int = 1000
-    samples: int = 64  # per contour segment
 
     @functools.cached_property
     def hessians(self) -> list[np.ndarray]:
@@ -86,7 +85,7 @@ class Measurements:
     @functools.cached_property
     def contour(self) -> np.ndarray:
         """Determinants along the first contour; the second is its negation."""
-        return chern.contour_determinants(self.samples)
+        return chern.contour_determinants()
 
     @functools.cached_property
     def windings(self) -> tuple[int, int]:
@@ -179,7 +178,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("hessian.pfaffian_table", "equals", PFAFFIANS_2_TO_8,
           lambda m: hessian.pfaffian_recurrence(8)),
     Claim("hessian.det_equals_pfaffian_fourth", "equals", [True] * 3,
-          lambda m: [hessian.det_factorization(h, pf).matches
+          lambda m: [hessian.det_factorization(h, pf)
                      for h, pf in zip(m.hessians[:3], m.hprime_pfaffians)]),
     Claim("chern.modulus_deviation_first_contour", "abs_le", 1e-9,
           lambda m: chern.modulus_deviation(m.contour)),
@@ -266,7 +265,7 @@ def census_checks(report: SolveReport) -> list[dict]:
 
     word, comps = report.word, report.components
     tagged = sorted([c.topology_tag, c.est_dimension] for c in comps)
-    knot = {e.word: name for name, e in braid.load_knot_table().items()}.get(word)
+    knot = braid.knot_name(word)
     checks = []
     if knot in TWO_BRIDGE_KNOTS:
         pred = invariants.two_bridge_prediction(invariants.determinant(word))

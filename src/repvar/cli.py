@@ -1,13 +1,12 @@
 """Command-line front door.
 
 Verbs: ``variety`` (solve a braid closure's trace-free variety),
-``invariants`` (exact Alexander / determinant / component prediction),
-``verify`` (run the registered claims with pass/fail scorecard), ``hessian``
-(the Hessian report for one pair count) and ``chern`` (the contour report
-with the registry's ``chern.*`` claims at a chosen sampling).  Every
-invocation persists a schema-versioned JSON record to the run directory;
-``variety`` (its census), ``verify``, ``hessian`` and ``chern`` exit nonzero
-iff a check fails.  Flags mirror to environment variables with the REPVAR_
+``invariants`` (exact Alexander / determinant / component prediction) and
+``verify`` (run the registered claims with pass/fail scorecard; the paper's
+Hessian and first-Chern claims are its ``hessian`` and ``chern`` suites).
+Every invocation persists a schema-versioned JSON record to the run
+directory; ``variety`` (its census) and ``verify`` exit nonzero iff a check
+fails.  Flags mirror to environment variables with the REPVAR_
 prefix (command-qualified, e.g. REPVAR_VARIETY_SEEDS); explicit flags win.
 """
 
@@ -23,9 +22,9 @@ from datetime import datetime, timezone
 import click
 import numpy as np
 
-from . import __version__, chern as chern_mod, claims, hessian as hessian_mod
-from .braid import BraidWord, closure_components, knot_by_name, parse_braid
-from .claims import check_record, describe
+from . import __version__, claims
+from .braid import (BraidWord, closure_components, knot_by_name, knot_name,
+                    parse_braid)
 
 SCHEMA_VERSION = 1
 VERIFY_SUITES = (*claims.SUITES, "all")
@@ -109,8 +108,8 @@ def _emit(text: str, as_json: bool, table_lines: list[str]) -> None:
 
 
 def _check_table(checks: list[dict]) -> list[str]:
-    return [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {describe(c)}"
-            for c in checks]
+    return [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: "
+            f"{claims.describe(c)}" for c in checks]
 
 
 def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidWord]:
@@ -216,11 +215,11 @@ def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
         ],
     }
     rank = solver.variety_rank(c.topology_tag for c in report.components)
-    if (results["closure_components"] == 1 and report.components
-            and rank is not None and label in ranks):
+    knot = knot_name(word)
+    if report.components and rank is not None and knot in ranks:
         results["khovanov"] = {"variety_rank": rank,
-                               "khovanov_rank": ranks[label],
-                               "matches": rank == ranks[label]}
+                               "khovanov_rank": ranks[knot],
+                               "matches": rank == ranks[knot]}
 
     checks = claims.census_checks(report)
     record, text = _persist(run_dir, "variety", results, checks)
@@ -276,10 +275,11 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
         "determinant": det,
         "two_bridge_prediction": dataclasses.asdict(prediction),
     }
-    if label in ranks:
-        results["khovanov_rank"] = ranks[label]
+    knot = knot_name(word)
+    if knot in ranks:
+        results["khovanov_rank"] = ranks[knot]
         results["prediction_matches_khovanov"] = (
-            prediction.cohomology_rank == ranks[label])
+            prediction.cohomology_rank == ranks[knot])
 
     _, text = _persist(run_dir, "invariants", results, [])
     lines = [
@@ -316,77 +316,6 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
         lines = _check_table(checks)
         lines.append("all checks passed" if record["passed"]
                      else f"{len(results['failed'])} check(s) FAILED")
-    _emit(text, as_json, lines)
-    if not record["passed"]:
-        ctx.exit(1)
-
-
-@cli.command(name="hessian")
-@click.option("--n", "pairs", type=click.IntRange(min=2), default=4, show_default=True,
-              help="number of sphere pairs")
-@_io_options
-@click.pass_context
-def hessian_cmd(ctx, pairs, as_json, run_dir) -> None:
-    """Integer Hessian report: matrix, signature, Pfaffian table."""
-    matrix = hessian_mod.build_hessian(pairs)
-    hprime = hessian_mod.build_hprime(pairs)
-    eigs = hessian_mod.spectrum(matrix)
-    fact = hessian_mod.det_factorization(matrix, hessian_mod.pfaffian(hprime))
-    table_max = max(pairs, 3)
-    results = {
-        "n": pairs,
-        "matrix": matrix.tolist(),
-        "signature": hessian_mod.signature(eigs),
-        "min_abs_eigenvalue": hessian_mod.min_abs_eigenvalue(eigs),
-        "hprime": hprime.tolist(),
-        "pfaffian_table": hessian_mod.pfaffian_recurrence(table_max),
-        "hessian_det": fact.hessian_det,
-        "hprime_pfaffian": fact.hprime_pfaffian,
-    }
-    checks = [
-        check_record("parity_swap_negates", "equals",
-                     hessian_mod.php_identity(matrix), True),
-        check_record("signature_zero", "equals", results["signature"], 0),
-        check_record("det_equals_pfaffian_fourth", "equals", fact.matches, True),
-        check_record("recurrence_matches_direct", "equals",
-                     results["pfaffian_table"][pairs - 2], fact.hprime_pfaffian),
-    ]
-    record, text = _persist(run_dir, "hessian", results, checks)
-    lines = [f"n={pairs}: signature {results['signature']}, "
-             f"min |eig| {results['min_abs_eigenvalue']:.4f}, "
-             f"det {fact.hessian_det} = {fact.hprime_pfaffian}^4",
-             f"Pfaffian table (n=2..{table_max}): {results['pfaffian_table']}"]
-    lines += _check_table(checks)
-    _emit(text, as_json, lines)
-    if not record["passed"]:
-        ctx.exit(1)
-
-
-@cli.command(name="chern")
-@click.option("--samples",
-              type=click.IntRange(min=chern_mod.MIN_SAMPLES_PER_SEGMENT),
-              default=64, show_default=True, help="samples per contour segment")
-@_io_options
-@click.pass_context
-def chern_cmd(ctx, samples, as_json, run_dir) -> None:
-    """Contour report: determinant modulus, junctions, windings, pairing."""
-    m = claims.Measurements(samples=samples)
-    checks = [c.check(m) for c in claims.CLAIMS if c.name.startswith("chern.")]
-    winding_first, winding_second = m.windings
-    results = {
-        "samples_per_segment": samples,
-        "modulus_deviation_first_contour": chern_mod.modulus_deviation(m.contour),
-        "modulus_deviation_second_contour":
-            chern_mod.modulus_deviation(-m.contour),
-        "junction_gaps": chern_mod.junction_gaps(m.contour).tolist(),
-        "winding_first_contour": winding_first,
-        "winding_second_contour": winding_second,
-        "pairing": m.chern_pairing,
-    }
-    record, text = _persist(run_dir, "chern", results, checks)
-    lines = [f"windings {winding_first} + {winding_second} = "
-             f"{results['pairing']}"]
-    lines += _check_table(checks)
     _emit(text, as_json, lines)
     if not record["passed"]:
         ctx.exit(1)

@@ -17,8 +17,6 @@ is a plain function of its inputs and keeps nothing between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "leading_pfaffians",
     "pfaffian_recurrence",
     "integer_determinant",
-    "DetFactorization",
     "det_factorization",
     "PFAFFIAN_SEEDS",
 ]
@@ -305,16 +302,7 @@ def integer_determinant(matrix: np.ndarray) -> int:
     return sign * a[size - 1][size - 1]
 
 
-@dataclass(frozen=True)
-class DetFactorization:
-    """Exact determinant of the Hessian against the fourth Pfaffian power."""
-    hessian_det: int
-    hprime_pfaffian: int
-    matches: bool
-
-
-def det_factorization(hessian_matrix: np.ndarray,
-                      hprime_pfaffian: int) -> DetFactorization:
+def det_factorization(hessian_matrix: np.ndarray, hprime_pfaffian: int) -> bool:
     """Certify det(H(n)) = Pf(H'(n))^4 exactly, given H(n) and Pf(H'(n)).
 
     The parity-swapped Hessian splits into two complementary skew blocks
@@ -322,6 +310,4 @@ def det_factorization(hessian_matrix: np.ndarray,
     one block's determinant, i.e. the fourth power of that block's
     Pfaffian.
     """
-    det_h = integer_determinant(hessian_matrix)
-    return DetFactorization(hessian_det=det_h, hprime_pfaffian=hprime_pfaffian,
-                            matches=det_h == hprime_pfaffian ** 4)
+    return integer_determinant(hessian_matrix) == hprime_pfaffian ** 4

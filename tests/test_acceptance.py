@@ -107,17 +107,17 @@ def test_criterion_05_two_bridge_predictor(solve_table):
     ok = True
     for name in claims.TWO_BRIDGE_KNOTS:
         det = determinant(knot_by_name(name).word)
-        pred = two_bridge_prediction(det)
         report, _ = solve_table(name)
-        found = len(report.components)
-        ok = ok and pred.total_components == found
-        ok = ok and pred.cohomology_rank == det + 1
-        rows.append(f"{name}:{found}={pred.total_components},rank {det + 1}")
+        checks, census_ok = _census(report, "census.components")
+        assert census_ok, (name, list(checks.values()))
+        want = len(checks["census.components"]["expected"])
+        ok = ok and two_bridge_prediction(det).cohomology_rank == det + 1
+        rows.append(f"{name}:{len(report.components)}={want},rank {det + 1}")
     _report(
         "criterion 05 count-predictor",
         ok,
-        "1+(det-1)/2 matches the solver and rank det+1 on all six knots "
-        f"[{'; '.join(rows)}]",
+        "1 S2 + (det-1)/2 RP3 matches the solver's tagged census and rank "
+        f"det+1 on all six knots [{'; '.join(rows)}]",
     )
 
 

@@ -88,6 +88,10 @@ def test_variety_by_braid_text(runner, tmp_path):
     assert "component(s)" in result.output
     assert "tag=" in result.output
     assert "PASS  census.torus_angles: " in result.output
+    # the word is 3_1's, so the rank is 3_1's though the label is the word
+    assert "khovanov: variety rank 4 vs 4 (match)" in result.output
+    assert _record(tmp_path, "variety")["results"]["khovanov"] == {
+        "variety_rank": 4, "khovanov_rank": 4, "matches": True}
 
 
 def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
@@ -152,16 +156,19 @@ def test_variety_is_deterministic(runner, tmp_path):
 
 
 def test_invariants_for_a_table_knot(runner, tmp_path):
-    result = _run(runner, tmp_path, ["invariants", "--name", "4_1", "--json"])
-    assert result.exit_code == 0, result.output
-    record = json.loads(result.output)
-    res = record["results"]
-    assert res["determinant"] == 5
-    assert res["alexander"]["coeffs"] == [-1, 3, -1]
-    assert res["two_bridge_prediction"]["total_components"] == 3
-    assert res["two_bridge_prediction"]["cohomology_rank"] == 6
-    assert res["khovanov_rank"] == 6
-    assert res["prediction_matches_khovanov"] is True
+    # by name and by its word: the Khovanov rank is the knot's either way
+    for word in (["--name", "4_1"], ["--braid", "3: 1 -2 1 -2"]):
+        result = _run(runner, tmp_path, ["invariants", *word, "--json"])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        res = record["results"]
+        assert res["input"] == word[1]
+        assert res["determinant"] == 5
+        assert res["alexander"]["coeffs"] == [-1, 3, -1]
+        assert res["two_bridge_prediction"]["total_components"] == 3
+        assert res["two_bridge_prediction"]["cohomology_rank"] == 6
+        assert res["khovanov_rank"] == 6
+        assert res["prediction_matches_khovanov"] is True
 
 
 def test_invariants_fails_when_the_khovanov_table_cannot_be_read(
@@ -241,39 +248,8 @@ def test_verify_rejects_unknown_suite(runner, tmp_path):
     assert _run(runner, tmp_path, ["verify", "everything"]).exit_code == 2
 
 
-# --- hessian / chern verbs -----------------------------------------------------------
-
-
-def test_hessian_verb(runner, tmp_path):
-    result = _run(runner, tmp_path, ["hessian", "--n", "3", "--json"])
-    assert result.exit_code == 0, result.output
-    record = json.loads(result.output)
-    res = record["results"]
-    assert res["pfaffian_table"] == [2, 5]
-    assert res["hprime"] == [[0, 2, -1, 0], [-2, 0, -2, 1], [1, 2, 0, 2], [0, -1, -2, 0]]
-    assert res["hprime_pfaffian"] == 5
-    assert res["signature"] == 0
-    assert record["passed"] is True
-
-
-def test_chern_verb(runner, tmp_path):
-    result = _run(runner, tmp_path, ["chern", "--json"])
-    assert result.exit_code == 0, result.output
-    record = json.loads(result.output)
-    res = record["results"]
-    assert res["winding_first_contour"] == -1
-    assert res["winding_second_contour"] == -1
-    assert res["pairing"] == -2
-    assert record["passed"] is True
-
-
-def test_chern_verb_reports_the_registry_s_chern_claims(runner, tmp_path):
-    verified = json.loads(
-        _run(runner, tmp_path, ["verify", "chern", "--json"]).output)
-    reported = json.loads(
-        _run(runner, tmp_path, ["chern", "--samples", "64", "--json"]).output)
-    assert len(reported["checks"]) == 6
-    assert reported["checks"] == verified["checks"]
+def test_the_commands_are_variety_invariants_and_verify():
+    assert sorted(cli.commands) == ["invariants", "variety", "verify"]
 
 
 def test_report_commands_do_not_read_an_earlier_run_s_memos(
@@ -289,21 +265,16 @@ def test_report_commands_do_not_read_an_earlier_run_s_memos(
             return original(m)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    assert _run(runner, tmp_path, ["chern"]).exit_code == 0
+    assert _run(runner, tmp_path, ["verify", "chern"]).exit_code == 0
     assert calls == ["det"]
     calls.clear()
-    assert _run(runner, tmp_path, ["hessian", "--n", "4"]).exit_code == 0
-    assert calls == ["eigvalsh"]
-
-
-def test_chern_samples_below_the_floor_is_a_usage_error(runner, tmp_path):
-    assert _run(runner, tmp_path, ["chern", "--samples", "63"]).exit_code == 2
-    assert _run(runner, tmp_path, ["chern", "--samples", "64"]).exit_code == 0
+    # one spectrum per Hessian size, n = 2..8
+    assert _run(runner, tmp_path, ["verify", "hessian"]).exit_code == 0
+    assert calls == ["eigvalsh"] * len(claims.HESSIAN_SIZES)
 
 
 @pytest.mark.parametrize("args", [
     ["verify", "symplectic", "--trials", "0"],
-    ["hessian", "--n", "1"],
     ["variety", "--name", "3_1", "--seeds", "0"],
     ["variety", "--name", "3_1", "--seeds", "-1"],
     ["variety", "--name", "3_1", "--link-radius", "0"],
@@ -328,7 +299,7 @@ def test_in_process_calls_release_their_stdout_buffer(tmp_path):
     for fmt in ("--json", "--table"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli.main(["hessian", "--n", "2", fmt, "--run-dir", str(tmp_path)],
+            cli.main(["verify", "hessian", fmt, "--run-dir", str(tmp_path)],
                      standalone_mode=False)
         assert buf.getvalue()
         ref = weakref.ref(buf)
@@ -338,11 +309,11 @@ def test_in_process_calls_release_their_stdout_buffer(tmp_path):
 
 
 def test_records_are_written_per_invocation(runner, tmp_path):
-    _run(runner, tmp_path, ["hessian", "--n", "2"])
-    _run(runner, tmp_path, ["chern"])
-    assert len(list(tmp_path.glob("hessian-*.json"))) == 1
-    assert len(list(tmp_path.glob("chern-*.json"))) == 1
-    record = _record(tmp_path, "chern")
+    _run(runner, tmp_path, ["verify", "hessian"])
+    _run(runner, tmp_path, ["invariants", "--name", "4_1"])
+    assert len(list(tmp_path.glob("verify-*.json"))) == 1
+    assert len(list(tmp_path.glob("invariants-*.json"))) == 1
+    record = _record(tmp_path, "invariants")
     assert set(record) >= {
         "schema_version", "command", "config", "timestamp", "results",
         "checks", "passed",
@@ -361,14 +332,14 @@ def test_record_file_name_carries_the_record_timestamp(runner, tmp_path,
             return datetime(2026, 1, 2, 3, 4, 5, next(ticks), tzinfo=tz)
 
     monkeypatch.setattr("repvar.cli.datetime", TickingClock)
-    _run(runner, tmp_path, ["hessian", "--n", "2"])
-    (path,) = tmp_path.glob("hessian-*.json")
+    _run(runner, tmp_path, ["verify", "hessian"])
+    (path,) = tmp_path.glob("verify-*.json")
     stamp = datetime.fromisoformat(json.loads(path.read_text())["timestamp"])
-    assert path.stem == f"hessian-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
+    assert path.stem == f"verify-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
 
 
 def test_json_stdout_is_the_record_file(runner, tmp_path):
-    for args in (["verify", "hessian"], ["hessian", "--n", "3"], ["chern"]):
+    for args in (["verify", "hessian"], ["invariants", "--name", "4_1"]):
         result = _run(runner, tmp_path, [*args, "--json"])
         assert result.exit_code == 0, result.output
         (path,) = tmp_path.glob(f"{args[0]}-*.json")
@@ -404,8 +375,6 @@ def test_record_config_holds_exactly_the_command_options(runner, tmp_path):
                      "link_radius", "khovanov_csv"}),
         "invariants": (["--name", "4_1"], {"name", "braid_text", "khovanov_csv"}),
         "verify": (["hessian"], {"which", "seed", "trials"}),
-        "hessian": (["--n", "2"], {"pairs"}),
-        "chern": ([], {"samples"}),
     }
     for command, (args, keys) in cases.items():
         result = _run(runner, tmp_path, [command, *args, "--json"])

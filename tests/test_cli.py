@@ -275,6 +275,7 @@ def test_report_commands_do_not_read_an_earlier_run_s_memos(
 
 @pytest.mark.parametrize("args", [
     ["verify", "symplectic", "--trials", "0"],
+    ["verify", "symplectic", "--trials", "-1"],
     ["variety", "--name", "3_1", "--seeds", "0"],
     ["variety", "--name", "3_1", "--seeds", "-1"],
     ["variety", "--name", "3_1", "--link-radius", "0"],

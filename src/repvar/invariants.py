@@ -317,14 +317,6 @@ def two_bridge_prediction(det: int) -> TwoBridgePrediction:
     )
 
 
-@dataclass(frozen=True)
-class KhovanovComparison:
-    name: str
-    variety_rank: int
-    khovanov_rank: int
-    matches: bool
-
-
 def load_khovanov_ranks(path: str | Path | None = None) -> dict[str, int]:
     """User-supplied 'name,rank' CSV; a small reference file ships as data.
 
@@ -350,17 +342,6 @@ def load_khovanov_ranks(path: str | Path | None = None) -> dict[str, int]:
                 f"{where}: rank {row[1]!r} is not a non-negative integer")
         out[row[0].strip()] = int(rank)
     return out
-
-
-def compare_khovanov(
-    name: str, variety_rank: int, path: str | Path | None = None
-) -> KhovanovComparison:
-    """Compare a variety cohomology rank against the supplied table.  A
-    mismatch is a finding, not an error (the interesting knots disagree)."""
-    ranks = load_khovanov_ranks(path)
-    if name not in ranks:
-        raise KeyError(f"no Khovanov rank supplied for {name!r}")
-    return KhovanovComparison(name, variety_rank, ranks[name], variety_rank == ranks[name])
 
 
 def validate_knot_table() -> dict[str, int]:

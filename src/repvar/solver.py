@@ -4,7 +4,9 @@ Pipeline: random seeds on the product of 2-spheres -> Levenberg-Marquardt
 on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
 damping weight and the exact Jacobian in orthonormal tangent coordinates
 -> Gauss-Newton polish to machine precision -> clustering into connected
-components -> per-component dimension and topology tag.
+components -> per-component dimension and topology tag.  The Jacobian is
+the action's one differential, `braid.differential_arrays`, carrying all
+2n tangent frames in one sweep.
 
 Clustering detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -29,13 +31,14 @@ from .braid import (
     BraidWord,
     Configuration,
     act_array,
-    generator_step,
+    differential_arrays,
     is_singular_config,
     normalize,
     random_configurations,
     tangent_basis,
+    tangent_frames,
 )
-from .su2 import InternalError, circle_point, reflect
+from .su2 import InternalError, circle_point, cross, reflect
 
 ABELIAN_TOL = 1e-6
 MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
@@ -101,41 +104,18 @@ def residual_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=(-2, -1))
 
 
-def _jvp(k, state, vel):
-    """One letter's ambient differential (forward mode)."""
-    i = abs(k) - 1
-    a = state[..., i, :]
-    b = state[..., i + 1, :]
-    va = vel[..., i, :]
-    vb = vel[..., i + 1, :]
-    out = vel.copy()
-    ab = np.sum(a * b, axis=-1, keepdims=True)
-    bva = np.sum(b * va, axis=-1, keepdims=True)
-    avb = np.sum(a * vb, axis=-1, keepdims=True)
-    if k > 0:
-        out[..., i, :] = 2.0 * bva * a + 2.0 * ab * va + 2.0 * avb * a - vb
-        out[..., i + 1, :] = va
-    else:
-        out[..., i, :] = vb
-        out[..., i + 1, :] = 2.0 * avb * b + 2.0 * ab * vb + 2.0 * bva * b - va
-    return out
-
-
 def _tangent_jacobian(word, pts, e1, e2):
     """Jacobian of g -> act(g) - g in the orthonormal tangent frames,
-    shape (S, 3n, 2n), and the image act(g).  Column m is the image of frame
-    vector m; all 2n columns ride one forward sweep over the word."""
+    shape (S, 3n, 2n), and the image act(g).  The 2n one-slot frames ride
+    one `differential_arrays` sweep as coefficients p x v, and the pushed
+    coefficients X read back as velocities X x p; column m is the pushed
+    frame m minus frame m."""
     S, n, _ = pts.shape
-    slots = np.arange(n)
-    basis = np.zeros((n, 2, S, n, 3))
-    basis[slots, :, :, slots] = np.stack([e1, e2], axis=2).transpose(1, 2, 0, 3)
-    basis = basis.reshape(2 * n, S, n, 3)
-    vel, state = basis, pts
-    for k in reversed(word.letters):
-        vel = _jvp(k, state, vel)
-        state = generator_step(k, state)
-    jac = np.moveaxis((vel - basis).reshape(2 * n, S, 3 * n), 0, -1)
-    return jac, state
+    frames = tangent_frames(e1, e2)
+    image, coeffs = differential_arrays(word, pts, cross(pts, frames))
+    vel = cross(coeffs, image)
+    jac = np.moveaxis((vel - frames).reshape(2 * n, S, 3 * n), 0, -1)
+    return jac, image
 
 
 def _apply_tangent_step(pts, x, e1, e2):

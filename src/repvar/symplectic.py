@@ -25,6 +25,7 @@ from .braid import (
     is_singular_config,
     random_configurations,
     tangent_basis,
+    tangent_frames,
 )
 from .su2 import cross, reflect, slot_product
 
@@ -355,11 +356,7 @@ def nondegeneracy_rank(pts: np.ndarray) -> int:
     if is_singular_config(pts):
         raise ValueError("singular configuration: all points collinear")
     m = pts.shape[0]
-    e1, e2 = tangent_basis(pts)
-    slot = np.arange(m)
-    frames = np.zeros((2 * m, m, 3))
-    frames[2 * slot, slot] = e1
-    frames[2 * slot + 1, slot] = e2
+    frames = tangent_frames(*tangent_basis(pts))
     gram = omega_c_array(
         np.broadcast_to(pts, (2 * m, 2 * m, m, 3)),
         np.broadcast_to(frames[:, None], (2 * m, 2 * m, m, 3)),

@@ -95,6 +95,14 @@ def test_generator_inverse_undoes_generator():
         assert np.max(np.abs(roundtrip - pts)) < 1e-12
 
 
+def test_long_torus_word_stays_on_the_spheres():
+    # each letter renormalises its half-turned slot; without that the norm
+    # error of T(2,41) on these points overflows
+    pts = random_configurations(2, 1536, np.random.default_rng(0))
+    moved = act_array(BraidWord(2, (1,) * 41), pts)
+    assert np.max(np.abs(np.linalg.norm(moved, axis=-1) - 1.0)) <= 1e-15
+
+
 @given(braid_words(), braid_words())
 @settings(max_examples=40, deadline=None)
 def test_action_is_a_homomorphism(v, w):
@@ -170,6 +178,22 @@ def test_differential_matches_finite_differences():
         got_vel = np.cross(got[0], moved)
         worst = max(worst, float(np.max(np.abs(got_vel - want))))
     assert worst < 1e-6, worst
+
+
+@pytest.mark.parametrize("word", [
+    parse_braid("4: 1 -3 2 2 -1"),
+    knot_by_name("9_42").word,
+    BraidWord(2, (-1,) * 41),
+])
+def test_differential_moves_base_points_by_the_action(word):
+    # one action: the pushforward's base points are act_array's, bit for
+    # bit, also when one batch of points carries a stack of frames
+    rng = np.random.default_rng(31)
+    pts = random_configurations(word.strands, 16, rng)
+    frames = random_coefficients(np.broadcast_to(pts, (3,) + pts.shape), rng)
+    moved, pushed = differential_arrays(word, pts, frames)
+    assert np.array_equal(moved, act_array(word, pts))
+    assert pushed.shape == frames.shape
 
 
 def test_differential_is_linear_in_the_frame():

@@ -15,7 +15,6 @@ from repvar.invariants import (
     NonKnotError,
     alexander,
     burau_reduced,
-    compare_khovanov,
     determinant,
     load_khovanov_ranks,
     two_bridge_prediction,
@@ -210,16 +209,6 @@ def test_khovanov_table_loads():
     assert ranks["9_42"] == 10
     assert ranks["3_1"] == 4
     assert set(ranks) >= {"3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "9_42"}
-
-
-def test_khovanov_comparison_flags_mismatch():
-    hit = compare_khovanov("3_1", 4)
-    assert hit.matches and hit.khovanov_rank == 4
-    miss = compare_khovanov("9_42", 16)
-    assert not miss.matches
-    assert (miss.variety_rank, miss.khovanov_rank) == (16, 10)
-    with pytest.raises(KeyError):
-        compare_khovanov("8_19", 10)
 
 
 def test_khovanov_custom_csv(tmp_path):

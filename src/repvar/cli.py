@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -126,22 +125,6 @@ def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidW
         raise click.UsageError(str(exc)) from None
 
 
-def _khovanov_ranks(path: str | None) -> dict[str, int]:
-    """The Khovanov catalog; a malformed row is a usage error."""
-    from .invariants import load_khovanov_ranks
-
-    try:
-        return load_khovanov_ranks(path)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--khovanov-csv'") from None
-
-
-def _positive_finite(ctx, param, value):
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"{value} is not a positive finite number")
-    return value
-
-
 def _io_options(fn):
     fn = click.option("--run-dir", default="runs", show_default=True,
                       type=click.Path(file_okay=False),
@@ -168,26 +151,18 @@ def cli() -> None:
               help="random solver restarts [default: solver's 1536]")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="RNG seed")
-@click.option("--tol", type=float, default=None, callback=_positive_finite,
-              help="survivor residual tolerance [default: solver's 1e-12]")
-@click.option("--link-radius", type=float, default=None,
-              callback=_positive_finite,
-              help="clustering radius [default: solver's 0.15]")
-@click.option("--khovanov-csv", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="'name,rank' CSV overriding the shipped one")
 @_io_options
 @click.pass_context
-def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
-            as_json, run_dir) -> None:
+def variety(ctx, name, braid_text, seeds, seed, as_json, run_dir) -> None:
     """Solve for the components of the variety of a braid closure; exit
     nonzero iff its census differs from the reference census of its word."""
     from . import solver  # imported here, so that `verify` never loads it
+    from .invariants import load_khovanov_ranks
 
     label, word = _resolve_word(name, braid_text)
-    ranks = _khovanov_ranks(khovanov_csv)
-    given = {"seeds": seeds, "descent_tol": tol, "link_radius": link_radius}
+    ranks = load_khovanov_ranks()
     report = solver.solve(word, solver.SolverConfig(
-        rng_seed=seed, **{k: v for k, v in given.items() if v is not None}))
+        rng_seed=seed, **({} if seeds is None else {"seeds": seeds})))
 
     results = {
         "input": label,
@@ -246,10 +221,8 @@ def variety(ctx, name, braid_text, seeds, seed, tol, link_radius, khovanov_csv,
 @click.option("--name", default=None, help="knot from the shipped table")
 @click.option("--braid", "braid_text", default=None,
               help='braid word, e.g. "2: 1 1 1"')
-@click.option("--khovanov-csv", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="'name,rank' CSV overriding the shipped one")
 @_io_options
-def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
+def invariants(name, braid_text, as_json, run_dir) -> None:
     """Exact Alexander polynomial, determinant, component prediction."""
     from . import invariants as invariants_mod  # as `solver` in `variety`
 
@@ -259,7 +232,7 @@ def invariants(name, braid_text, khovanov_csv, as_json, run_dir) -> None:
         raise click.UsageError(
             f"closure of {label!r} is a {pieces}-component link; "
             "invariants need a knot")
-    ranks = _khovanov_ranks(khovanov_csv)
+    ranks = invariants_mod.load_khovanov_ranks()
     poly = invariants_mod.alexander(word)
     det = invariants_mod.determinant(word)
     prediction = invariants_mod.two_bridge_prediction(det)

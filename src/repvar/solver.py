@@ -8,15 +8,18 @@ components -> per-component dimension and topology tag.  The Jacobian is
 the action's one differential, `braid.differential_arrays`, carrying all
 2n tangent frames in one sweep.
 
-Clustering detail that matters: global conjugation (a rotation applied to
+Grouping detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
 rotation orbits and is sampled extremely sparsely in ambient coordinates.
-Components are therefore linked in a rotation-invariant embedding (pairwise
-dot products plus signed triple volumes), where 2- and 3-dimensional
-components collapse to single points and a fixed linking radius is
-meaningful.  A component's dimension is not estimated from samples: it is
-the nullity of the fixed-point Jacobian at the representative, read off a
-clean gap in its singular values.
+Seeds are therefore compared in a rotation-invariant embedding (pairwise
+dot products plus signed triple volumes), where each orbit is one point:
+two seeds are grouped when their invariants agree within the square root
+of the residual bound that every survivor meets, i.e. when they lie on one
+orbit.  A component's dimension is not estimated from samples: it is the
+nullity of the fixed-point Jacobian at the group's first seed, read off a
+clean gap in its singular values.  On a nonabelian point a nullity of 4 is
+one direction more than the orbit; that direction is traced, and only a
+loop that closes makes the groups along it one RP3 x S1 component.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .braid import (
     tangent_basis,
     tangent_frames,
 )
-from .su2 import InternalError, circle_point, cross, reflect
+from .su2 import circle_point, cross, reflect
 
 ABELIAN_TOL = 1e-6
 MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
@@ -46,14 +49,15 @@ MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
 # direction counts as null.  A tag also needs a clean gap: no relative
 # singular value within a factor 100 of it.
 NULL_TOL = 1e-6
+DESCENT_TOL = 1e-12  # residual bound of a surviving seed
+LOOP_STEP = 0.02  # tangent step of the RP3 x S1 loop tracer
+LOOP_MAX_STEPS = 2000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     seeds: int = 1536
     rng_seed: int = 0
-    descent_tol: float = 1e-12
-    link_radius: float = 0.15
 
 
 TOPOLOGY_TAGS = ("S2", "RP3", "PRODUCT_RP3_S1", "UNKNOWN")
@@ -232,14 +236,11 @@ def _is_binary_dihedral(pts: np.ndarray, tol: float = ABELIAN_TOL) -> bool:
 # --- the solver ---------------------------------------------------------------
 
 
-def _topology_tag(dim: int, abelian: bool) -> str:
-    if dim == 2 and abelian:
-        return "S2"
-    if dim == 3:
-        return "RP3"
-    if dim == 4:
-        return "PRODUCT_RP3_S1"
-    return "UNKNOWN"
+def _clean(gap: tuple[float | None, float | None]) -> bool:
+    """No relative singular value within a factor 100 of NULL_TOL."""
+    low, high = gap
+    return ((low is None or low < NULL_TOL / 100.0)
+            and (high is None or high > NULL_TOL * 100.0))
 
 
 def _classify(
@@ -250,10 +251,9 @@ def _classify(
 
     On a clean component the kernel of that Jacobian is the component's
     tangent space, so the nullity is its dimension: the conjugation orbit
-    of a nonabelian point is RP3 (3), that of an abelian point S2 (2), and
-    one more direction is the RP3 x S1 family.  The tag is UNKNOWN when a
-    relative singular value lies within a factor 100 of NULL_TOL, i.e.
-    when there is no clean gap."""
+    of a nonabelian point is RP3 (3), that of an abelian point S2 (2).  Any
+    other nullity is UNKNOWN here (`solve` tags a nullity of 4 RP3 x S1
+    only from a traced loop), as is a spectrum without a clean gap."""
     rel = sv / sv[0]
     null = rel < NULL_TOL
     nullity = int(np.count_nonzero(null))
@@ -261,9 +261,41 @@ def _classify(
         float(rel[null].max()) if null.any() else None,
         float(rel[~null].min()) if not null.all() else None,
     )
-    if np.any((rel >= NULL_TOL / 100.0) & (rel <= NULL_TOL * 100.0)):
-        return nullity, "UNKNOWN", gap
-    return nullity, _topology_tag(nullity, abelian), gap
+    if _clean(gap) and (nullity == 3 or (nullity == 2 and abelian)):
+        return nullity, ("RP3" if nullity == 3 else "S2"), gap
+    return nullity, "UNKNOWN", gap
+
+
+def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
+    """Feature-space path of the null direction orthogonal to the orbit of
+    the fixed point `start`, taken in tangent steps of LOOP_STEP, each
+    re-polished by Gauss-Newton.  The path once it returns to `start`
+    within its longest step, or None when it leaves the variety or does not
+    return within LOOP_MAX_STEPS."""
+    pts, heading = start[None], None
+    path = [invariant_features(start)]
+    reach, left = 0.0, False
+    for _ in range(LOOP_MAX_STEPS):
+        e1, e2 = tangent_basis(pts)
+        jac, _ = _tangent_jacobian(word, pts, e1, e2)
+        # the rotation about axis a moves slot i by a x g_i, whose tangent
+        # coordinates are (a . e2_i, -a . e1_i)
+        orbit = np.stack([e2[0], -e1[0]], axis=1).reshape(-1, 3).T
+        x = np.linalg.svd(np.concatenate([jac[0], orbit]))[2][-1]
+        move = x[0::2, None] * e1[0] + x[1::2, None] * e2[0]
+        if heading is not None and np.sum(move * heading) < 0:
+            x, move = -x, -move
+        heading = move
+        pts = _gauss_newton(word, _apply_tangent_step(pts, LOOP_STEP * x[None], e1, e2))
+        if residual_array(word, pts)[0] >= DESCENT_TOL:
+            return None
+        path.append(invariant_features(pts[0]))
+        reach = max(reach, float(np.linalg.norm(path[-1] - path[-2])))
+        dist = float(np.linalg.norm(path[-1] - path[0]))
+        left = left or dist > 2.0 * reach
+        if left and dist <= reach:
+            return np.array(path)
+    return None
 
 
 def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport:
@@ -291,45 +323,52 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
     polished = _gauss_newton(word, rough)
     rr = residual_array(word, polished)
-    survivors = polished[rr < config.descent_tol]
+    survivors, rr = polished[rr < DESCENT_TOL], rr[rr < DESCENT_TOL]
     if len(survivors) == 0:
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
 
     feats = invariant_features(survivors)
-    order = np.lexsort(feats.T[::-1])  # deterministic merge order
-    survivors = survivors[order]
-    feats = feats[order]
-    clusters = cluster_indices(feats, config.link_radius)
+    order = np.lexsort(feats.T[::-1])  # deterministic group order
+    survivors, rr, feats = survivors[order], rr[order], feats[order]
+    # one group per orbit: the residual is a squared distance, so a
+    # survivor is within sqrt(DESCENT_TOL) of its orbit
+    groups = cluster_indices(feats, math.sqrt(DESCENT_TOL))
+    firsts = np.array([g[0] for g in groups])
+    reps = survivors[firsts]
+    e1, e2 = tangent_basis(reps)
+    jac, _ = _tangent_jacobian(word, reps, e1, e2)
+    abelian = [is_singular_config(rep, ABELIAN_TOL) for rep in reps]
+    classes = [_classify(sv, ab) for sv, ab in
+               zip(np.linalg.svd(jac, compute_uv=False), abelian)]
 
+    # a group of nullity 4 on a nonabelian point may be an orbit on an
+    # RP3 x S1: trace its extra direction, and if that closes a loop, the
+    # groups within one step of it are that one component
+    owner = np.arange(len(groups))
+    for g, (dim, _, gap) in enumerate(classes):
+        if owner[g] != g or dim != 4 or abelian[g] or not _clean(gap):
+            continue
+        path = _trace_loop(word, reps[g])
+        if path is not None:
+            reach = np.max(np.linalg.norm(np.diff(path, axis=0), axis=-1))
+            apart = np.linalg.norm(feats[firsts][:, None] - path, axis=-1)
+            owner[apart.min(axis=1) <= reach] = g
+            classes[g] = (dim, "PRODUCT_RP3_S1", gap)
+
+    sizes = np.array([len(g) for g in groups])
     reports = []
-    for cid, idx in enumerate(clusters):
-        cpts = survivors[idx]
-        cfeats = feats[idx]
-        # densest point as representative (feature-space neighbor count)
-        diff = cfeats[:, None, :] - cfeats[None, :, :]
-        density = np.sum(
-            np.sum(diff * diff, axis=-1) <= (2.0 * config.link_radius) ** 2, axis=1
-        )
-        rep = cpts[int(np.argmax(density))]
-        rep_res = float(residual_array(word, rep[None])[0])
-        if rep_res >= config.descent_tol:
-            raise InternalError(
-                f"cluster representative fails re-verification: {rep_res:.3e}"
-            )
-        e1, e2 = tangent_basis(rep[None])
-        jac, _ = _tangent_jacobian(word, rep[None], e1, e2)
-        abelian = is_singular_config(rep, ABELIAN_TOL)
-        dim, tag, gap = _classify(np.linalg.svd(jac[0], compute_uv=False), abelian)
+    for g in np.unique(owner):
+        dim, tag, gap = classes[g]
         reports.append(
             ComponentReport(
-                id=cid,
-                representative=Configuration.from_array(rep),
-                sample_count=int(len(idx)),
+                id=len(reports),
+                representative=Configuration.from_array(reps[g]),
+                sample_count=int(sizes[owner == g].sum()),
                 est_dimension=dim,
                 topology_tag=tag,
-                is_binary_dihedral=_is_binary_dihedral(rep),
-                is_abelian=abelian,
-                residual=rep_res,
+                is_binary_dihedral=_is_binary_dihedral(reps[g]),
+                is_abelian=abelian[g],
+                residual=float(rr[firsts[g]]),
                 null_gap=gap,
             )
         )

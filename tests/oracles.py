@@ -87,12 +87,16 @@ def sphere_retract(points: np.ndarray) -> np.ndarray:
 
 def fd_pushforward(mapping, base: np.ndarray, velocity: np.ndarray,
                    step: float = FD_STEP) -> np.ndarray:
-    """Central-difference derivative of `mapping` along the spherical curve
-    t -> normalize(base + t*velocity). Returns ambient velocity vectors at
-    mapping(base), tangentially projected."""
-    plus = mapping(sphere_retract(base + step * velocity))
-    minus = mapping(sphere_retract(base - step * velocity))
-    out = (plus - minus) / (2.0 * step)
+    """Five-point central-difference derivative of `mapping` along the
+    spherical curve t -> normalize(base + t*velocity), (8 (f(h) - f(-h)) -
+    (f(2h) - f(-2h))) / 12h, whose truncation error is O(h^4) rather than
+    the O(h^2) of the three-point stencil.  Returns ambient velocity
+    vectors at mapping(base), tangentially projected."""
+    def f(t):
+        return mapping(sphere_retract(base + t * velocity))
+
+    out = (8.0 * (f(step) - f(-step)) - (f(2.0 * step) - f(-2.0 * step))) / (
+        12.0 * step)
     at = mapping(base)
     out = out - (np.sum(out * at, axis=-1, keepdims=True)) * at
     return out

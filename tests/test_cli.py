@@ -184,19 +184,6 @@ def test_invariants_fails_when_the_khovanov_table_cannot_be_read(
     assert not list(tmp_path.glob("invariants-*.json"))
 
 
-@pytest.mark.parametrize("command", ["invariants", "variety"])
-@pytest.mark.parametrize("row", ["4_1", "4_1,six", "4_1,-6"])
-def test_a_malformed_khovanov_row_is_a_usage_error(runner, tmp_path, command,
-                                                   row):
-    csv = tmp_path / "ranks.csv"
-    csv.write_text(f"name,rank\n{row}\n")
-    result = _run(runner, tmp_path / "runs",
-                  [command, "--name", "4_1", "--khovanov-csv", str(csv)])
-    assert result.exit_code == 2, result.output
-    assert "line 2" in result.output
-    assert not (tmp_path / "runs").exists()
-
-
 def test_invariants_rejects_links(runner, tmp_path):
     result = runner.invoke(
         cli, ["invariants", "--braid", "2: 1 1", "--run-dir", str(tmp_path)]
@@ -278,16 +265,16 @@ def test_report_commands_do_not_read_an_earlier_run_s_memos(
     ["verify", "symplectic", "--trials", "-1"],
     ["variety", "--name", "3_1", "--seeds", "0"],
     ["variety", "--name", "3_1", "--seeds", "-1"],
-    ["variety", "--name", "3_1", "--link-radius", "0"],
-    ["variety", "--name", "3_1", "--link-radius", "-0.15"],
+    ["variety", "--name", "3_1", "--seeds", "1.5"],
+    ["verify", "symplectic", "--trials", "1.5"],
     ["verify", "symplectic", "--seed", "-1"],
     ["variety", "--name", "3_1", "--seed", "-1"],
-    ["variety", "--name", "3_1", "--link-radius", "nan"],
-    ["variety", "--name", "3_1", "--link-radius", "inf"],
-    ["variety", "--name", "3_1", "--tol", "-1"],
-    ["variety", "--name", "3_1", "--tol", "0"],
-    ["variety", "--name", "3_1", "--tol", "nan"],
-    ["variety", "--name", "3_1", "--tol", "inf"],
+    ["variety", "--name", "3_1", "--seeds", "nan"],
+    ["verify", "symplectic", "--trials", "inf"],
+    ["variety", "--name", "3_1", "--seed", "1.5"],
+    ["verify", "symplectic", "--seed", "1.5"],
+    ["variety", "--name", "3_1", "--seed", "nan"],
+    ["verify", "symplectic", "--seed", "inf"],
 ])
 def test_out_of_range_counts_and_radii_are_usage_errors(runner, tmp_path, args):
     result = _run(runner, tmp_path, args)
@@ -372,9 +359,8 @@ def test_record_config_holds_exactly_the_command_options(runner, tmp_path):
     io_keys = {"as_json", "run_dir"}
     cases = {
         "variety": (["--braid", "2: 1 1 1", "--seeds", "64"],
-                    {"name", "braid_text", "seeds", "seed", "tol",
-                     "link_radius", "khovanov_csv"}),
-        "invariants": (["--name", "4_1"], {"name", "braid_text", "khovanov_csv"}),
+                    {"name", "braid_text", "seeds", "seed"}),
+        "invariants": (["--name", "4_1"], {"name", "braid_text"}),
         "verify": (["hessian"], {"which", "seed", "trials"}),
     }
     for command, (args, keys) in cases.items():

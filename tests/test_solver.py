@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
+from repvar import solver
 from repvar.braid import (
     BraidWord,
     act_array,
     differential_arrays,
     is_singular_config,
+    knot_by_name,
     parse_braid,
     random_configurations,
     tangent_basis,
@@ -26,6 +28,7 @@ from repvar.solver import (
     SolverConfig,
     _classify,
     _tangent_jacobian,
+    _trace_loop,
     angle_case_9_42,
     cluster_indices,
     invariant_features,
@@ -98,11 +101,15 @@ def test_tangent_jacobian_matches_finite_differences():
     assert worst < 1e-6, worst
 
 
-@pytest.mark.parametrize("n", [17, 25, 35])
+@pytest.mark.parametrize("n", [12, 13, 17, 25, 35, 41])
 def test_long_torus_solves_keep_every_seed(n):
     # a long word amplifies any drift off the spheres: seeds are lost to
-    # the polish, and by T(2,35) the Jacobian overflows (LinAlgError)
-    assert solve(BraidWord(2, (1,) * n)).seeds_converged == 1536
+    # the polish, and by T(2,35) the Jacobian overflows (LinAlgError); from
+    # T(2,12) on, neighbouring orbits are closer than any fixed link radius
+    report = solve(BraidWord(2, (1,) * n))
+    assert report.seeds_converged == 1536
+    checks = census_checks(report)
+    assert checks and all(c["passed"] for c in checks), checks
 
 
 def test_residual_is_conjugation_invariant():
@@ -224,8 +231,10 @@ def test_classify_reads_the_nullity_off_a_clean_gap():
     sv = np.array([1.0, 0.3, 1e-12, 0.0])
     assert _classify(sv, True)[:2] == (2, "S2")
     assert _classify(sv, False)[:2] == (2, "UNKNOWN")  # a 2-dim nonabelian set
+    # one direction more than an orbit: RP3 x S1 only from a traced loop
     sv = np.array([1.0, 0.5, 0.1, 0.05, 1e-9, 0.0, 0.0, 0.0])
-    assert _classify(sv, True)[:2] == (4, "PRODUCT_RP3_S1")
+    assert _classify(sv, True)[:2] == (4, "UNKNOWN")
+    assert _classify(sv, False)[:2] == (4, "UNKNOWN")
 
 
 def test_classify_without_a_clean_gap_is_unknown():
@@ -250,6 +259,36 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
     assert [c["name"] for c in checks] == ["census.torus_components",
                                            "census.torus_angles"]
     assert all(c["passed"] for c in checks), checks
+
+
+def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):
+    # the S1 factor is traced, not read off the nullity: one loop closes,
+    # and its component holds every surviving seed of nullity 4
+    survivors, paths = [], []
+
+    def features(pts):
+        survivors.append(pts)
+        return invariant_features(pts)
+
+    def trace(word, start):
+        paths.append(_trace_loop(word, start))
+        return paths[-1]
+
+    monkeypatch.setattr(solver, "invariant_features", features)
+    monkeypatch.setattr(solver, "_trace_loop", trace)
+    word = knot_by_name("square").word
+    report = solve(word)
+    [path] = paths
+    steps = np.linalg.norm(np.diff(path, axis=0), axis=-1)
+    assert len(path) > 3 and np.linalg.norm(path[-1] - path[0]) <= steps.max()
+    pts = survivors[0]
+    assert len(pts) == report.seeds_converged
+    jac, _ = _tangent_jacobian(word, pts, *tangent_basis(pts))
+    sv = np.linalg.svd(jac, compute_uv=False)
+    nullity = np.count_nonzero(sv < NULL_TOL * sv[:, :1], axis=1)
+    [loop] = [c for c in report.components if c.topology_tag == "PRODUCT_RP3_S1"]
+    assert loop.sample_count == np.count_nonzero(nullity == 4)
+    assert "UNKNOWN" not in [c.topology_tag for c in report.components]
 
 
 def _clean_intersection_dimension(word, g):

@@ -269,9 +269,9 @@ class KnotEntry:
 
 def load_knot_table() -> dict[str, KnotEntry]:
     """Braid representatives shipped as data.  Loading re-validates that each
-    closure really is a knot; the determinant column is re-checked against
-    the Burau computation in the invariants module (and in the tests), so a
-    bad entry cannot survive silently."""
+    closure really is a knot.  The determinant column is not checked here:
+    `invariants.validate_knot_table` recomputes it from the Burau chain, and
+    only `test_determinants_match_the_shipped_table` calls that."""
     text = resources.files("repvar").joinpath("data/braids.txt").read_text()
     table: dict[str, KnotEntry] = {}
     for line in text.splitlines():

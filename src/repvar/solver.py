@@ -180,8 +180,8 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
     for i, j in combinations(range(n), 2):
         feats.append(np.sum(pts[..., i, :] * pts[..., j, :], axis=-1))
     for i, j, k in combinations(range(n), 3):
-        cross = np.cross(pts[..., i, :], pts[..., j, :])
-        feats.append(np.sum(cross * pts[..., k, :], axis=-1))
+        volume = cross(pts[..., i, :], pts[..., j, :]) * pts[..., k, :]
+        feats.append(np.sum(volume, axis=-1))
     out = np.stack(feats, axis=-1)
     return out[0] if single else out
 
@@ -438,7 +438,7 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
         alpha = circle_point(-2.0 * t)
         v1 = b - np.dot(b, alpha) * alpha
         v1 = v1 / np.linalg.norm(v1)
-        v2 = np.cross(alpha, v1)
+        v2 = cross(alpha, v1)
         cos_psi = 0.5 / np.dot(b, v1)
         sin_psi = math.sqrt(1.0 - cos_psi**2)
         for sign in (+1.0, -1.0):
@@ -451,7 +451,7 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
                     tuple(b),
                     tuple(c),
                     _crossing_residual(a, b, c),
-                    float(np.dot(np.cross(a, b), c)),
+                    float(np.dot(cross(a, b), c)),
                 )
             )
 
@@ -469,7 +469,7 @@ def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
                 tuple(b),
                 tuple(c),
                 _crossing_residual(a, b, c),
-                float(np.dot(np.cross(a, b), c)),
+                float(np.dot(cross(a, b), c)),
             )
         )
     return tuple(sols)

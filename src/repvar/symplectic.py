@@ -391,7 +391,7 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
             p = rng.normal(size=3)
             p -= np.dot(p, axis) * axis
             p /= np.linalg.norm(p)
-            q = -cphi * p + s_norm * np.cross(axis, p)
+            q = -cphi * p + s_norm * cross(axis, p)
         out[s, m - 2] = p
         out[s, m - 1] = q
     return out

@@ -47,6 +47,20 @@ def seifert_alexander(name: str) -> tuple[int, ...]:
     return tuple(int(c) for c in det)
 
 
+def poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two square matrices over Z[t, t^-1] held as (k, k, d)
+    coefficient arrays, lowest exponent first: row times column, with each
+    entry product a convolution.  The lowest exponents add, so the product
+    of two centred arrays (offsets (da - 1)/2 and (db - 1)/2) is centred."""
+    k = a.shape[0]
+    out = np.zeros((k, k, a.shape[2] + b.shape[2] - 1), dtype=object)
+    for i in range(k):
+        for j in range(k):
+            for m in range(k):
+                out[i, j] += np.convolve(a[i, m], b[m, j])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Rotation oracle: conjugation in SU(2) is a rotation of the vector part.
 

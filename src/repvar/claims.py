@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from . import braid, chern, hessian, symplectic
+from . import braid, chern, hessian, su2, symplectic
 
 if TYPE_CHECKING:  # the verify suites never load the solver
     from .solver import SolveReport
@@ -78,9 +78,8 @@ class Measurements:
     @functools.cached_property
     def hprime_pfaffians(self) -> tuple[int, ...]:
         """Pf(H'(n)) for every n in HESSIAN_SIZES from one elimination of the
-        largest H', of which each smaller one is the leading block."""
-        return tuple(hessian.leading_pfaffians(
-            hessian.build_hprime(HESSIAN_SIZES[-1])))
+        largest H', read off the largest H as `hessian.build_hprime` is."""
+        return tuple(hessian.leading_pfaffians(self.hessians[-1][1::2, 0::2]))
 
     @functools.cached_property
     def contour(self) -> np.ndarray:
@@ -251,24 +250,26 @@ def torus_components(n: int) -> tuple[PredictedComponent, ...]:
     return tuple(out)
 
 
-def _pair_angle(component) -> float:
-    """Angle between the two points of a 2-strand representative."""
-    a, b = component.representative.as_array()
-    return math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
 def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
-    word: that of the table knot with this word, and T(2, n) for a 2-strand
-    word of exponent sum +-n, n >= 1.  A word with neither gets none."""
-    from . import invariants  # only a census needs the knot invariants
+    word: that of the table knot with this word, the Fox colourings of any
+    knot word, and T(2, n) for a 2-strand word of exponent sum +-n, n >= 1.
+
+    `census.binary_dihedral` counts the nonabelian colouring classes within
+    sqrt(DESCENT_TOL) of a distinct RP3 representative (in the solver's
+    rotation invariants) and the RP3 flagged binary dihedral: (det - 1) / 2
+    each.  A report with an RP3 x S1, as the square knot's, skips it: classes
+    on a traced loop cannot be located until the report carries its path."""
+    from . import invariants, solver  # only a census needs them
 
     word, comps = report.word, report.components
     tagged = sorted([c.topology_tag, c.est_dimension] for c in comps)
     knot = braid.knot_name(word)
+    is_knot = braid.closure_components(word) == 1
+    det = invariants.determinant(word) if is_knot else None
     checks = []
     if knot in TWO_BRIDGE_KNOTS:
-        pred = invariants.two_bridge_prediction(invariants.determinant(word))
+        pred = invariants.two_bridge_prediction(det)
         checks.append(check_record(
             "census.components", "equals", tagged,
             sorted([["S2", 2]] * pred.spheres
@@ -281,10 +282,27 @@ def census_checks(report: SolveReport) -> list[dict]:
         checks.append(check_record(
             "census.abelian_dimensions", "equals",
             sorted(c.est_dimension for c in comps if c.is_abelian), [2]))
+    if is_knot and "PRODUCT_RP3_S1" not in (c.topology_tag for c in comps):
+        classes = invariants.colourings(word)[1:]
+        rp3 = [c for c in comps if c.topology_tag == "RP3"]
+        matched = set()
+        if classes and rp3:
+            turns = 2.0 * math.pi * np.array(classes, dtype=float)
+            apart = np.linalg.norm(
+                solver.invariant_features(su2.circle_point(turns))[:, None]
+                - solver.invariant_features(np.array(
+                    [c.representative.points for c in rp3])), axis=-1)
+            matched = {int(row.argmin()) for row in apart
+                       if row.min() <= math.sqrt(solver.DESCENT_TOL)}
+        checks.append(check_record(
+            "census.binary_dihedral", "equals",
+            [len(matched), sum(c.is_binary_dihedral for c in rp3)],
+            [(det - 1) // 2] * 2))
     crossings = abs(sum(word.letters))
     if word.strands == 2 and crossings >= 1:
         torus = torus_components(crossings)
-        angles = sorted(_pair_angle(c) for c in comps)
+        angles = sorted(math.acos(np.clip(np.dot(*c.representative.points),
+                                          -1.0, 1.0)) for c in comps)
         want_angles = sorted(c.angle for c in torus)
         # a census of the wrong size scores pi, the largest angle error
         error = (max(abs(a - b) for a, b in zip(angles, want_angles))

@@ -234,7 +234,7 @@ def invariants(name, braid_text, as_json, run_dir) -> None:
             "invariants need a knot")
     ranks = invariants_mod.load_khovanov_ranks()
     poly = invariants_mod.alexander(word)
-    det = invariants_mod.determinant(word)
+    det = poly.determinant()
     prediction = invariants_mod.two_bridge_prediction(det)
     results = {
         "input": label,

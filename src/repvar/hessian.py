@@ -5,11 +5,11 @@ has an exact integer Hessian in the natural slot coordinates.  Everything
 about it is an integer identity: the matrix is block tridiagonal with one
 repeating 4x4 diagonal block and one repeating off-diagonal block, the
 swap-adjacent-coordinates permutation conjugates it to its negative (hence
-signature 0), and deleting alternate rows and columns of its skew form
-leaves a pentadiagonal skew matrix whose Pfaffian obeys a two-term integer
-recurrence.  Both matrices for n pairs are leading blocks of the ones for
-any larger n, so one elimination of the largest H' gives the Pfaffians of
-all the smaller ones.  Floating point appears only in the eigenvalue-based
+signature 0), and its odd rows and even columns form a pentadiagonal skew
+matrix H' whose Pfaffian obeys a two-term integer recurrence.  Both
+matrices for n pairs are leading blocks of the ones for any larger n, so
+one elimination of the largest H' gives the Pfaffians of all the smaller
+ones.  Floating point appears only in the eigenvalue-based
 signature check; determinants and Pfaffians come from fraction-free
 elimination over Python integers, so they are exact.  Every function here
 is a plain function of its inputs and keeps nothing between calls.
@@ -126,25 +126,11 @@ def signature(eigs: np.ndarray) -> int:
 
 
 def build_hprime(n: int) -> np.ndarray:
-    """Pentadiagonal skew (2n-2)x(2n-2) reduction of the Hessian, read-only.
-
-    First band alternates 2, -2, 2, ...; second band alternates -1, 1, -1,
-    ...; lower triangle by antisymmetry.  Equals the odd-indexed rows and
-    columns (1-based) of build_hessian(n) with rows 2j and 2j+1 (0-based)
-    exchanged.  The bands do not depend on n, so build_hprime(n) is the
-    leading block of build_hprime(m) for every m > n, and
-    ``leading_pfaffians(build_hprime(m))`` lists Pf(H'(n)) for n = 2..m.
-    """
-    _require_pairs(n)
-    size = 2 * n - 2
-    m = np.zeros((size, size), dtype=np.int64)
-    for i in range(size - 1):
-        m[i, i + 1] = 2 if i % 2 == 0 else -2
-    for i in range(size - 2):
-        m[i, i + 2] = -1 if i % 2 == 0 else 1
-    m = m - m.T
-    m.setflags(write=False)
-    return m
+    """Pentadiagonal skew (2n-2)x(2n-2) reduction of the Hessian, read-only:
+    its odd rows and even columns, counted from 0.  H couples only opposite
+    parities, so with the even coordinates first it is [[0, H'^T], [H', 0]]
+    and det H = det(H')^2 = Pf(H')^4."""
+    return build_hessian(n)[1::2, 0::2]
 
 
 def _integer_rows(m: np.ndarray) -> list[list[int]]:

@@ -5,7 +5,8 @@ integers, lowest exponent first, so nothing here overflows and nothing is
 floating point.  The chain is: braid word -> reduced Burau coefficient array
 -> det(B - I) by cofactors, with ``np.convolve`` as the product -> synthetic
 division by 1 + t + ... + t^(n-1) -> normalized Alexander polynomial ->
-determinant |value at t = -1|.
+determinant |value at t = -1|.  `colourings`, the Fox colourings of the
+word (the binary-dihedral fixed points of the action), count det again.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 import numpy as np
 
@@ -52,6 +54,13 @@ class LaurentPoly:
             term = f"{c}" if e == 0 else (f"{c}*t" if e == 1 else f"{c}*t^{e}")
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
+
+    def determinant(self) -> int:
+        """|value at t = -1|, odd for a knot; an even value raises."""
+        det = abs(int(self.evaluate(-1)))
+        if det % 2 == 0:
+            raise InternalError(f"knot determinant {det} is even; Burau chain is broken")
+        return det
 
 
 def burau_reduced(word: BraidWord) -> np.ndarray:
@@ -120,11 +129,7 @@ def alexander(word: BraidWord) -> LaurentPoly:
     t = 1 is +1.  Raises NonKnotError for multi-component closures and
     InexactDivisionError if the division fails (which would mean a bug).
     """
-    if closure_components(word) != 1:
-        raise NonKnotError(
-            f"closure of {word} has {closure_components(word)} components; "
-            "the Alexander chain here is for knots only"
-        )
+    _require_knot(word)
     if word.strands == 1:
         return LaurentPoly(0, (1,))
     matrix = burau_reduced(word)
@@ -147,13 +152,75 @@ def alexander(word: BraidWord) -> LaurentPoly:
 
 
 def determinant(word: BraidWord) -> int:
-    """|Alexander at t = -1|.  Always odd for a knot; an even value is a bug
-    signal and raises."""
-    value = alexander(word).evaluate(-1)
-    det = abs(int(value))
-    if det % 2 == 0:
-        raise InternalError(f"knot determinant {det} is even; Burau chain is broken")
-    return det
+    """|Alexander at t = -1|, odd for a knot (see `LaurentPoly.determinant`)."""
+    return alexander(word).determinant()
+
+
+def _require_knot(word: BraidWord) -> None:
+    if (pieces := closure_components(word)) != 1:
+        raise NonKnotError(f"closure of {word} has {pieces} components; "
+                           "the invariants here are for knots only")
+
+
+def _smith(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors d of an integer matrix a of full column rank, and a
+    unimodular W with U a W = diag(d), U unimodular: the Smith normal form,
+    pivoting on the smallest nonzero entry left."""
+    rows, cols = len(a), len(a[0])
+    w = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    for k in range(cols):
+        while True:
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(k, rows)
+                          for j in range(k, cols) if a[i][j])
+            a[k], a[i] = a[i], a[k]
+            for r in (*a, *w):
+                r[k], r[j] = r[j], r[k]
+            for i in range(k + 1, rows):
+                q = a[i][k] // a[k][k]
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, cols):
+                q = a[k][j] // a[k][k]
+                for r in (*a, *w):
+                    r[j] -= q * r[k]
+            if not any(a[k][k + 1:]) and not any(r[k] for r in a[k + 1:]):
+                # an entry the pivot does not divide joins the pivot row
+                bad = [r for r in a[k + 1:] if any(x % a[k][k] for x in r)]
+                if not bad:
+                    break
+                a[k] = [x + y for x, y in zip(a[k], bad[0])]
+    return [abs(a[k][k]) for k in range(cols)], w
+
+
+# a letter's action on the angles of its two slots (inverse letter, letter)
+_ANGLE_BLOCKS = (np.array([[0, 1], [-1, 2]], dtype=object),
+                 np.array([[2, -1], [1, 0]], dtype=object))
+
+
+def colourings(word: BraidWord) -> list[tuple[Fraction, ...]]:
+    """Fox colourings of the knot closure up to sign: turns x in [0, 1)^n
+    with x_1 = 0, one per pair x, -x mod 1, the trivial class first.
+
+    Points at angles 2 pi x on one great circle are fixed by `act_array`
+    exactly when (B - I) x = 0 mod 1, B the unreduced Burau matrix at t = -1
+    composed as `act_array` composes letters: a letter takes the angles
+    (a, b) of its slots to (2a - b, a), its inverse to (b, 2b - a).  The
+    solutions form a group of order det, read off the Smith normal form of
+    (B - I)[:, 1:]; each nontrivial class is one binary-dihedral
+    representation.  Raises NonKnotError on a link."""
+    _require_knot(word)
+    n = word.strands
+    b = np.eye(n, dtype=int).astype(object)
+    for letter in word.letters:
+        i = abs(letter) - 1
+        b[:, i:i + 2] = b[:, i:i + 2] @ _ANGLE_BLOCKS[letter > 0]
+    b[range(n), range(n)] -= 1
+    factors, w = _smith(b[:, 1:].tolist())
+    classes = set()
+    for c in product(*map(range, factors)):
+        y = [Fraction(ci, d) for ci, d in zip(c, factors)]
+        x = (Fraction(0), *(sum(a * b for a, b in zip(row, y)) % 1 for row in w))
+        classes.add(min(x, tuple(-xi % 1 for xi in x)))
+    return sorted(classes)
 
 
 @dataclass(frozen=True)

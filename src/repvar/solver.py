@@ -41,7 +41,7 @@ from .braid import (
     tangent_basis,
     tangent_frames,
 )
-from .su2 import circle_point, cross, reflect
+from .su2 import cross
 
 ABELIAN_TOL = 1e-6
 MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
@@ -60,7 +60,6 @@ class SolverConfig:
     rng_seed: int = 0
 
 
-TOPOLOGY_TAGS = ("S2", "RP3", "PRODUCT_RP3_S1", "UNKNOWN")
 # Rational cohomology rank of a component by tag: S2 and RP3 each have one
 # class in degree 0 and one on top; RP3 x S1 has Poincare polynomial
 # (1 + t^3)(1 + t).  An UNKNOWN component has no rank.
@@ -378,98 +377,3 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         seeds_total=config.seeds,
         seeds_converged=int(len(survivors)),
     )
-
-
-# --- the exact crossing-equation cases for the 8-component knot ---------------
-#
-# The three conjugation equations come from a 9-crossing diagram whose arcs
-# reduce to three unknown class points a, b, c; x(y) below is conjugation,
-# i.e. the half-turn of y about x.  The solution set splits into the
-# diagonal sphere, a pentagonal family (angle pi/5 type) with the third
-# point off the great circle, and a heptagonal family (angle 2*pi/7 type)
-# with all three points on one great circle.
-
-
-def _crossing_residual(a, b, c) -> float:
-    r = reflect
-    eq1 = r(c, r(b, r(a, b))) - r(a, r(b, a))
-    eq2 = r(a, r(b, r(a, r(b, a)))) - r(c, r(b, c))
-    eq3 = r(c, r(b, r(c, b))) - r(a, r(b, r(a, r(b, r(a, c)))))
-    return float(
-        np.linalg.norm(eq1) ** 2 + np.linalg.norm(eq2) ** 2 + np.linalg.norm(eq3) ** 2
-    )
-
-
-@dataclass(frozen=True)
-class AngleCaseSolution:
-    case: str
-    parameters: dict
-    a: tuple[float, float, float]
-    b: tuple[float, float, float]
-    c: tuple[float, float, float]
-    residual: float
-    triple_volume: float
-
-
-def angle_case_9_42() -> tuple[AngleCaseSolution, ...]:
-    """Exact representatives of every solution family of the three crossing
-    equations: the diagonal point, the four pentagonal solutions (two angles
-    times two mirror choices of c, separated by the sign of det(a,b,c)),
-    and the three heptagonal ones."""
-    sols = []
-
-    a = circle_point(0.0)
-    sols.append(
-        AngleCaseSolution(
-            "diagonal",
-            {},
-            tuple(a),
-            tuple(a),
-            tuple(a),
-            _crossing_residual(a, a, a),
-            0.0,
-        )
-    )
-
-    # pentagonal: b at angle t from a with 5t + pi = 0 mod 2pi; c off the
-    # circle, orthogonal to the point at -2t, at distance pi/3 from b.
-    for t in (math.pi / 5.0, 3.0 * math.pi / 5.0):
-        b = circle_point(t)
-        alpha = circle_point(-2.0 * t)
-        v1 = b - np.dot(b, alpha) * alpha
-        v1 = v1 / np.linalg.norm(v1)
-        v2 = cross(alpha, v1)
-        cos_psi = 0.5 / np.dot(b, v1)
-        sin_psi = math.sqrt(1.0 - cos_psi**2)
-        for sign in (+1.0, -1.0):
-            c = cos_psi * v1 + sign * sin_psi * v2
-            sols.append(
-                AngleCaseSolution(
-                    "pentagonal",
-                    {"angle": t, "mirror": int(sign)},
-                    tuple(a),
-                    tuple(b),
-                    tuple(c),
-                    _crossing_residual(a, b, c),
-                    float(np.dot(cross(a, b), c)),
-                )
-            )
-
-    # heptagonal: all three on one great circle, c at angle v from a and
-    # b at 2v, with 7v = 0 mod 2pi.
-    for k in (1, 2, 3):
-        v = 2.0 * math.pi * k / 7.0
-        b = circle_point(2.0 * v)
-        c = circle_point(v)
-        sols.append(
-            AngleCaseSolution(
-                "heptagonal",
-                {"angle": v},
-                tuple(a),
-                tuple(b),
-                tuple(c),
-                _crossing_residual(a, b, c),
-                float(np.dot(cross(a, b), c)),
-            )
-        )
-    return tuple(sols)

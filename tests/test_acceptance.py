@@ -23,7 +23,7 @@ from repvar.braid import (
 )
 from repvar.invariants import (alexander, determinant, load_khovanov_ranks,
                                two_bridge_prediction)
-from repvar.solver import angle_case_9_42, variety_rank
+from repvar.solver import variety_rank
 from repvar.symplectic import random_coefficients
 
 
@@ -77,16 +77,17 @@ def test_criterion_02_two_bridge_counts(solve_table):
 
 def test_criterion_03_eight_component_knot(solve_table):
     report, elapsed = solve_table("9_42")
-    _, census_ok = _census(report, "census.dimensions",
-                           "census.abelian_dimensions")
-    cases = angle_case_9_42()
-    worst_res = max(s.residual for s in cases)
-    ok = census_ok and worst_res < 1e-10 and elapsed < 300.0
+    checks, census_ok = _census(report, "census.dimensions",
+                                "census.abelian_dimensions",
+                                "census.binary_dihedral")
+    matched, flagged = checks["census.binary_dihedral"]["value"]
+    ok = census_ok and elapsed < 300.0
     _report(
         "criterion 03 9_42-variety",
         ok,
-        f"8 components (1 abelian dim 2, 7 dim 3), exact-case residual "
-        f"{worst_res:.1e} < 1e-10, solve {elapsed:.1f}s (budget 300s)",
+        f"8 components (1 abelian dim 2, 7 dim 3), {matched}/3 Fox colouring "
+        f"classes on their own RP3 and {flagged} flagged binary dihedral, "
+        f"solve {elapsed:.1f}s (budget 300s)",
     )
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from repvar import chern, claims, hessian, symplectic
 from repvar.braid import BraidWord, Configuration, load_knot_table, parse_braid
-from repvar.solver import ComponentReport, SolveReport
+from repvar.invariants import colourings
+from repvar.solver import ComponentReport, SolveReport, invariant_features
+from repvar.su2 import circle_point
 
 # (name, kind, bound) of every claim, in report order.  A loosened bound or
 # a renamed, dropped or reordered claim fails here.
@@ -94,8 +96,9 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
 
 
 def test_each_run_builds_each_hessian_once(monkeypatch):
-    # H(n) and H'(n) only for the largest n: the smaller ones are their
-    # leading blocks, and one elimination gives all the Pfaffians
+    # H(n) only for the largest n: the smaller ones are its leading blocks,
+    # H'(n) is read off its odd rows and even columns, and one elimination
+    # gives all the Pfaffians
     calls = []
     zeros = np.zeros
     eliminations = []
@@ -112,8 +115,7 @@ def test_each_run_builds_each_hessian_once(monkeypatch):
     monkeypatch.setattr(np, "zeros", counting)
     monkeypatch.setattr(hessian, "_eliminate", counting_eliminate)
     names = [c.name for c in claims.CLAIMS if c.name.startswith("hessian.")]
-    sizes = [4 * claims.HESSIAN_SIZES[-1] - 4,  # H(8)
-             2 * claims.HESSIAN_SIZES[-1] - 2]  # H'(8)
+    sizes = [4 * claims.HESSIAN_SIZES[-1] - 4]  # H(8)
     for _ in range(2):
         calls.clear()
         eliminations.clear()
@@ -176,17 +178,24 @@ def test_each_run_winds_each_contour_once(monkeypatch, suite):
 # --- reference censuses ----------------------------------------------------------
 
 
-def _solved(word: BraidWord, census) -> SolveReport:
+def _solved(word: BraidWord, census, classes=()) -> SolveReport:
     """A report of `word` with one component per (tag, dimension, abelian,
-    angle) entry; the angle is the one between the first two points."""
-    comps = []
-    for cid, (tag, dim, abelian, angle) in enumerate(census):
+    angle) entry, the angle the one between the first two points, and then
+    one RP3 at each class of `classes` (turns of points on one great
+    circle).  A class's RP3, and as in the solver every configuration of
+    fewer than three points, is flagged binary dihedral."""
+    reps = []
+    for tag, dim, abelian, angle in census:
         rep = np.zeros((word.strands, 3))
         rep[:, 0] = 1.0
         rep[1] = [math.cos(angle), math.sin(angle), 0.0]
-        comps.append(ComponentReport(
-            cid, Configuration.from_array(rep), 10, dim, tag, False, abelian,
-            0.0, (None, None)))
+        reps.append((rep, dim, tag, word.strands < 3, abelian))
+    for turns in classes:
+        rep = circle_point(2.0 * math.pi * np.array(turns, dtype=float))
+        reps.append((rep, 3, "RP3", True, False))
+    comps = [ComponentReport(cid, Configuration.from_array(rep), 10, dim, tag,
+                             dihedral, abelian, 0.0, (None, None))
+             for cid, (rep, dim, tag, dihedral, abelian) in enumerate(reps)]
     return SolveReport(word, tuple(comps), 64, 64)
 
 
@@ -210,23 +219,29 @@ def test_every_table_knot_has_a_reference_census():
 
 def test_a_table_knot_is_checked_against_its_own_census():
     word = load_knot_table()["9_42"].word
-    census = [("S2", 2, True, 0.0)] + [("RP3", 3, False, 1.0)] * 7
-    checks = claims.census_checks(_solved(word, census))
+    # its 3 heptagonal RP3 are its Fox colouring classes, the other 4 are not
+    classes = colourings(word)[1:]
+    census = [("S2", 2, True, 0.0)] + [("RP3", 3, False, 1.0)] * 4
+    checks = claims.census_checks(_solved(word, census, classes))
     assert [c["name"] for c in checks] == ["census.dimensions",
-                                           "census.abelian_dimensions"]
+                                           "census.abelian_dimensions",
+                                           "census.binary_dihedral"]
     assert all(c["passed"] for c in checks)
+    assert checks[-1]["value"] == [3, 3]
     # a second abelian component fails only the abelian check
     census[1] = ("RP3", 3, True, 1.0)
-    checks = claims.census_checks(_solved(word, census))
-    assert [c["passed"] for c in checks] == [True, False]
+    checks = claims.census_checks(_solved(word, census, classes))
+    assert [c["passed"] for c in checks] == [True, False, True]
 
 
 @pytest.mark.parametrize("text, n", [("2: 1 1 1 1", 4), ("2: -1 -1 -1 -1 -1", 5),
                                      ("2: 1 -1 1", 1)])
 def test_a_two_strand_word_is_checked_against_its_torus_census(text, n):
     checks = claims.census_checks(_solved(parse_braid(text), _torus_census(n)))
-    assert [c["name"] for c in checks] == ["census.torus_components",
-                                           "census.torus_angles"]
+    names = ["census.torus_components", "census.torus_angles"]
+    if n % 2:  # a knot: its Fox colourings too
+        names.insert(0, "census.binary_dihedral")
+    assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
 
 
@@ -235,7 +250,8 @@ def test_a_torus_word_of_the_table_gets_both_censuses():
                                           _torus_census(3)))
     assert [c["name"] for c in checks] == [
         "census.components", "census.abelian_dimensions",
-        "census.torus_components", "census.torus_angles"]
+        "census.binary_dihedral", "census.torus_components",
+        "census.torus_angles"]
     assert all(c["passed"] for c in checks)
 
 
@@ -252,6 +268,35 @@ def test_torus_angles_must_match():
     assert angles["value"] == math.pi and not angles["passed"]
 
 
-@pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:", "4: 1 -2 3"])
+@pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:"])
 def test_a_word_with_no_reference_gets_no_checks(text):
     assert claims.census_checks(_solved(parse_braid(text), [])) == []
+
+
+def test_any_knot_word_is_checked_against_its_fox_colourings():
+    # an unknot on four strands: no nonabelian class, and no RP3
+    [check] = claims.census_checks(_solved(parse_braid("4: 1 -2 3"), []))
+    assert check["name"] == "census.binary_dihedral"
+    assert check["value"] == check["expected"] == [0, 0] and check["passed"]
+    # T(3, 4): its one class, then an unflagged RP3 away from it instead
+    word = parse_braid("3: 1 2 1 2 1 2 1 2")
+    [check] = claims.census_checks(_solved(word, [], colourings(word)[1:]))
+    assert check["value"] == check["expected"] == [1, 1] and check["passed"]
+    [check] = claims.census_checks(_solved(word, [("RP3", 3, False, 1.0)]))
+    assert check["value"] == [0, 0] and not check["passed"]
+
+
+def test_a_representative_2e_6_off_its_class_is_not_matched():
+    word = parse_braid("3: 1 2 1 2 1 2 1 2")
+    [turns] = colourings(word)[1:]
+    # turning the last point by d changes only its dot product with the
+    # second, which is 2 pi / 3 away: by sin(2 pi / 3) d to first order
+    off = np.array(turns, dtype=float) * 2.0 * math.pi
+    off[-1] += 2e-6 / math.sin(2.0 * math.pi / 3.0)
+    apart = np.linalg.norm(
+        invariant_features(circle_point(off))
+        - invariant_features(circle_point(np.array(turns, dtype=float)
+                                          * 2.0 * math.pi)))
+    assert apart == pytest.approx(2e-6, rel=1e-3)
+    [check] = claims.census_checks(_solved(word, [], [off / (2.0 * math.pi)]))
+    assert check["value"] == [0, 1] and not check["passed"]

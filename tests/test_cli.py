@@ -63,7 +63,8 @@ def test_variety_by_name(runner, tmp_path):
     assert record["passed"] is True
     assert [c["name"] for c in record["checks"]] == [
         "census.components", "census.abelian_dimensions",
-        "census.torus_components", "census.torus_angles"]
+        "census.binary_dihedral", "census.torus_components",
+        "census.torus_angles"]
     comps = record["results"]["components"]
     assert len(comps) == 2
     tags = sorted(c["topology_tag"] for c in comps)
@@ -113,7 +114,8 @@ def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
 
 @pytest.mark.parametrize("text, names", [
     ("3: 1 1", []),
-    ("2: 1 -1 1", ["census.torus_components", "census.torus_angles"]),
+    ("2: 1 -1 1", ["census.binary_dihedral", "census.torus_components",
+                   "census.torus_angles"]),
 ])
 def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
                                                          text, names):
@@ -123,8 +125,10 @@ def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
     record = json.loads(result.output)
     assert [c["name"] for c in record["checks"]] == names
     assert record["passed"] is True
-    if names:  # the word is sigma_1: the unknot's one S2
-        assert record["checks"][0]["expected"] == [["S2", 2]]
+    if names:  # the word is sigma_1: the unknot's one S2, no colouring
+        checks = {c["name"]: c for c in record["checks"]}
+        assert checks["census.torus_components"]["expected"] == [["S2", 2]]
+        assert checks["census.binary_dihedral"]["expected"] == [0, 0]
 
 
 def test_variety_requires_exactly_one_word(runner, tmp_path):
@@ -169,6 +173,24 @@ def test_invariants_for_a_table_knot(runner, tmp_path):
         assert res["two_bridge_prediction"]["cohomology_rank"] == 6
         assert res["khovanov_rank"] == 6
         assert res["prediction_matches_khovanov"] is True
+
+
+def test_invariants_runs_the_burau_chain_once(runner, tmp_path, monkeypatch):
+    # the determinant is the Alexander polynomial's, not a second chain's
+    from repvar import invariants
+
+    calls = []
+    burau = invariants.burau_reduced
+
+    def counting(word):
+        calls.append(word)
+        return burau(word)
+
+    monkeypatch.setattr(invariants, "burau_reduced", counting)
+    result = _run(runner, tmp_path, ["invariants", "--name", "5_2", "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["determinant"] == 7
+    assert len(calls) == 1
 
 
 def test_invariants_fails_when_the_khovanov_table_cannot_be_read(

@@ -1,6 +1,8 @@
-"""The exact invariants pipeline: reduced Burau, Alexander, determinant."""
+"""The exact invariants pipeline: reduced Burau, Alexander, determinant, and
+the Fox colourings."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repvar.braid import BraidWord, knot_by_name, load_knot_table, parse_braid
+from repvar.braid import (BraidWord, act_array, closure_components,
+                          knot_by_name, load_knot_table, parse_braid)
 from repvar.invariants import (
     InexactDivisionError,
     LaurentPoly,
@@ -18,11 +21,13 @@ from repvar.invariants import (
     _parse_khovanov_ranks,
     alexander,
     burau_reduced,
+    colourings,
     determinant,
     load_khovanov_ranks,
     two_bridge_prediction,
     validate_knot_table,
 )
+from repvar.su2 import circle_point
 
 
 def _poly(coeffs) -> np.ndarray:
@@ -180,6 +185,70 @@ def test_determinants_match_the_shipped_table():
         "3_1": 3, "4_1": 5, "5_1": 5, "5_2": 7,
         "6_1": 9, "7_1": 7, "9_42": 7, "square": 9,
     }
+
+
+# --- Fox colourings -----------------------------------------------------------------
+
+COLOURED_WORDS = [
+    *(entry.word for entry in load_knot_table().values()),
+    parse_braid("3: 1 2 1 2 1 2 1 2"),  # T(3, 4)
+    parse_braid("3: 1 2 1 2 1 2 1 2 1 2"),  # T(3, 5)
+    parse_braid("3: 1 1 1 2 2 2"),  # granny
+    parse_braid("4: 1 1 1 2 -3 2 -3"),  # 3_1 # 4_1
+    parse_braid("5: 1 -2 1 -2 3 -4 3 -4"),  # 4_1 # 4_1
+    parse_braid("1:"),
+    parse_braid("4: 1 -2 3"),
+]
+
+
+def _random_knot_words(count: int, seed: int = 5) -> list[BraidWord]:
+    rng = np.random.default_rng(seed)
+    words = []
+    while len(words) < count:
+        strands = int(rng.integers(2, 6))
+        letters = tuple(int(rng.integers(1, strands)) * int(rng.choice([-1, 1]))
+                        for _ in range(int(rng.integers(1, 12))))
+        word = BraidWord(strands, letters)
+        if closure_components(word) == 1:
+            words.append(word)
+    return words
+
+
+def test_colourings_count_the_determinant():
+    # a second route to det: (det - 1) / 2 nonabelian classes and the
+    # trivial one, from the Smith normal form rather than the Alexander chain
+    for word in COLOURED_WORDS + _random_knot_words(60):
+        classes = colourings(word)
+        assert len(classes) == (determinant(word) + 1) // 2, word
+        assert classes[0] == (0,) * word.strands
+        assert all(x[0] == 0 and len(x) == word.strands for x in classes)
+
+
+def test_colourings_are_exact_fixed_points_of_the_action():
+    for word in COLOURED_WORDS + _random_knot_words(20, seed=6):
+        classes = colourings(word)
+        assert all(isinstance(x, (int, Fraction)) and 0 <= x < 1
+                   for turns in classes for x in turns)
+        pts = circle_point(2.0 * math.pi * np.array(classes, dtype=float))
+        moved = act_array(word, pts) - pts
+        assert np.max(np.sum(moved * moved, axis=(-2, -1))) < 1e-20, word
+
+
+def test_colourings_follow_the_invariant_factors():
+    # the square knot's colouring group is Z/3 x Z/3, not Z/9: every turn is
+    # a multiple of 1/3, where reducing mod det would give ninths
+    square = colourings(knot_by_name("square").word)
+    assert len(square) == 5
+    assert {x.denominator for turns in square for x in map(Fraction, turns)} == {1, 3}
+    # 9_42: three classes, the heptagonal ones, with turns in sevenths
+    classes = colourings(knot_by_name("9_42").word)[1:]
+    assert len(classes) == 3
+    assert {Fraction(x).denominator for turns in classes for x in turns} == {1, 7}
+
+
+def test_colourings_reject_links():
+    with pytest.raises(NonKnotError):
+        colourings(parse_braid("2: 1 1"))
 
 
 # --- component-count prediction and the rank comparison ----------------------------

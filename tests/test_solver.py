@@ -1,4 +1,4 @@
-"""Fixed-point solver: residuals, clustering, censuses, exact angle cases."""
+"""Fixed-point solver: residuals, clustering, censuses."""
 from __future__ import annotations
 
 import dataclasses
@@ -24,12 +24,10 @@ from repvar.braid import (
 from repvar.claims import census_checks, torus_components
 from repvar.solver import (
     NULL_TOL,
-    AngleCaseSolution,
     SolverConfig,
     _classify,
     _tangent_jacobian,
     _trace_loop,
-    angle_case_9_42,
     cluster_indices,
     invariant_features,
     residual_array,
@@ -256,8 +254,10 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
     # representative comes out wrong; the Jacobian's nullity does not
     report = solve(BraidWord(2, (1,) * n), SolverConfig(rng_seed=seed))
     checks = census_checks(report)
-    assert [c["name"] for c in checks] == ["census.torus_components",
-                                           "census.torus_angles"]
+    names = ["census.torus_components", "census.torus_angles"]
+    if n % 2:  # a knot: its Fox colourings too
+        names.insert(0, "census.binary_dihedral")
+    assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
 
 
@@ -346,42 +346,6 @@ def test_torus_census_shapes():
     assert [c.topology_tag for c in c9] == ["S2"] + ["RP3"] * 4
     with pytest.raises(ValueError):
         torus_components(0)
-
-
-def test_angle_cases_for_the_eight_component_knot():
-    sols = angle_case_9_42()
-    assert len(sols) == 8
-    cases = sorted(s.case for s in sols)
-    assert cases == ["diagonal"] + ["heptagonal"] * 3 + ["pentagonal"] * 4
-    for s in sols:
-        assert isinstance(s, AngleCaseSolution)
-        assert s.residual < 1e-10, (s.case, s.parameters, s.residual)
-    # heptagonal families are coplanar with the origin, pentagonal are not,
-    # and the two pentagonal mirrors are separated by the volume sign
-    for s in sols:
-        if s.case == "heptagonal":
-            assert abs(s.triple_volume) < 1e-12
-        if s.case == "pentagonal":
-            assert abs(s.triple_volume) > 1e-3
-    pent = sorted(
-        s.triple_volume for s in sols if s.case == "pentagonal"
-    )
-    assert pent[0] < 0 < pent[-1]
-
-
-def test_angle_case_points_are_unit_and_distinct():
-    sols = angle_case_9_42()
-    feats = []
-    for s in sols:
-        for v in (s.a, s.b, s.c):
-            assert abs(np.linalg.norm(np.array(v)) - 1.0) < 1e-12
-        feats.append(
-            invariant_features(np.array([s.a, s.b, s.c]))
-        )
-    feats = np.array(feats)
-    gaps = np.linalg.norm(feats[:, None, :] - feats[None, :, :], axis=-1)
-    gaps += np.eye(len(sols))
-    assert gaps.min() > 1e-3  # no two cases coincide
 
 
 def test_variety_rank_follows_the_topology_tags(solve_table):

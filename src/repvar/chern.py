@@ -10,8 +10,9 @@ almost-complex structure acts as the imaginary unit, form a 4x4 matrix
 whose determinant has an elementary closed form of modulus 32.  Every
 frame and closed form is a numpy function of an array of piece
 parameters.  One `np.linspace` gives the parameters of all eight pieces,
-their frames are written into one array, and the whole contour is one
-batched `np.linalg.det`.  The modulus, junction and winding checks are
+their frames are written into one read-only array, built once per sampling
+for the life of the process, and every evaluation of the contour is one
+batched `np.linalg.det` of it.  The modulus, junction and winding checks are
 functions of that array of determinants; the contour around the second
 degenerate circle negates every section value, so its determinants are the
 negated array.
@@ -80,7 +81,10 @@ def _fill(out: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-# Each segment's rows as functions of (sin t, cos t).
+# Each segment's rows as functions of (sin t, cos t).  Transcribed: these
+# builders, like each segment's `closed_form` below, are typed in from the
+# paper's frame sections, not yet derived from the `CapCylinderSphere`
+# charts, so the determinant checks compare them only with each other.
 def _rows_disc1_outer(s, c):
     return ((-2.0 * s, 2.0 * c, -2.0j * s, 2.0j * c), _ROW_SECOND,
             _ROW_THIRD_FIRST, (-c, -s, -1.0j * c, -1.0j * s))
@@ -175,20 +179,31 @@ def _require_sampling(samples_per_segment: int) -> None:
             f"got {samples_per_segment}")
 
 
-def contour_determinants(samples_per_segment: int = 64) -> np.ndarray:
-    """Determinants along the first contour in traversal order, one stacked
-    det, read-only.
-
-    Segment k holds entries ``k * samples .. (k + 1) * samples - 1``; its
-    first and last entry sit exactly at its start and end parameter.
-    """
-    _require_sampling(samples_per_segment)
+@functools.cache
+def _frames(samples_per_segment: int) -> np.ndarray:
+    """The section values along the first contour as read-only (8 * samples,
+    4, 4) complex frames in traversal order.  They are an input to the
+    determinant, not a measurement, so they are built once per sampling for
+    the life of the process."""
     params = _parameters(samples_per_segment)
     sin, cos = np.sin(params), np.cos(params)
     frames = np.empty(params.shape + (4, 4), dtype=complex)
     for k, seg in enumerate(CONTOUR):
         _fill(frames[k], seg.rows(sin[k], cos[k]))
-    values = np.linalg.det(frames.reshape(-1, 4, 4))
+    frames = frames.reshape(-1, 4, 4)
+    frames.setflags(write=False)
+    return frames
+
+
+def contour_determinants(samples_per_segment: int = 64) -> np.ndarray:
+    """Determinants along the first contour in traversal order, one stacked
+    det of the process's frames, measured afresh by every call, read-only.
+
+    Segment k holds entries ``k * samples .. (k + 1) * samples - 1``; its
+    first and last entry sit exactly at its start and end parameter.
+    """
+    _require_sampling(samples_per_segment)
+    values = np.linalg.det(_frames(samples_per_segment))
     values.setflags(write=False)
     return values
 

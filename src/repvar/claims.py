@@ -5,7 +5,10 @@ Each geometric claim is one check that ``repvar verify`` reports: its
 bound, ``equals``: value == bound), its bound, and its measurement, a function
 of one run's `Measurements`.  That object carries the run's seed and
 trials, and measures each value that several claims share at most once;
-every run makes a fresh one, so no run reads a value another left behind.
+every run makes a fresh one, so no run reads a measured value another left
+behind.  The inputs the measurements take that never change -- the contour
+frames, the cylinder grid and the sphere charts -- are built once per
+process by `chern` and `symplectic` and are read-only.
 ``repvar verify`` and the acceptance gate run claims from here, and
 ``repvar variety`` and the gate its reference censuses (`census_checks`).
 The library is called through module attributes, so a profiler that swaps
@@ -27,7 +30,9 @@ if TYPE_CHECKING:  # the verify suites never load the solver
 
 HESSIAN_SIZES = range(2, 9)
 # Pf(H'(n)) for n = 2..8, the table the recurrence Pf(n+2) = 2 Pf(n+1) + Pf(n)
-# produces from 2, 5
+# produces from 2, 5.  Transcribed from the paper, like the Hessian blocks
+# and the contour frames the hessian.* and chern.* claims measure: none of
+# them is yet derived from the geometry.
 PFAFFIANS_2_TO_8 = [2, 5, 12, 29, 70, 169, 408]
 
 
@@ -58,7 +63,9 @@ class Measurements:
     Each shared value is a cached property, measured on first use and kept
     only as long as this object: the Hessians H(n) and their spectra, the
     leading Pfaffians of H'(8), the contour determinants, the windings of
-    both contours and the monotonicity report.
+    both contours and the monotonicity report.  So no run reads a value
+    another measured; only the read-only inputs of the contour and of the
+    form's integrals (frames, grids, charts) are shared across runs.
     """
 
     seed: int = 0

@@ -41,6 +41,9 @@ PFAFFIAN_SEEDS = (2, 5)
 # tangent directions of a slot pair to the next pair's; the off-diagonal
 # block couples pairs two apart.  The entries encode the commutator
 # coefficients of the second-order expansion of the holonomy product.
+# Transcribed: they are typed in from the paper, not yet computed from the
+# product-one defect, so the checks on H(n) compare them only with
+# themselves.
 _DIAG_BLOCK = np.array([
     [0, 0, 0, -2],
     [0, 0, 2, 0],

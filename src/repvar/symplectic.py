@@ -270,30 +270,42 @@ def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
     return omega_c_array(base, d1, d2)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# The grids and charts below are inputs to the integral and the maxima, not
+# measurements, so each is built once per key for the life of the process
+# and is read-only; every call evaluates the form on them afresh.  Keys are
+# values (ints, a frozen sphere), never bound methods: those hash by the
+# identity of their object, so every call would miss and add an entry.
+
+
 @functools.cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].  The rule is
-    an input to the integral, not a measurement, so it is computed once per
-    order for the life of the process."""
+def _cylinder_grid(pairs: int, order: int) -> tuple[np.ndarray, ...]:
+    """The cylinder chart over [0, pi] x [0, 2 pi] at the tensor
+    Gauss-Legendre nodes, flattened with node (i, j) at i * order + j: its
+    configurations, its d(theta1) and d(theta2) frames, and the weights
+    along each angle."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    t1 = 0.5 * math.pi * (nodes + 1.0)
+    t2 = math.pi * (nodes + 1.0)
+    g1 = np.repeat(t1, order)
+    g2 = np.tile(t2, order)
+    sphere = CapCylinderSphere(pairs)
+    return _read_only(sphere.cylinder_configuration(g1, g2),
+                      *sphere.cylinder_frames(g1, g2),
+                      0.5 * math.pi * weights, math.pi * weights)
 
 
 def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
     """Tensor Gauss-Legendre integral of the two-form pulled back to the
     cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
     cap_pullback_max)."""
-    nodes, weights = _gauss_legendre(quadrature_order)
-    t1 = 0.5 * math.pi * (nodes + 1.0)
-    w1 = 0.5 * math.pi * weights
-    t2 = math.pi * (nodes + 1.0)
-    w2 = math.pi * weights
-    # the integrand on the flattened grid, node (i, j) at i * order + j
-    g1 = np.repeat(t1, quadrature_order)
-    g2 = np.tile(t2, quadrature_order)
-    values = cylinder_integrand(pairs, g1, g2).reshape(quadrature_order, -1)
+    base, d1, d2, w1, w2 = _cylinder_grid(pairs, quadrature_order)
+    values = omega_c_array(base, d1, d2).reshape(quadrature_order, -1)
     return float(np.einsum("i,j,ij->", w1, w2, values))
 
 
@@ -317,31 +329,40 @@ def _sphere_points(charts: int, samples: int
     return a, u, cross(a, u)
 
 
-def _pullback_max(configuration, frame, samples: int) -> float:
-    """Max |pullback| of the form over the `samples` lattice points A of a
-    sphere chart."""
+@functools.cache
+def _cap_charts(pairs: int, samples: int) -> tuple[np.ndarray, ...]:
+    """Both caps at the lattice points, cap 1 first: their configurations and
+    the frames of the tangent pair at each point."""
+    sphere = CapCylinderSphere(pairs)
+    a, u1, u2 = _sphere_points(2, samples)
+    base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
+                           sphere.cap_configuration(2, a[samples:])])
+    return _read_only(base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2))
+
+
+@functools.cache
+def _adjacent_pair_chart(sphere: AdjacentPairSphere,
+                         samples: int) -> tuple[np.ndarray, ...]:
+    """An adjacent-pair sphere at the lattice points: its configurations and
+    the frames of the tangent pair at each point."""
     a, u1, u2 = _sphere_points(1, samples)
-    values = omega_c_array(configuration(a), frame(a, u1), frame(a, u2))
-    return float(np.max(np.abs(values)))
+    return _read_only(sphere.configuration(a), sphere.frame(a, u1),
+                      sphere.frame(a, u2))
 
 
 def cap_pullback_max(pairs: int, samples: int = 256) -> float:
     """Max |pullback| of the form over the lattice points of both caps (the
     claim under test is that it vanishes identically).  Both caps go through
     one evaluation of the form, cap 1 first."""
-    sphere = CapCylinderSphere(pairs)
-    a, u1, u2 = _sphere_points(2, samples)
-    base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
-                           sphere.cap_configuration(2, a[samples:])])
-    values = omega_c_array(base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2))
-    return float(np.max(np.abs(values)))
+    return float(np.max(np.abs(omega_c_array(*_cap_charts(pairs, samples)))))
 
 
 def adjacent_pair_pullback_max(sphere: AdjacentPairSphere,
                                samples: int = 256) -> float:
     """Max |pullback| of the form over the lattice points of an adjacent-pair
     sphere (vanishes identically)."""
-    return _pullback_max(sphere.configuration, sphere.frame, samples)
+    return float(np.max(np.abs(
+        omega_c_array(*_adjacent_pair_chart(sphere, samples)))))
 
 
 # --- nondegeneracy on the product-one locus -------------------------------------

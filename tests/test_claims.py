@@ -175,6 +175,32 @@ def test_each_run_winds_each_contour_once(monkeypatch, suite):
         assert calls == [8 * 64, 8 * 64]
 
 
+def test_contour_and_sphere_inputs_are_built_once_per_process():
+    # the contour frames, the cylinder grid and the sphere charts are keyed
+    # by value, so repeated runs hit the one entry each instead of adding
+    # entries, and what they hold is read-only
+    caches = ((chern._frames, (64,)),
+              (symplectic._cylinder_grid, (2, 32)),
+              (symplectic._cap_charts, (2, 256)),
+              (symplectic._adjacent_pair_chart,
+               (symplectic.AdjacentPairSphere(3, 1, 2), 256)))
+    names = [c.name for c in claims.CLAIMS
+             if c.name.startswith(("chern.", "monotone."))]
+    claims.run(names)
+    before = [f.cache_info() for f, _ in caches]
+    for _ in range(50):
+        assert all(c["passed"] for c in claims.run(names))
+    for (f, key), info in zip(caches, before):
+        after = f.cache_info()
+        assert (after.misses, after.currsize) == (info.misses, info.currsize)
+        assert after.hits - info.hits == 50
+        held = f(*key)
+        for a in held if isinstance(held, tuple) else (held,):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+
 # --- reference censuses ----------------------------------------------------------
 
 

@@ -226,6 +226,18 @@ def test_verify_fast_suites_pass(runner, tmp_path):
         assert all(c["passed"] for c in record["checks"])
 
 
+def test_verify_checks_repeat_across_runs_in_one_process(runner, tmp_path):
+    # the second pair of runs reads the inputs the first built, and must
+    # measure the same checks
+    checks = {}
+    for suite in ("chern", "monotone", "chern", "monotone"):
+        result = _run(runner, tmp_path, ["verify", suite, "--json"])
+        assert result.exit_code == 0, result.output
+        checks.setdefault(suite, []).append(json.loads(result.output)["checks"])
+    for suite, (first, second) in checks.items():
+        assert second == first, suite
+
+
 def test_verify_sampling_suites_with_reduced_trials(runner, tmp_path):
     for which in ("symplectic", "lagrangian"):
         result = _run(

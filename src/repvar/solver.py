@@ -2,11 +2,12 @@
 
 Pipeline: random seeds on the product of 2-spheres -> Levenberg-Marquardt
 on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
-damping weight and the exact Jacobian in orthonormal tangent coordinates
--> Gauss-Newton polish to machine precision -> clustering into connected
-components -> per-component dimension and topology tag.  The Jacobian is
-the action's one differential, `braid.differential_arrays`, carrying all
-2n tangent frames in one sweep.
+damping weight and the exact Jacobian in orthonormal tangent coordinates,
+run on each seed until its residual is at rounding level (as the damping
+falls, the step becomes the Gauss-Newton step, so the same loop polishes)
+-> clustering into connected components -> per-component dimension and
+topology tag.  The Jacobian is the action's one differential,
+`braid.differential_arrays`, carrying all 2n tangent frames in one sweep.
 
 Grouping detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -50,6 +51,11 @@ MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
 # singular value within a factor 100 of it.
 NULL_TOL = 1e-6
 DESCENT_TOL = 1e-12  # residual bound of a surviving seed
+# Residual (a squared distance) at which the descent stops: a point within
+# 1e-12 of the variety has null singular values near 1e-13, far below the
+# clean-gap floor NULL_TOL / 100, and rotation invariants good to 1e-12,
+# far inside the grouping radius sqrt(DESCENT_TOL).
+POLISH_TOL = DESCENT_TOL ** 2
 LOOP_STEP = 0.02  # tangent step of the RP3 x S1 loop tracer
 LOOP_MAX_STEPS = 2000
 
@@ -98,7 +104,7 @@ class SolveReport:
     note: str = ""
 
 
-# --- residual, Jacobian, Gauss-Newton ---------------------------------------
+# --- residual, Jacobian, descent ---------------------------------------------
 
 
 def residual_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
@@ -126,41 +132,34 @@ def _apply_tangent_step(pts, x, e1, e2):
     return normalize(pts + move)
 
 
-def _gauss_newton(word, pts):
-    """Twelve least-squares Newton steps on F(g) - g = 0 in tangent
-    coordinates."""
-    for _ in range(12):
-        e1, e2 = tangent_basis(pts)
-        A, image = _tangent_jacobian(word, pts, e1, e2)
-        b = -(image - pts).reshape(len(pts), -1)
-        x = np.einsum("sij,sj->si", np.linalg.pinv(A, rcond=1e-8), b)
-        pts = _apply_tangent_step(pts, x, e1, e2)
-    return pts
-
-
-def _levenberg(word, pts, tol):
-    """Seed convergence: Levenberg-Marquardt with a per-seed adaptive
-    damping weight.  Robust from random starts where an undamped step
-    overshoots and plain gradient descent crawls along curved valleys."""
+def _levenberg(word, pts):
+    """Seed convergence and polish: Levenberg-Marquardt with a per-seed
+    adaptive damping weight, each iteration on the live seeds only (residual
+    at or above POLISH_TOL, damping below its cap).  Robust from random
+    starts where an undamped step overshoots and plain gradient descent
+    crawls along curved valleys; as the damping falls to its floor the step
+    becomes the Gauss-Newton step, which takes a converging seed on to
+    rounding level.  Returns new points and their residuals."""
+    pts = pts.copy()
     r = residual_array(word, pts)
     lam = np.full(len(pts), 0.1)
     for _ in range(MAX_ITERS):
-        live = (r >= tol) & (lam < 1e3)
-        if not live.any():
+        live = np.flatnonzero((r >= POLISH_TOL) & (lam < 1e3))
+        if len(live) == 0:
             break
-        e1, e2 = tangent_basis(pts)
-        A, image = _tangent_jacobian(word, pts, e1, e2)
-        b = -(image - pts).reshape(len(pts), -1)
+        at = pts[live]
+        e1, e2 = tangent_basis(at)
+        A, image = _tangent_jacobian(word, at, e1, e2)
+        b = -(image - at).reshape(len(at), -1)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        gain = s / (s**2 + lam[:, None] ** 2)
+        gain = s / (s**2 + lam[live, None] ** 2)
         x = np.einsum("sji,sj->si", Vt, gain * np.einsum("sji,sj->si", U, b))
-        cand = _apply_tangent_step(pts, x, e1, e2)
+        cand = _apply_tangent_step(at, x, e1, e2)
         rc = residual_array(word, cand)
-        accept = (rc < r) & live
-        pts = np.where(accept[:, None, None], cand, pts)
-        r = np.where(accept, rc, r)
-        lam = np.where(accept, np.maximum(lam * 0.5, 1e-9), lam)
-        lam = np.where(live & ~accept, lam * 4.0, lam)
+        accept = rc < r[live]
+        pts[live[accept]] = cand[accept]
+        r[live[accept]] = rc[accept]
+        lam[live] = np.where(accept, np.maximum(lam[live] * 0.5, 1e-9), lam[live] * 4.0)
     return pts, r
 
 
@@ -268,7 +267,7 @@ def _classify(
 def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
     """Feature-space path of the null direction orthogonal to the orbit of
     the fixed point `start`, taken in tangent steps of LOOP_STEP, each
-    re-polished by Gauss-Newton.  The path once it returns to `start`
+    re-polished by `_levenberg`.  The path once it returns to `start`
     within its longest step, or None when it leaves the variety or does not
     return within LOOP_MAX_STEPS."""
     pts, heading = start[None], None
@@ -285,8 +284,8 @@ def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
         if heading is not None and np.sum(move * heading) < 0:
             x, move = -x, -move
         heading = move
-        pts = _gauss_newton(word, _apply_tangent_step(pts, LOOP_STEP * x[None], e1, e2))
-        if residual_array(word, pts)[0] >= DESCENT_TOL:
+        pts, r = _levenberg(word, _apply_tangent_step(pts, LOOP_STEP * x[None], e1, e2))
+        if r[0] >= DESCENT_TOL:
             return None
         path.append(invariant_features(pts[0]))
         reach = max(reach, float(np.linalg.norm(path[-1] - path[-2])))
@@ -316,13 +315,8 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         )
 
     pts = random_configurations(n, config.seeds, rng)
-    pts, r = _levenberg(word, pts, 1e-9)
-    rough = pts[r < 1e-9]
-    if len(rough) == 0:
-        return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
-    polished = _gauss_newton(word, rough)
-    rr = residual_array(word, polished)
-    survivors, rr = polished[rr < DESCENT_TOL], rr[rr < DESCENT_TOL]
+    pts, r = _levenberg(word, pts)
+    survivors, rr = pts[r < DESCENT_TOL], r[r < DESCENT_TOL]
     if len(survivors) == 0:
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
 

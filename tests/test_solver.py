@@ -16,6 +16,7 @@ from repvar.braid import (
     differential_arrays,
     is_singular_config,
     knot_by_name,
+    load_knot_table,
     parse_braid,
     random_configurations,
     tangent_basis,
@@ -23,9 +24,11 @@ from repvar.braid import (
 )
 from repvar.claims import census_checks, torus_components
 from repvar.solver import (
+    DESCENT_TOL,
     NULL_TOL,
     SolverConfig,
     _classify,
+    _levenberg,
     _tangent_jacobian,
     _trace_loop,
     cluster_indices,
@@ -108,6 +111,27 @@ def test_long_torus_solves_keep_every_seed(n):
     assert report.seeds_converged == 1536
     checks = census_checks(report)
     assert checks and all(c["passed"] for c in checks), checks
+
+
+def test_levenberg_steps_only_the_live_seeds(monkeypatch):
+    # half the batch starts on the variety (the diagonal (p, p), residual
+    # at rounding level): no Jacobian is built for it, and it comes back
+    # untouched
+    word = parse_braid("2: 1 1 1")
+    rng = np.random.default_rng(37)
+    p = random_configurations(1, 32, rng)
+    fixed = np.concatenate([p, p], axis=1)
+    pts = np.concatenate([random_configurations(2, 32, rng), fixed])
+    rows = []
+
+    def jacobian(word, pts, e1, e2):
+        rows.append(len(pts))
+        return _tangent_jacobian(word, pts, e1, e2)
+
+    monkeypatch.setattr(solver, "_tangent_jacobian", jacobian)
+    out, _ = _levenberg(word, pts)
+    assert rows and max(rows) <= 32, rows
+    assert np.array_equal(out[32:], fixed)
 
 
 def test_residual_is_conjugation_invariant():
@@ -259,6 +283,27 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
         names.insert(0, "census.binary_dihedral")
     assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_table_censuses_at_other_solver_seeds(seed):
+    for knot in load_knot_table().values():
+        report = solve(knot.word, SolverConfig(rng_seed=seed))
+        checks = census_checks(report)
+        assert checks and all(c["passed"] for c in checks), (knot.name, checks)
+
+
+def test_gate_solves_are_polished_well_inside_the_gap(solve_table):
+    # the words of acceptance criteria 01-04: every representative is on the
+    # variety to far below the survivor bound, and its null singular values
+    # sit four orders below NULL_TOL, so a looser stopping rule shows here
+    # before any census changes
+    words = [BraidWord(2, (1,) * n) for n in range(2, 10)]
+    for word in words + ["4_1", "5_2", "6_1", "9_42", "square"]:
+        report, _ = solve_table(word)
+        for comp in report.components:
+            assert comp.residual < DESCENT_TOL, (word, comp)
+            assert comp.null_gap[0] <= NULL_TOL * 1e-4, (word, comp)
 
 
 def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):

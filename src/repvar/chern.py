@@ -12,7 +12,10 @@ frame and closed form is a numpy function of an array of piece
 parameters.  One `np.linspace` gives the parameters of all eight pieces,
 their frames are written into one read-only array, built once per sampling
 for the life of the process, and every evaluation of the contour is one
-batched `np.linalg.det` of it.  The modulus, junction and winding checks are
+batched 4x4 Laplace expansion of it (`determinants`: the six 2x2 minors of
+rows 0-1 times their complementary minors in rows 2-3), which is both faster
+and closer to the closed forms than a stacked LAPACK `np.linalg.det` on
+matrices this small.  The modulus, junction and winding checks are
 functions of that array of determinants; the contour around the second
 degenerate circle negates every section value, so its determinants are the
 negated array.
@@ -39,6 +42,7 @@ __all__ = [
     "ContourSegment",
     "CONTOUR",
     "contour_determinants",
+    "determinants",
     "closed_form_gap",
     "modulus_deviation",
     "junction_gaps",
@@ -195,15 +199,37 @@ def _frames(samples_per_segment: int) -> np.ndarray:
     return frames
 
 
+# Column pairs (j, k) of the six 2x2 minors in Laplace's expansion along
+# rows 0-1; read backwards, they are the complementary pairs for rows 2-3.
+_J = np.array([0, 0, 0, 1, 1, 2])
+_K = np.array([1, 2, 3, 2, 3, 3])
+_J_REST, _K_REST = _J[::-1], _K[::-1]
+
+
+def determinants(frames: np.ndarray) -> np.ndarray:
+    """Determinants of the (..., 4, 4) matrices ``frames`` by Laplace
+    expansion along the first two rows: each 2x2 minor of rows 0-1 times the
+    complementary minor of rows 2-3, summed with the signs of the column
+    permutations.  Entry by entry, so a batch and any slice of it agree
+    exactly."""
+    top = (frames[..., 0, _J] * frames[..., 1, _K]
+           - frames[..., 0, _K] * frames[..., 1, _J])
+    rest = (frames[..., 2, _J_REST] * frames[..., 3, _K_REST]
+            - frames[..., 2, _K_REST] * frames[..., 3, _J_REST])
+    p = top * rest
+    return p[..., 0] - p[..., 1] + p[..., 2] + p[..., 3] - p[..., 4] + p[..., 5]
+
+
 def contour_determinants(samples_per_segment: int = 64) -> np.ndarray:
-    """Determinants along the first contour in traversal order, one stacked
-    det of the process's frames, measured afresh by every call, read-only.
+    """Determinants along the first contour in traversal order, one
+    `determinants` call on the process's frames, measured afresh by every
+    call, read-only.
 
     Segment k holds entries ``k * samples .. (k + 1) * samples - 1``; its
     first and last entry sit exactly at its start and end parameter.
     """
     _require_sampling(samples_per_segment)
-    values = np.linalg.det(_frames(samples_per_segment))
+    values = determinants(_frames(samples_per_segment))
     values.setflags(write=False)
     return values
 

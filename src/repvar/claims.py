@@ -7,8 +7,9 @@ of one run's `Measurements`.  That object carries the run's seed and
 trials, and measures each value that several claims share at most once;
 every run makes a fresh one, so no run reads a measured value another left
 behind.  The inputs the measurements take that never change -- the contour
-frames, the cylinder grid and the sphere charts -- are built once per
-process by `chern` and `symplectic` and are read-only.
+frames, and the cylinder grid and sphere charts stacked into one array for
+the form -- are built once per process by `chern` and `symplectic` and are
+read-only.
 ``repvar verify`` and the acceptance gate run claims from here, and
 ``repvar variety`` and the gate its reference censuses (`census_checks`).
 The library is called through module attributes, so a profiler that swaps
@@ -62,10 +63,12 @@ class Measurements:
 
     Each shared value is a cached property, measured on first use and kept
     only as long as this object: the Hessians H(n) and their spectra, the
-    leading Pfaffians of H'(8), the contour determinants, the windings of
-    both contours and the monotonicity report.  So no run reads a value
+    leading Pfaffians of H'(8), the contour determinants (one `chern`
+    determinant evaluation), the windings of both contours and the
+    monotonicity report (one evaluation of the form, which every monotone
+    claim reads, the cap maximum included).  So no run reads a value
     another measured; only the read-only inputs of the contour and of the
-    form's integrals (frames, grids, charts) are shared across runs.
+    form (frames, the stacked grid and charts) are shared across runs.
     """
 
     seed: int = 0
@@ -200,7 +203,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("monotone.cylinder_integral_plus_pi_squared", "abs_le", 1e-8,
           lambda m: m.monotonicity.fn_integral + math.pi ** 2),
     Claim("monotone.cap_pullback_max", "abs_le", 1e-12,
-          lambda m: symplectic.cap_pullback_max(2)),
+          lambda m: m.monotonicity.cap_form_max),
     Claim("monotone.adjacent_pair_sphere_form_max", "abs_le", 1e-12,
           lambda m: m.monotonicity.gamma_form_max),
     Claim("monotone.chern_pairing", "equals", -2,
@@ -257,6 +260,14 @@ def torus_components(n: int) -> tuple[PredictedComponent, ...]:
     return tuple(out)
 
 
+def _slot_angle(points) -> float:
+    """The angle between the two points of a 2-strand configuration, as
+    atan2(|a x b|, a . b): well conditioned at 0 and pi, where the arccosine
+    of the dot product reads one rounding unit from +-1 as about 1.5e-8."""
+    a, b = np.asarray(points)
+    return math.atan2(math.hypot(*su2.cross(a, b)), float(np.dot(a, b)))
+
+
 def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
     word: that of the table knot with this word, the Fox colourings of any
@@ -308,8 +319,7 @@ def census_checks(report: SolveReport) -> list[dict]:
     crossings = abs(sum(word.letters))
     if word.strands == 2 and crossings >= 1:
         torus = torus_components(crossings)
-        angles = sorted(math.acos(np.clip(np.dot(*c.representative.points),
-                                          -1.0, 1.0)) for c in comps)
+        angles = sorted(_slot_angle(c.representative.points) for c in comps)
         want_angles = sorted(c.angle for c in torus)
         # a census of the wrong size scores pi, the largest angle error
         error = (max(abs(a - b) for a, b in zip(angles, want_angles))

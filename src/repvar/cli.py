@@ -84,7 +84,8 @@ def _persist(run_dir: str, command: str, results: dict,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    text = json.dumps(record, indent=2, sort_keys=True, default=_jsonable)
+    # compact, so that the C encoder writes it (indent selects the Python one)
+    text = json.dumps(record, sort_keys=True, default=_jsonable)
     data = memoryview(text.encode())
     fd = _create_record_file(
         run_dir, f"{command}-{now.strftime('%Y%m%dT%H%M%S%f')}")

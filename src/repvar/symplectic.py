@@ -270,20 +270,9 @@ def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
     return omega_c_array(base, d1, d2)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+SPHERE_SAMPLES = 256  # lattice points per sphere chart
 
 
-# The grids and charts below are inputs to the integral and the maxima, not
-# measurements, so each is built once per key for the life of the process
-# and is read-only; every call evaluates the form on them afresh.  Keys are
-# values (ints, a frozen sphere), never bound methods: those hash by the
-# identity of their object, so every call would miss and add an entry.
-
-
-@functools.cache
 def _cylinder_grid(pairs: int, order: int) -> tuple[np.ndarray, ...]:
     """The cylinder chart over [0, pi] x [0, 2 pi] at the tensor
     Gauss-Legendre nodes, flattened with node (i, j) at i * order + j: its
@@ -295,9 +284,19 @@ def _cylinder_grid(pairs: int, order: int) -> tuple[np.ndarray, ...]:
     g1 = np.repeat(t1, order)
     g2 = np.tile(t2, order)
     sphere = CapCylinderSphere(pairs)
-    return _read_only(sphere.cylinder_configuration(g1, g2),
-                      *sphere.cylinder_frames(g1, g2),
-                      0.5 * math.pi * weights, math.pi * weights)
+    return (sphere.cylinder_configuration(g1, g2),
+            *sphere.cylinder_frames(g1, g2),
+            0.5 * math.pi * weights, math.pi * weights)
+
+
+def _cylinder_integral(values: np.ndarray, w1: np.ndarray,
+                       w2: np.ndarray) -> float:
+    """The quadrature sum of the form's values on the cylinder grid."""
+    return float(np.einsum("i,j,ij->", w1, w2, values.reshape(len(w1), -1)))
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
@@ -305,8 +304,7 @@ def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
     cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
     cap_pullback_max)."""
     base, d1, d2, w1, w2 = _cylinder_grid(pairs, quadrature_order)
-    values = omega_c_array(base, d1, d2).reshape(quadrature_order, -1)
-    return float(np.einsum("i,j,ij->", w1, w2, values))
+    return _cylinder_integral(omega_c_array(base, d1, d2), w1, w2)
 
 
 def _sphere_points(charts: int, samples: int
@@ -329,7 +327,6 @@ def _sphere_points(charts: int, samples: int
     return a, u, cross(a, u)
 
 
-@functools.cache
 def _cap_charts(pairs: int, samples: int) -> tuple[np.ndarray, ...]:
     """Both caps at the lattice points, cap 1 first: their configurations and
     the frames of the tangent pair at each point."""
@@ -337,32 +334,29 @@ def _cap_charts(pairs: int, samples: int) -> tuple[np.ndarray, ...]:
     a, u1, u2 = _sphere_points(2, samples)
     base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
                            sphere.cap_configuration(2, a[samples:])])
-    return _read_only(base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2))
+    return base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2)
 
 
-@functools.cache
 def _adjacent_pair_chart(sphere: AdjacentPairSphere,
                          samples: int) -> tuple[np.ndarray, ...]:
     """An adjacent-pair sphere at the lattice points: its configurations and
     the frames of the tangent pair at each point."""
     a, u1, u2 = _sphere_points(1, samples)
-    return _read_only(sphere.configuration(a), sphere.frame(a, u1),
-                      sphere.frame(a, u2))
+    return sphere.configuration(a), sphere.frame(a, u1), sphere.frame(a, u2)
 
 
-def cap_pullback_max(pairs: int, samples: int = 256) -> float:
+def cap_pullback_max(pairs: int, samples: int = SPHERE_SAMPLES) -> float:
     """Max |pullback| of the form over the lattice points of both caps (the
     claim under test is that it vanishes identically).  Both caps go through
     one evaluation of the form, cap 1 first."""
-    return float(np.max(np.abs(omega_c_array(*_cap_charts(pairs, samples)))))
+    return _max_abs(omega_c_array(*_cap_charts(pairs, samples)))
 
 
 def adjacent_pair_pullback_max(sphere: AdjacentPairSphere,
-                               samples: int = 256) -> float:
+                               samples: int = SPHERE_SAMPLES) -> float:
     """Max |pullback| of the form over the lattice points of an adjacent-pair
     sphere (vanishes identically)."""
-    return float(np.max(np.abs(
-        omega_c_array(*_adjacent_pair_chart(sphere, samples)))))
+    return _max_abs(omega_c_array(*_adjacent_pair_chart(sphere, samples)))
 
 
 # --- nondegeneracy on the product-one locus -------------------------------------
@@ -421,26 +415,66 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
 # --- the monotonicity constant ---------------------------------------------------
 
 
+@functools.cache
+def _monotone_stack(pairs: int, order: int) -> tuple[np.ndarray, ...]:
+    """Every chart `monotonicity_ratio` evaluates the form on, stacked in
+    this order: the cylinder grid (order ** 2 nodes), both caps and the
+    adjacent-pair sphere (SPHERE_SAMPLES lattice points each), as one
+    (points, slots, 3) array of configurations and one of each frame; then
+    the cylinder's weights.
+
+    The charts are inputs to the integral and the maxima, not measurements,
+    so the stack is built on first use once per key for the life of the
+    process and is read-only; every call evaluates the form on it afresh.
+    """
+    base, d1, d2, w1, w2 = _cylinder_grid(pairs, order)
+    charts = ((base, d1, d2), _cap_charts(pairs, SPHERE_SAMPLES),
+              _adjacent_pair_chart(AdjacentPairSphere(3, 1, pairs),
+                                   SPHERE_SAMPLES))
+    # slot-major, component-major in memory, so that the views the form
+    # loops over are contiguous
+    stack = (*(np.ascontiguousarray(np.concatenate(parts).transpose(1, 2, 0))
+               .transpose(2, 0, 1) for parts in zip(*charts)), w1, w2)
+    for a in stack:
+        a.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """The form's pairing with the cap-cylinder sphere (``fn_integral``), the
+    first-Chern pairing it is divided by and their ratio, and the largest
+    |form| on the sphere's two caps (``cap_form_max``) and on the
+    adjacent-pair sphere (``gamma_form_max``), where it vanishes."""
+
     fn_integral: float
     chern_pairing: int
     ratio: float
     gamma_form_max: float
+    cap_form_max: float
 
 
 def monotonicity_ratio(c1: int, pairs: int = 2,
                        quadrature_order: int = 32) -> MonotonicityReport:
     """Ratio of the form's pairing with the cap-cylinder sphere to its
-    first-Chern pairing ``c1`` (expected pi^2/2), and the largest value of
-    the form on the adjacent-pair sphere, where both pairings vanish, so
-    there is no ratio to take."""
-    fn_val = integrate_fn_pullback(pairs, quadrature_order)
-    gamma = AdjacentPairSphere(slot=3, sign=1, pairs=pairs)
-    gamma_form = adjacent_pair_pullback_max(gamma)
+    first-Chern pairing ``c1`` (expected pi^2/2), and the largest values of
+    the form on the sphere's caps and on the adjacent-pair sphere (slot 3,
+    sign +1), where the form vanishes, so there is no ratio to take.
+
+    One evaluation of the form over the stacked charts: each value is read
+    off its slice, and equals what `integrate_fn_pullback`,
+    `cap_pullback_max` and `adjacent_pair_pullback_max` measure on the same
+    chart alone.
+    """
+    base, x, y, w1, w2 = _monotone_stack(pairs, quadrature_order)
+    values = omega_c_array(base, x, y)
+    grid = quadrature_order ** 2
+    caps = grid + 2 * SPHERE_SAMPLES
+    fn_val = _cylinder_integral(values[:grid], w1, w2)
     return MonotonicityReport(
         fn_integral=fn_val,
         chern_pairing=c1,
         ratio=fn_val / c1,
-        gamma_form_max=gamma_form,
+        gamma_form_max=_max_abs(values[caps:]),
+        cap_form_max=_max_abs(values[grid:caps]),
     )

@@ -2,13 +2,15 @@
 
 Everything in this file is deliberately implemented WITHOUT importing the
 package under test: rotations as 3x3 matrices, derivatives as central
-differences, permutations as index arrays, determinants as float slogdet.
+differences, permutations as index arrays, determinants as float slogdet
+or as the Leibniz sum over permutations.
 These are the yardsticks the library is measured against, so they must not
 share code (or bugs) with it.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -337,6 +339,22 @@ def radius_components(points: np.ndarray, radius: float) -> list[list[int]]:
 def det_float(M) -> float:
     sign, logabs = np.linalg.slogdet(np.asarray(M, dtype=float))
     return float(sign * np.exp(logabs))
+
+
+def leibniz_det(M: np.ndarray) -> np.ndarray:
+    """Determinants of (..., k, k) matrices by the Leibniz sum: over all k!
+    permutations (24 for 4x4), the product of the entries they pick, signed
+    by the parity of their inversion count."""
+    m = np.asarray(M)
+    k = m.shape[-1]
+    rows = np.arange(k)
+    total = np.zeros(m.shape[:-2], dtype=m.dtype)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(k) for j in range(i + 1, k))
+        term = np.prod(m[..., rows, list(perm)], axis=-1)
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def pfaffian_4x4(M) -> int:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from repvar import claims
 from repvar.chern import (
     CONTOUR,
@@ -13,6 +14,7 @@ from repvar.chern import (
     MIN_SAMPLES_PER_SEGMENT,
     closed_form_gap,
     contour_determinants,
+    determinants,
     junction_gaps,
     modulus_deviation,
     winding_number,
@@ -74,15 +76,34 @@ def test_contour_is_read_only_and_shared_within_a_run():
     assert claims.Measurements().contour is not first
 
 
+@pytest.mark.parametrize("samples", [64, 128, 257])
+def test_determinants_agree_with_leibniz_and_lapack(samples):
+    frames = np.concatenate([seg.frame(seg.parameters(samples))
+                             for seg in CONTOUR])
+    values = contour_determinants(samples)
+    assert values.shape == (8 * samples,)
+    assert np.max(np.abs(values - oracles.leibniz_det(frames))) < 1e-12
+    assert np.max(np.abs(values - np.linalg.det(frames))) < 1e-12
+
+
+def test_determinants_of_random_matrices_agree_with_leibniz():
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(3, 50, 4, 4)) + 1j * rng.normal(size=(3, 50, 4, 4))
+    got = determinants(mats)
+    assert got.shape == (3, 50)
+    assert np.max(np.abs(got - oracles.leibniz_det(mats))) < 1e-12
+
+
 def test_stacked_determinants_equal_per_segment_determinants():
+    # the package kernel on each segment's own frames, not LAPACK's
     values = contour_determinants(128).reshape(8, 128)
     for seg, row in zip(CONTOUR, values):
-        want = np.linalg.det(seg.frame(seg.parameters(128)))
+        want = determinants(seg.frame(seg.parameters(128)))
         assert np.array_equal(row, want), seg.name
 
 
 def test_junction_gaps_equal_an_evaluation_at_the_segment_ends():
-    ends = np.array([np.linalg.det(seg.frame(np.array([seg.start, seg.end])))
+    ends = np.array([determinants(seg.frame(np.array([seg.start, seg.end])))
                      for seg in CONTOUR])
     want = np.abs(ends[:, 1] - np.roll(ends[:, 0], -1))
     for samples in (64, 257):

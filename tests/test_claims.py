@@ -2,6 +2,7 @@
 censuses."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -126,23 +127,24 @@ def test_each_run_builds_each_hessian_once(monkeypatch):
 
 def test_each_run_evaluates_the_contour_once(monkeypatch):
     calls = []
-    det = np.linalg.det
+    det = chern.determinants
 
     def counting(m):
         calls.append(np.shape(m))
         return det(m)
 
-    monkeypatch.setattr(np.linalg, "det", counting)
-    names = [c.name for c in claims.CLAIMS
-             if c.name.startswith(("chern.", "monotone."))]
-    for _ in range(2):
-        calls.clear()
-        assert all(c["passed"] for c in claims.run(names))
-        assert calls == [(8 * 64, 4, 4)]
+    monkeypatch.setattr(chern, "determinants", counting)
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append("lapack"))
+    for suites in (("chern.",), ("monotone.",), ("chern.", "monotone.")):
+        names = [c.name for c in claims.CLAIMS if c.name.startswith(suites)]
+        for _ in range(2):
+            calls.clear()
+            assert all(c["passed"] for c in claims.run(names))
+            assert calls == [(8 * 64, 4, 4)], suites
 
 
-def test_each_monotone_run_evaluates_the_form_three_times(monkeypatch):
-    # the cylinder grid, both caps together and the adjacent-pair sphere
+def test_each_monotone_run_evaluates_the_form_once(monkeypatch):
+    # the cylinder grid, both caps and the adjacent-pair sphere, stacked
     calls = []
     form = symplectic.omega_c_array
 
@@ -155,7 +157,7 @@ def test_each_monotone_run_evaluates_the_form_three_times(monkeypatch):
     for _ in range(2):
         calls.clear()
         assert all(c["passed"] for c in claims.run(names))
-        assert sorted(calls) == [(256,), (512,), (1024,)]
+        assert calls == [(32 * 32 + 2 * 256 + 256,)]
 
 
 @pytest.mark.parametrize("suite", ["chern", "monotone"])
@@ -176,14 +178,12 @@ def test_each_run_winds_each_contour_once(monkeypatch, suite):
 
 
 def test_contour_and_sphere_inputs_are_built_once_per_process():
-    # the contour frames, the cylinder grid and the sphere charts are keyed
-    # by value, so repeated runs hit the one entry each instead of adding
-    # entries, and what they hold is read-only
+    # the contour frames and the stacked charts of the form (cylinder grid,
+    # caps, adjacent-pair sphere) are keyed by value, so repeated runs hit
+    # the one entry each instead of adding entries, and what they hold is
+    # read-only
     caches = ((chern._frames, (64,)),
-              (symplectic._cylinder_grid, (2, 32)),
-              (symplectic._cap_charts, (2, 256)),
-              (symplectic._adjacent_pair_chart,
-               (symplectic.AdjacentPairSphere(3, 1, 2), 256)))
+              (symplectic._monotone_stack, (2, 32)))
     names = [c.name for c in claims.CLAIMS
              if c.name.startswith(("chern.", "monotone."))]
     claims.run(names)
@@ -292,6 +292,23 @@ def test_torus_angles_must_match():
     # a census of the wrong size scores the largest angle error there is
     angles = claims.census_checks(_solved(word, census[1:]))[-1]
     assert angles["value"] == math.pi and not angles["passed"]
+
+
+@pytest.mark.parametrize("n, index, sign", [(3, 0, 1.0), (4, 1, -1.0)])
+def test_torus_angles_read_rounding_level_at_0_and_pi(n, index, sign):
+    # an S2 representative whose slots' dot product is one rounding unit
+    # from +-1: the arccosine of it would read an angle of 2.1e-8
+    report = _solved(BraidWord(2, (1,) * n), _torus_census(n))
+    sphere = report.components[index]
+    assert sphere.topology_tag == "S2"
+    rep = Configuration(((1.0, 0.0, 0.0), (sign * (1.0 - 2.0 ** -52), 0.0, 0.0)))
+    assert np.dot(*rep.points) == sign * (1.0 - 2.0 ** -52)
+    comps = list(report.components)
+    comps[index] = dataclasses.replace(sphere, representative=rep)
+    report = dataclasses.replace(report, components=tuple(comps))
+    angles = claims.census_checks(report)[-1]
+    assert angles["name"] == "census.torus_angles"
+    assert angles["value"] < 1e-12 and angles["passed"]
 
 
 @pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:"])

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from repvar import claims
+from repvar import chern, claims
 from repvar.cli import SCHEMA_VERSION, cli
 from repvar.solver import NULL_TOL, solve
 
@@ -278,16 +278,16 @@ def test_report_commands_do_not_read_an_earlier_run_s_memos(
     claims.run([c.name for c in claims.CLAIMS if c.name.startswith("chern.")])
     claims.run(["hessian.signature_zero"])
     calls = []
-    for name in ("det", "eigvalsh"):
-        original = getattr(np.linalg, name)
+    for module, name in ((chern, "determinants"), (np.linalg, "eigvalsh")):
+        original = getattr(module, name)
 
         def counting(m, name=name, original=original):
             calls.append(name)
             return original(m)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert _run(runner, tmp_path, ["verify", "chern"]).exit_code == 0
-    assert calls == ["det"]
+    assert calls == ["determinants"]
     calls.clear()
     # one spectrum per Hessian size, n = 2..8
     assert _run(runner, tmp_path, ["verify", "hessian"]).exit_code == 0

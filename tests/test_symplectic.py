@@ -364,6 +364,20 @@ def test_monotonicity_report():
     assert report.chern_pairing == -2
     assert abs(report.ratio - PI_SQ / 2.0) < 1e-6
     assert report.gamma_form_max < 1e-12
+    assert report.cap_form_max < 1e-12
+
+
+@pytest.mark.parametrize("pairs", (2, 3))
+def test_monotonicity_report_reads_what_each_chart_alone_measures(pairs):
+    # one evaluation over the stacked charts, read off slices, against one
+    # evaluation per chart
+    report = monotonicity_ratio(-2, pairs=pairs)
+    fn_integral = integrate_fn_pullback(pairs)
+    assert report.fn_integral == fn_integral
+    assert report.ratio == fn_integral / -2
+    assert report.cap_form_max == cap_pullback_max(pairs)
+    assert report.gamma_form_max == adjacent_pair_pullback_max(
+        AdjacentPairSphere(3, 1, pairs))
 
 
 # --- nondegeneracy -------------------------------------------------------------------

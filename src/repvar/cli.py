@@ -4,10 +4,11 @@ Verbs: ``variety`` (solve a braid closure's trace-free variety),
 ``invariants`` (exact Alexander / determinant / component prediction) and
 ``verify`` (run the registered claims with pass/fail scorecard; the paper's
 Hessian and first-Chern claims are its ``hessian`` and ``chern`` suites).
-Every invocation persists a schema-versioned JSON record to the run
-directory; ``variety`` (its census) and ``verify`` exit nonzero iff a check
-fails.  Flags mirror to environment variables with the REPVAR_
-prefix (command-qualified, e.g. REPVAR_VARIETY_SEEDS); explicit flags win.
+Every invocation appends its schema-versioned JSON record, one line of
+compact JSON, to ``records.jsonl`` in the run directory; ``variety`` (its
+census) and ``verify`` exit nonzero iff a check fails.  Flags mirror to
+environment variables with the REPVAR_ prefix (command-qualified, e.g.
+REPVAR_VARIETY_SEEDS); explicit flags win.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__, claims
 from .braid import (BraidWord, closure_components, knot_by_name, knot_name,
                     parse_braid)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 VERIFY_SUITES = (*claims.SUITES, "all")
 
 
@@ -42,58 +43,46 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
-# a record file is always new: never truncate one another invocation wrote
-_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-
-
-def _create_record_file(run_dir: str, stem: str) -> int:
-    """Open ``{stem}.json`` in ``run_dir`` for writing, as a new file.
-
-    A name already taken (two invocations in the same microsecond) gets a
-    ``-1``, ``-2``, ... suffix instead of overwriting the other record.  The
-    directory is made only when the first open finds it missing.
-    """
-    taken = 0
-    made_dir = False
-    while True:
-        name = f"{stem}-{taken}.json" if taken else f"{stem}.json"
-        try:
-            return os.open(os.path.join(run_dir, name), _NEW_FILE, 0o666)
-        except FileExistsError:
-            taken += 1
-        except FileNotFoundError:
-            if made_dir:
-                raise
-            os.makedirs(run_dir, exist_ok=True)
-            made_dir = True
+# an append never truncates or overwrites a record another invocation wrote
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+RECORD_LOG = "records.jsonl"
 
 
 def _persist(run_dir: str, command: str, results: dict,
              checks: list[dict]) -> tuple[dict, str]:
-    """Write the record; its config is exactly the command's parsed options.
+    """Append the record to the run directory's log as one line.
 
-    Returns the record and the JSON text written, which `_emit` echoes.
+    Its config is exactly the command's parsed options.  The line goes out in
+    one write, and a short write raises: a second write could land after
+    another process's line.  The directory is made only when the first open
+    finds it missing.  Returns the record and its JSON text (the line without
+    its newline), which `_emit` echoes.
     """
-    now = datetime.now(timezone.utc)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": dict(click.get_current_context().params),
-        "timestamp": now.isoformat(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "versions": {"repvar": __version__, "numpy": np.__version__},
         "results": results,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
     # compact, so that the C encoder writes it (indent selects the Python one)
     text = json.dumps(record, sort_keys=True, default=_jsonable)
-    data = memoryview(text.encode())
-    fd = _create_record_file(
-        run_dir, f"{command}-{now.strftime('%Y%m%dT%H%M%S%f')}")
+    data = (text + "\n").encode()
+    path = os.path.join(run_dir, RECORD_LOG)
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        fd = os.open(path, _APPEND, 0o666)
+    except FileNotFoundError:
+        os.makedirs(run_dir, exist_ok=True)
+        fd = os.open(path, _APPEND, 0o666)
+    try:
+        written = os.write(fd, data)
     finally:
         os.close(fd)
+    if written != len(data):
+        raise OSError(f"short write to {path}: {written} of {len(data)} bytes")
     return record, text
 
 
@@ -129,7 +118,7 @@ def _resolve_word(name: str | None, braid_text: str | None) -> tuple[str, BraidW
 def _io_options(fn):
     fn = click.option("--run-dir", default="runs", show_default=True,
                       type=click.Path(file_okay=False),
-                      help="directory for the per-invocation JSON record")(fn)
+                      help="directory of the record log, records.jsonl")(fn)
     fn = click.option("--json/--table", "as_json", default=False,
                       show_default=True, help="stdout format")(fn)
     return fn

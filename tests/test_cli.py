@@ -12,7 +12,7 @@ import shlex
 import subprocess
 import sys
 import weakref
-from datetime import datetime
+from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
 
@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import repvar
 from repvar import chern, claims
-from repvar.cli import SCHEMA_VERSION, cli
+from repvar.cli import RECORD_LOG, SCHEMA_VERSION, cli
 from repvar.solver import NULL_TOL, solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,10 +44,16 @@ def _run(runner, tmp_path, args, env=None):
     )
 
 
+def _lines(run_dir):
+    """The lines of the run directory's record log, newlines kept."""
+    return (run_dir / RECORD_LOG).read_bytes().splitlines(keepends=True)
+
+
 def _record(tmp_path, command):
-    files = sorted(tmp_path.glob(f"{command}-*.json"))
-    assert files, f"no {command} record written"
-    return json.loads(files[-1].read_text())
+    records = [json.loads(line) for line in _lines(tmp_path)]
+    records = [r for r in records if r["command"] == command]
+    assert records, f"no {command} record written"
+    return records[-1]
 
 
 # --- variety ---------------------------------------------------------------------
@@ -203,7 +210,7 @@ def test_invariants_fails_when_the_khovanov_table_cannot_be_read(
         cli, ["invariants", "--name", "4_1", "--run-dir", str(tmp_path)])
     assert result.exit_code != 0
     assert isinstance(result.exception, OSError)
-    assert not list(tmp_path.glob("invariants-*.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invariants_rejects_links(runner, tmp_path):
@@ -212,6 +219,7 @@ def test_invariants_rejects_links(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "2-component link" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- verify -----------------------------------------------------------------------
@@ -333,17 +341,21 @@ def test_in_process_calls_release_their_stdout_buffer(tmp_path):
 def test_records_are_written_per_invocation(runner, tmp_path):
     _run(runner, tmp_path, ["verify", "hessian"])
     _run(runner, tmp_path, ["invariants", "--name", "4_1"])
-    assert len(list(tmp_path.glob("verify-*.json"))) == 1
-    assert len(list(tmp_path.glob("invariants-*.json"))) == 1
-    record = _record(tmp_path, "invariants")
-    assert set(record) >= {
-        "schema_version", "command", "config", "timestamp", "results",
-        "checks", "passed",
-    }
+    # one log line per invocation, and no other file in the run directory
+    assert [p.name for p in tmp_path.iterdir()] == [RECORD_LOG]
+    records = [json.loads(line) for line in _lines(tmp_path)]
+    assert [r["command"] for r in records] == ["verify", "invariants"]
+    for record in records:
+        assert set(record) == {
+            "schema_version", "command", "config", "timestamp", "versions",
+            "results", "checks", "passed",
+        }
+        assert record["schema_version"] == SCHEMA_VERSION == 2
+        assert record["versions"] == {"repvar": repvar.__version__,
+                                      "numpy": np.__version__}
 
 
-def test_record_file_name_carries_the_record_timestamp(runner, tmp_path,
-                                                       monkeypatch):
+def test_record_timestamp_is_the_clock_reading(runner, tmp_path, monkeypatch):
     ticks = count()
 
     class TickingClock(datetime):
@@ -354,18 +366,18 @@ def test_record_file_name_carries_the_record_timestamp(runner, tmp_path,
             return datetime(2026, 1, 2, 3, 4, 5, next(ticks), tzinfo=tz)
 
     monkeypatch.setattr("repvar.cli.datetime", TickingClock)
-    _run(runner, tmp_path, ["verify", "hessian"])
-    (path,) = tmp_path.glob("verify-*.json")
-    stamp = datetime.fromisoformat(json.loads(path.read_text())["timestamp"])
-    assert path.stem == f"verify-{stamp.strftime('%Y%m%dT%H%M%S%f')}"
+    for _ in range(2):
+        _run(runner, tmp_path, ["verify", "hessian"])
+    assert [json.loads(line)["timestamp"] for line in _lines(tmp_path)] == [
+        datetime(2026, 1, 2, 3, 4, 5, k, tzinfo=timezone.utc).isoformat()
+        for k in (0, 1)]
 
 
 def test_json_stdout_is_the_record_file(runner, tmp_path):
     for args in (["verify", "hessian"], ["invariants", "--name", "4_1"]):
         result = _run(runner, tmp_path, [*args, "--json"])
         assert result.exit_code == 0, result.output
-        (path,) = tmp_path.glob(f"{args[0]}-*.json")
-        assert result.stdout_bytes == path.read_bytes() + b"\n", args[0]
+        assert result.stdout_bytes == _lines(tmp_path)[-1], args[0]
 
 
 def test_records_in_the_same_microsecond_are_both_kept(runner, tmp_path,
@@ -381,12 +393,36 @@ def test_records_in_the_same_microsecond_are_both_kept(runner, tmp_path,
         result = _run(runner, run_dir, ["verify", "hessian", "--json",
                                         "--trials", str(trials)])
         assert result.exit_code == 0, result.output
-    paths = sorted(run_dir.glob("verify-*.json"))
-    assert [p.name for p in paths] == ["verify-20260102T030405000006-1.json",
-                                       "verify-20260102T030405000006.json"]
     # neither run truncated the other's record
-    assert sorted(json.loads(p.read_text())["config"]["trials"]
-                  for p in paths) == [1, 2]
+    assert [json.loads(line)["config"]["trials"]
+            for line in _lines(run_dir)] == [1, 2]
+
+
+def test_concurrent_invocations_append_whole_lines(tmp_path):
+    # two processes, 50 in-process invocations each, into one run directory
+    script = (
+        "import contextlib, io, sys\n"
+        "from repvar import cli\n"
+        "for k in range(int(sys.argv[1]), int(sys.argv[1]) + 50):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.cli.main(['verify', 'hessian', '--seed', str(k), '--json',\n"
+        f"                      '--run-dir', {str(tmp_path)!r}],\n"
+        "                     standalone_mode=False)\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(first)], env=env)
+             for first in (0, 50)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    lines = _lines(tmp_path)
+    assert len(lines) == 100
+    seeds = sorted(json.loads(line)["config"]["seed"] for line in lines)
+    assert seeds == list(range(100))
+
+
+def test_a_short_record_write_raises(runner, tmp_path, monkeypatch):
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+    with pytest.raises(OSError, match="short write"):
+        _run(runner, tmp_path, ["verify", "hessian"])
 
 
 def test_record_config_holds_exactly_the_command_options(runner, tmp_path):

@@ -5,8 +5,8 @@ on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
 damping weight and the exact Jacobian in orthonormal tangent coordinates,
 run on each seed until its residual is at rounding level (as the damping
 falls, the step becomes the Gauss-Newton step, so the same loop polishes)
--> clustering into connected components -> per-component dimension and
-topology tag.  The Jacobian is the action's one differential,
+-> orbit groups from one sweep along the first invariant -> dimension and
+topology tag per component.  The Jacobian is the action's one differential,
 `braid.differential_arrays`, carrying all 2n tangent frames in one sweep.
 
 Grouping detail that matters: global conjugation (a rotation applied to
@@ -189,25 +189,24 @@ def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray
     each as ascending indices, ordered by smallest index.  Input order must
     already be deterministic (callers sort lexicographically first).
 
-    Min-label propagation: each label is the index of a point in the same
-    component.  A round hooks every root onto the smallest label next to its
-    tree, then pointer jumping flattens the trees; at the fixed point each
-    component carries its smallest index."""
+    A sweep in order of the first feature tests each point only against the
+    later points at most link_radius (plus a few ulps) above it there: one
+    searchsorted window holds every pair the rounded test accepts.  Linked
+    roots hang on the smallest, and pointer jumping spreads each minimum."""
+    order = np.argsort(features[:, 0], kind="stable")
+    first = features[order, 0]
+    reach = link_radius * (1 + 4 * np.finfo(float).eps)
+    ends = np.searchsorted(first, np.nextafter(first + reach, np.inf), side="right")
     labels = np.arange(len(features))
-    while True:
-        # smallest label among each point's neighbours, itself included
-        low = labels.copy()
-        for lo in range(0, len(features), 512):
-            rows = slice(lo, lo + 512)
-            diff = features[rows, None, :] - features[None, :, :]
-            linked = np.sum(diff * diff, axis=-1) <= link_radius**2
-            low[rows] = np.where(linked, labels, low[rows, None]).min(axis=1)
-        if np.array_equal(low, labels):
-            break
-        np.minimum.at(labels, labels.copy(), low)
-        labels = np.minimum(labels, low)
-        while not np.array_equal(labels[labels], labels):
-            labels = labels[labels]
+    for start, end in enumerate(ends):
+        near = order[start:end]
+        diff = features[near] - features[near[0]]
+        roots = labels[near[np.sum(diff * diff, axis=-1) <= link_radius**2]]
+        while not np.array_equal(labels[roots], roots):
+            roots = labels[roots]
+        labels[roots] = roots.min()
+    while not np.array_equal(labels[labels], labels):
+        labels = labels[labels]
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order])) + 1
     return np.split(order, starts) if len(order) else []

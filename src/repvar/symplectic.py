@@ -386,30 +386,19 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
     are uniform, the last two solve g_{2n-1} g_{2n} = h for the remaining
     unit quaternion h (always possible on the trace-free class)."""
     m = 2 * pairs
-    out = np.zeros((count, m, 3))
     free = random_configurations(m - 2, count, rng)
-    out[:, : m - 2] = free
-    for s, acc in enumerate(slot_product(free)):
-        # solve p q = h^{-1}: with h^{-1} = (cos phi, sin phi * axis),
-        # take any p orthogonal to the axis and q = -cos phi p + sin phi (axis x p)
-        h = acc.copy()
-        h[1:] = -h[1:]
-        cphi = h[0]
-        vec = h[1:]
-        s_norm = np.linalg.norm(vec)
-        if s_norm < 1e-12:
-            p = rng.normal(size=3)
-            p /= np.linalg.norm(p)
-            q = -cphi * p  # h = +-1: q = -+p
-        else:
-            axis = vec / s_norm
-            p = rng.normal(size=3)
-            p -= np.dot(p, axis) * axis
-            p /= np.linalg.norm(p)
-            q = -cphi * p + s_norm * cross(axis, p)
-        out[s, m - 2] = p
-        out[s, m - 1] = q
-    return out
+    # solve p q = h^{-1} for the product h of the free slots: with
+    # h^{-1} = (cos phi, sin phi * axis), take p orthogonal to the axis and
+    # q = -cos phi p + sin phi (axis x p); at h = +-1 any axis will do
+    inv = slot_product(free) * [1.0, -1.0, -1.0, -1.0]
+    sin_phi = np.linalg.norm(inv[:, 1:], axis=-1, keepdims=True)
+    flat = sin_phi < 1e-12
+    axis = np.where(flat, [1.0, 0.0, 0.0], inv[:, 1:] / np.maximum(sin_phi, 1e-12))
+    p = rng.normal(size=(count, 3))
+    p -= np.sum(p * axis, axis=-1, keepdims=True) * axis
+    p /= np.linalg.norm(p, axis=-1, keepdims=True)
+    q = -inv[:, :1] * p + np.where(flat, 0.0, sin_phi) * cross(axis, p)
+    return np.concatenate([free, p[:, None], q[:, None]], axis=1)
 
 
 # --- the monotonicity constant ---------------------------------------------------

@@ -196,6 +196,50 @@ def test_cluster_indices_matches_the_component_oracle():
     assert len(cluster_indices(chain, 0.015)) == 3
 
 
+def _orbit_regime():
+    """The solver's regime: 3000 seeds on 900 orbits, within 1e-8 of their
+    orbit's invariants, and the number of orbits hit.  Half the orbits share
+    their first invariant with another, as mirror pairs share every dot
+    product."""
+    rng = np.random.default_rng(5)
+    centres = rng.normal(size=(900, 10))
+    centres[450:, 0] = centres[:450, 0]
+    orbit = rng.integers(0, 900, size=3000)
+    feats = centres[orbit] + 1e-8 * rng.normal(size=(3000, 10))
+    return feats, 1e-6, len(np.unique(orbit))
+
+
+# (features, radius, the expected groups or their number) where a sweep
+# along the first feature could part from the all-pairs graph
+SWEEP_CASES = {
+    # every number here is exact in binary
+    "first_features_exactly_the_radius_apart": (
+        np.array([[0.25, 0.0], [0.75, 0.0], [-0.25, 3.0], [0.25, 3.0]]), 0.5,
+        [[0, 1], [2, 3]]),
+    # the rounded difference 5e-324 + 0.1 is 0.1, so the distance test links
+    # a pair whose first features are more than 0.1 apart
+    "linked_by_rounding_beyond_the_radius": (
+        np.array([[-0.1, 0.0], [5e-324, 0.0]]), 0.1, [[0, 1]]),
+    "near_in_the_first_feature_only": (
+        np.array([[0.0, 0.0], [0.1, 1.0]]), 0.5, [[0], [1]]),
+    "all_first_features_equal": (
+        np.stack([np.full(300, 0.3), np.random.default_rng(7).uniform(0.0, 3.0, 300)],
+                 axis=1), 0.01, None),
+    "orbit_regime": _orbit_regime(),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_cluster_indices_sweep_keeps_the_all_pairs_graph(case):
+    feats, radius, expected = SWEEP_CASES[case]
+    got = [c.tolist() for c in cluster_indices(feats, radius)]
+    assert got == oracles.radius_components(feats, radius)
+    if isinstance(expected, list):
+        assert got == expected
+    elif expected is not None:
+        assert len(got) == expected
+
+
 def test_is_singular_config_detects_the_abelian_locus():
     p = RNG.normal(size=3)
     p /= np.linalg.norm(p)

@@ -391,6 +391,15 @@ def test_product_one_points_are_nondegenerate():
         assert ranks == {4 * pairs}
 
 
+def test_product_one_points_on_one_pair_solve_the_flat_case():
+    # with no free slots the product to undo is the identity, so the last
+    # two points take an arbitrary axis: q = -p
+    pts = random_k_points(1, 40, np.random.default_rng(4))
+    assert pts.shape == (40, 2, 3)
+    assert np.max(product_deviation(pts)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-12
+
+
 def test_nondegeneracy_rejects_singular_points():
     p = np.array([1.0, 0.0, 0.0])
     singular = np.stack([p, -p, p, -p])

@@ -210,19 +210,25 @@ def closure_permutation(word: BraidWord) -> list[int]:
     return perm
 
 
-def closure_components(word: BraidWord) -> int:
-    """Number of link components of the closed braid (permutation cycles)."""
+def closure_cycles(word: BraidWord) -> list[int]:
+    """The link component of each strand of the closed braid: the cycles of
+    its permutation, numbered from 0 in order of their first strand."""
     perm = closure_permutation(word)
-    seen = [False] * word.strands
+    labels = [-1] * word.strands
     count = 0
     for s in range(word.strands):
-        if not seen[s]:
-            count += 1
+        if labels[s] < 0:
             t = s
-            while not seen[t]:
-                seen[t] = True
+            while labels[t] < 0:
+                labels[t] = count
                 t = perm[t]
-    return count
+            count += 1
+    return labels
+
+
+def closure_components(word: BraidWord) -> int:
+    """Number of link components of the closed braid (permutation cycles)."""
+    return max(closure_cycles(word)) + 1
 
 
 def check_braid_relations(strands: int, samples: int = 50, rng_seed: int = 0) -> dict:

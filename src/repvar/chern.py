@@ -9,9 +9,9 @@ piece the four frame sections, written in a complex basis where the
 almost-complex structure acts as the imaginary unit, form a 4x4 matrix
 whose determinant has an elementary closed form of modulus 32.  Every
 frame and closed form is a numpy function of an array of piece
-parameters.  One `np.linspace` gives the parameters of all eight pieces,
-their frames are written into one read-only array, built once per sampling
-for the life of the process, and every evaluation of the contour is one
+parameters.  The frames of the eight pieces, each at its own `parameters`,
+are joined into one read-only array, built once per sampling for the life
+of the process, and every evaluation of the contour is one
 batched 4x4 Laplace expansion of it (`determinants`: the six 2x2 minors of
 rows 0-1 times their complementary minors in rows 2-3), which is both faster
 and closer to the closed forms than a stacked LAPACK `np.linalg.det` on
@@ -166,14 +166,6 @@ CONTOUR: tuple[ContourSegment, ...] = (
                    functools.partial(_rows_disc1_inner, fourth=_ROW_FOURTH_ABOVE),
                    lambda t: 32.0 * np.exp(-1.0j * t)),
 )
-_STARTS = np.array([seg.start for seg in CONTOUR])
-_ENDS = np.array([seg.end for seg in CONTOUR])
-
-
-def _parameters(samples_per_segment: int) -> np.ndarray:
-    """Every segment's parameters as (segment, sample) rows; row k equals
-    ``CONTOUR[k].parameters(samples_per_segment)`` exactly."""
-    return np.linspace(_STARTS, _ENDS, samples_per_segment, axis=-1)
 
 
 def _require_sampling(samples_per_segment: int) -> None:
@@ -189,12 +181,8 @@ def _frames(samples_per_segment: int) -> np.ndarray:
     4, 4) complex frames in traversal order.  They are an input to the
     determinant, not a measurement, so they are built once per sampling for
     the life of the process."""
-    params = _parameters(samples_per_segment)
-    sin, cos = np.sin(params), np.cos(params)
-    frames = np.empty(params.shape + (4, 4), dtype=complex)
-    for k, seg in enumerate(CONTOUR):
-        _fill(frames[k], seg.rows(sin[k], cos[k]))
-    frames = frames.reshape(-1, 4, 4)
+    frames = np.concatenate([seg.frame(seg.parameters(samples_per_segment))
+                             for seg in CONTOUR])
     frames.setflags(write=False)
     return frames
 
@@ -243,8 +231,8 @@ def closed_form_gap(samples_per_segment: int = 64) -> float:
     """Largest distance between a numeric determinant and its closed form."""
     rows = _segment_values(contour_determinants(samples_per_segment))
     gap = 0.0
-    for seg, t, values in zip(CONTOUR, _parameters(samples_per_segment), rows):
-        diff = values - seg.closed_form(t)
+    for seg, values in zip(CONTOUR, rows):
+        diff = values - seg.closed_form(seg.parameters(samples_per_segment))
         gap = max(gap, float(np.max(np.abs(diff))))
     return gap
 

@@ -170,6 +170,7 @@ def variety(ctx, name, braid_text, seeds, seed, as_json, run_dir) -> None:
                 "topology_tag": c.topology_tag,
                 "est_dimension": c.est_dimension,
                 "sample_count": c.sample_count,
+                "seeded_samples": c.seeded_samples,
                 "residual": c.residual,
                 "is_abelian": c.is_abelian,
                 "is_binary_dihedral": c.is_binary_dihedral,

@@ -9,7 +9,8 @@ signature 0), and its odd rows and even columns form a pentadiagonal skew
 matrix H' whose Pfaffian obeys a two-term integer recurrence.  Both
 matrices for n pairs are leading blocks of the ones for any larger n, so
 one elimination of the largest H' gives the Pfaffians of all the smaller
-ones.  Floating point appears only in the eigenvalue-based
+ones; the same pass reads every leading Pfaffian of any skew matrix, past
+its row swaps.  Floating point appears only in the eigenvalue-based
 signature check; determinants and Pfaffians come from fraction-free
 elimination over Python integers, so they are exact.  Every function here
 is a plain function of its inputs and keeps nothing between calls.
@@ -166,30 +167,27 @@ def _skew_rows(matrix: np.ndarray) -> list[list[int]]:
     return a
 
 
-def _eliminate(a: list[list[int]], leading: list[int]) -> int:
-    """Pfaffian of the skew rows ``a`` by fraction-free elimination, in place.
+def _eliminate(a: list[list[int]]) -> list[int]:
+    """Leading Pfaffians of the skew rows ``a``, by one elimination in place.
 
-    The Pfaffian form of Bareiss elimination: step k pivots on the entry
-    (k, k+1), swapping row and column k+1 with the first column that has a
-    nonzero entry in row k (one sign flip per swap; none means Pf = 0), and
-    replaces each remaining entry by a bordered 4-index Pfaffian divided by
-    the previous pivot.  The Pfaffian form of Sylvester's identity makes every
-    division exact, so the arithmetic stays in Python integers and the last
-    pivot is the Pfaffian.  Until the first swap, entry (k, k+1) at step k is
-    the Pfaffian of the leading (k+2) block; those values, up to and
-    including the first zero one, are appended to ``leading``.
+    The Pfaffian form of Bareiss elimination: step k pivots on (k, k+1),
+    first swapping row and column k+1 with the first column p that has a
+    nonzero entry in row k (one sign flip per swap), and replaces each
+    remaining entry by a bordered 4-index Pfaffian divided by the previous
+    pivot, exactly by Sylvester's identity.  A block that ends at or before
+    p has a zero row k, so its Pfaffian is 0; a larger one holds the swap, so
+    its Pfaffian is the signed pivot at its last step.  Without a p, every
+    block from k+2 on has a zero row.
     """
     size = len(a)
     sign = 1
     prev = 1
-    swapped = False
+    values: list[int] = []
     for k in range(0, size, 2):
         row_k = a[k]
-        if not swapped:
-            leading.append(row_k[k + 1])
         pivot_col = next((j for j in range(k + 1, size) if row_k[j]), None)
         if pivot_col is None:
-            return 0
+            return values + [0] * (size // 2 - len(values))
         if pivot_col != k + 1:
             # elimination updates only the upper triangle, which is all it
             # reads; the swap also reads the lower one, so mirror the live
@@ -202,9 +200,11 @@ def _eliminate(a: list[list[int]], leading: list[int]) -> int:
                 row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
             a[k + 1], a[pivot_col] = a[pivot_col], a[k + 1]
             sign = -sign
-            swapped = True
+            values += [0] * (pivot_col // 2 - len(values))
         row_k1 = a[k + 1]
         pivot = row_k[k + 1]
+        if len(values) == k // 2:
+            values.append(sign * pivot)
         for i in range(k + 2, size):
             row_i = a[i]
             a_ki, a_k1i = row_k[i], row_k1[i]
@@ -212,36 +212,27 @@ def _eliminate(a: list[list[int]], leading: list[int]) -> int:
                 row_i[j] = (pivot * row_i[j] - a_ki * row_k1[j]
                             + row_k[j] * a_k1i) // prev
         prev = pivot
-    return sign * prev
+    return values
 
 
 def pfaffian(matrix: np.ndarray) -> int:
     """Exact Pfaffian of an integer skew matrix by fraction-free elimination.
 
     Refuses odd sizes, matrices that are not exactly antisymmetric and
-    entries that are not integers.  Equals ``leading_pfaffians(matrix)[-1]``.
+    entries that are not integers.  Equals ``leading_pfaffians(matrix)[-1]``,
+    or 1 for the 0x0 matrix.
     """
-    return _eliminate(_skew_rows(matrix), [])
+    return (_eliminate(_skew_rows(matrix)) or [1])[-1]
 
 
 def leading_pfaffians(matrix: np.ndarray) -> list[int]:
     """Exact Pfaffians of the leading 2x2, 4x4, ..., full blocks of ``matrix``.
 
-    One elimination gives them all while it needs no swap: its pivot at each
-    step is the Pfaffian of the next leading block.  A zero pivot means that
-    block's Pfaffian is 0; the swap that follows breaks the correspondence,
-    so each larger block short of the whole matrix is then eliminated on its
-    own.  The last value is :func:`pfaffian` of the whole matrix.
+    One elimination gives them all, past every swap: each block's Pfaffian
+    is 0 or the signed pivot at its last step (see `_eliminate`).  The last
+    value is :func:`pfaffian` of the whole matrix.
     """
-    m = np.asarray(matrix)
-    a = _skew_rows(m)
-    size = len(a)
-    values: list[int] = []
-    whole = _eliminate(a, values)
-    values += [pfaffian(m[:j, :j]) for j in range(2 * len(values) + 2, size, 2)]
-    if len(values) < size // 2:
-        values.append(whole)
-    return values
+    return _eliminate(_skew_rows(matrix))
 
 
 def pfaffian_recurrence(n_max: int) -> list[int]:
@@ -294,7 +285,7 @@ def integer_determinant(matrix: np.ndarray) -> int:
 def det_factorization(hessian_matrix: np.ndarray, hprime_pfaffian: int) -> bool:
     """Certify det(H(n)) = Pf(H'(n))^4 exactly, given H(n) and Pf(H'(n)).
 
-    The parity-swapped Hessian splits into two complementary skew blocks
+    Reordered by parity, the Hessian splits into two complementary skew blocks
     that are negatives of each other, so its determinant is the square of
     one block's determinant, i.e. the fourth power of that block's
     Pfaffian.

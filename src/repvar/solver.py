@@ -1,6 +1,7 @@
 """Numerical computation of the fixed-point variety of a braid action.
 
-Pipeline: random seeds on the product of 2-spheres -> Levenberg-Marquardt
+Pipeline: random seeds on the product of 2-spheres, the first few moved
+onto exact abelian fixed points -> Levenberg-Marquardt
 on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
 damping weight and the exact Jacobian in orthonormal tangent coordinates,
 run on each seed until its residual is at rounding level (as the damping
@@ -35,6 +36,7 @@ from .braid import (
     BraidWord,
     Configuration,
     act_array,
+    closure_cycles,
     differential_arrays,
     is_singular_config,
     normalize,
@@ -92,6 +94,8 @@ class ComponentReport:
     # largest relative singular value counted as zero and smallest counted
     # as nonzero (None where no value is on that side)
     null_gap: tuple[float | None, float | None]
+    # samples that `solve` planted on the abelian locus rather than found
+    seeded_samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,26 @@ def _levenberg(word, pts):
     return pts, r
 
 
+def _plant_abelian(word: BraidWord, pts: np.ndarray) -> int:
+    """Overwrite the first rows of the seed batch ``pts``, in place, with
+    exact abelian fixed points, and return how many.
+
+    Row r keeps its first slot p and puts +-p in every slot, one sign per
+    link component of the closure (a letter maps (a, +-a) to (+-a, a)),
+    taking the sign patterns up to a global sign in turn: at least 4 rows
+    and one per pattern, but no more than the batch holds.  Random seeds
+    reach the abelian S2 ever more rarely as a word grows (at some solver
+    seeds T(2,41) gets none of 1536), so it is planted, not left to luck."""
+    labels = np.array(closure_cycles(word))
+    patterns = 2 ** int(labels.max())
+    rows = min(len(pts), max(4, patterns))
+    # component c takes bit c of twice the pattern, so component 0 keeps +p
+    twice = 2 * (np.arange(rows)[:, None] % patterns)
+    signs = 1 - 2 * ((twice >> labels) & 1)
+    pts[:rows] = signs[..., None] * pts[:rows, :1]
+    return rows
+
+
 # --- rotation-invariant embedding and clustering ----------------------------
 
 
@@ -170,9 +194,6 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
     """Pairwise dot products and signed triple volumes: a complete invariant
     of a configuration up to global rotation (the triple signs separate
     mirror pairs, which really are different components)."""
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None, ...]
     n = pts.shape[-2]
     feats = []
     for i, j in combinations(range(n), 2):
@@ -180,8 +201,7 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
     for i, j, k in combinations(range(n), 3):
         volume = cross(pts[..., i, :], pts[..., j, :]) * pts[..., k, :]
         feats.append(np.sum(volume, axis=-1))
-    out = np.stack(feats, axis=-1)
-    return out[0] if single else out
+    return np.stack(feats, axis=-1)
 
 
 def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray]:
@@ -314,14 +334,18 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         )
 
     pts = random_configurations(n, config.seeds, rng)
+    planted_rows = _plant_abelian(word, pts)  # in place
+    planted = np.arange(config.seeds) < planted_rows
     pts, r = _levenberg(word, pts)
-    survivors, rr = pts[r < DESCENT_TOL], r[r < DESCENT_TOL]
+    keep = r < DESCENT_TOL
+    survivors, rr, planted = pts[keep], r[keep], planted[keep]
     if len(survivors) == 0:
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
 
     feats = invariant_features(survivors)
     order = np.lexsort(feats.T[::-1])  # deterministic group order
-    survivors, rr, feats = survivors[order], rr[order], feats[order]
+    survivors, rr, feats, planted = (
+        survivors[order], rr[order], feats[order], planted[order])
     # one group per orbit: the residual is a squared distance, so a
     # survivor is within sqrt(DESCENT_TOL) of its orbit
     groups = cluster_indices(feats, math.sqrt(DESCENT_TOL))
@@ -348,6 +372,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
             classes[g] = (dim, "PRODUCT_RP3_S1", gap)
 
     sizes = np.array([len(g) for g in groups])
+    seeded = np.array([np.count_nonzero(planted[g]) for g in groups])
     reports = []
     for g in np.unique(owner):
         dim, tag, gap = classes[g]
@@ -362,6 +387,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
                 is_abelian=abelian[g],
                 residual=float(rr[firsts[g]]),
                 null_gap=gap,
+                seeded_samples=int(seeded[owner == g].sum()),
             )
         )
     return SolveReport(

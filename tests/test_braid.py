@@ -14,6 +14,7 @@ from repvar.braid import (
     act_array,
     check_braid_relations,
     closure_components,
+    closure_cycles,
     closure_permutation,
     differential_arrays,
     generator_step,
@@ -259,6 +260,10 @@ def test_tangent_basis_is_orthonormal_and_tangent():
 def test_closure_count_matches_permutation_oracle(w):
     want = oracles.closure_cycle_count(w.strands, list(w.letters))
     assert closure_components(w) == want
+    labels = closure_cycles(w)
+    assert sorted(set(labels)) == list(range(want))
+    assert all(labels[t] == labels[s]
+               for s, t in enumerate(closure_permutation(w)))
 
 
 def test_identity_word_closure():

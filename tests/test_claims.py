@@ -109,9 +109,9 @@ def test_each_run_builds_each_hessian_once(monkeypatch):
         calls.append(shape)
         return zeros(shape, *args, **kwargs)
 
-    def counting_eliminate(a, leading):
+    def counting_eliminate(a):
         eliminations.append(len(a))
-        return eliminate(a, leading)
+        return eliminate(a)
 
     monkeypatch.setattr(np, "zeros", counting)
     monkeypatch.setattr(hessian, "_eliminate", counting_eliminate)

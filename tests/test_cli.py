@@ -138,6 +138,22 @@ def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
         assert checks["census.binary_dihedral"]["expected"] == [0, 0]
 
 
+def test_variety_records_the_planted_abelian_samples(runner, tmp_path):
+    # one seed: it is planted, so the record's one component is an S2 that
+    # random search did not find, and its census fails
+    result = _run(runner, tmp_path,
+                  ["variety", "--braid", "2: 1 1 1", "--seeds", "1", "--json"])
+    assert result.exit_code == 1
+    comps = json.loads(result.output)["results"]["components"]
+    assert [(c["topology_tag"], c["sample_count"], c["seeded_samples"])
+            for c in comps] == [("S2", 1, 1)]
+    result = _run(runner, tmp_path,
+                  ["variety", "--braid", "2: 1 1 1 1", "--seeds", "96", "--json"])
+    comps = json.loads(result.output)["results"]["components"]
+    assert sum(c["seeded_samples"] for c in comps) == 4
+    assert all(c["topology_tag"] == "S2" for c in comps if c["seeded_samples"])
+
+
 def test_variety_requires_exactly_one_word(runner, tmp_path):
     assert _run(runner, tmp_path, ["variety"]).exit_code == 2
     both = _run(

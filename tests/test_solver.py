@@ -13,6 +13,7 @@ from repvar import solver
 from repvar.braid import (
     BraidWord,
     act_array,
+    closure_cycles,
     differential_arrays,
     is_singular_config,
     knot_by_name,
@@ -316,10 +317,14 @@ def test_classify_without_a_clean_gap_is_unknown():
     assert (nullity, tag, gap) == (0, "UNKNOWN", (None, 0.125))
 
 
-@pytest.mark.parametrize("n, seed", [(9, 103), (10, 7919)])
+@pytest.mark.parametrize("n, seed", [
+    (9, 103), (10, 7919),
+    *((41, seed) for seed in (11, 13, 19, 24, 26, 34, 40)), (40, 5)])
 def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
-    # at these seeds a dimension estimated from local samples around one
-    # representative comes out wrong; the Jacobian's nullity does not
+    # at the first two seeds a dimension estimated from local samples around
+    # one representative comes out wrong; the Jacobian's nullity does not.
+    # At the T(2,41) and T(2,40) seeds no random seed reaches an abelian S2;
+    # the planted seeds do
     report = solve(BraidWord(2, (1,) * n), SolverConfig(rng_seed=seed))
     checks = census_checks(report)
     names = ["census.torus_components", "census.torus_angles"]
@@ -327,6 +332,38 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
         names.insert(0, "census.binary_dihedral")
     assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
+
+
+@pytest.mark.parametrize("text, seeds, planted", [
+    ("2: 1 1 1", 1536, 4),  # a knot: the diagonal only
+    ("2: 1 1 1 1", 1536, 4),  # two components: diagonal and antidiagonal
+    ("3: 1 1", 128, 4),  # three components, four sign patterns
+    ("4: 1 3 1 3", 128, 8),  # four components: eight patterns, eight rows
+    ("2: 1 1 1 1", 1, 1),  # never more rows than seeds
+])
+def test_planted_abelian_seeds_are_exact_and_counted(text, seeds, planted):
+    word = parse_braid(text)
+    drawn = random_configurations(word.strands, seeds, np.random.default_rng(5))
+    pts = drawn.copy()
+    rows = solver._plant_abelian(word, pts)
+    assert rows == planted
+    assert np.array_equal(pts[rows:], drawn[rows:])
+    assert np.array_equal(pts[:rows, 0], drawn[:rows, 0])
+    assert np.all(residual_array(word, pts[:rows]) < 1e-24)
+    # +-p in every slot, one sign per link component, every pattern up to a
+    # global sign while the rows last
+    signs = np.sign(np.einsum("rsk,rk->rs", pts[:rows], pts[:rows, 0]))
+    assert np.array_equal(pts[:rows], signs[..., None] * pts[:rows, :1])
+    labels = np.array(closure_cycles(word))
+    for row in signs:
+        assert all(len(set(row[labels == c])) == 1 for c in set(labels))
+    patterns = 2 ** labels.max()
+    assert len({tuple(row) for row in signs}) == min(rows, patterns)
+    report = solve(word, SolverConfig(seeds=seeds, rng_seed=5))
+    assert sum(c.seeded_samples for c in report.components) == rows
+    if word.strands == 2:  # there the abelian points form S2 components
+        assert all(c.is_abelian and c.topology_tag == "S2"
+                   for c in report.components if c.seeded_samples)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

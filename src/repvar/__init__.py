@@ -2,9 +2,10 @@
 
 The package computes the variety as the fixed-point set of a braid word
 acting on a product of 2-spheres, estimates its component census and
-dimensions numerically, computes exact knot invariants (reduced Burau /
-Alexander / determinant) for cross-validation, and verifies the symplectic
-structure on the ambient space: invariance of the 2-form under the action,
+dimensions numerically, computes exact knot invariants (Alexander /
+determinant / Fox colourings, all from one Burau matrix) for
+cross-validation, and verifies the symplectic structure on the ambient
+space: invariance of the 2-form under the action,
 vanishing on the mirror-image Lagrangian, the two reference sphere pairings,
 the monotonicity ratio, the fixed-point Hessian / Pfaffian identities, and
 the contour-winding computation of the sphere-class pairing.

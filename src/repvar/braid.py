@@ -55,8 +55,10 @@ class BraidWord:
 
 def parse_braid(text: str) -> BraidWord:
     """Parse 'n: k1 k2 ...' (e.g. '2: 1 1 1'); 'n:' is the identity word."""
-    # (?!\d): never split a run of digits, or rejecting takes exponential time
-    m = re.fullmatch(r"\s*(\d+)\s*:\s*((?:-?\d+(?!\d)[\s,]*)*)", text)
+    # letters need a separator between them, so a run of digits is never
+    # split (trying every split would take exponential time to reject)
+    m = re.fullmatch(r"\s*(\d+)\s*:\s*((?:-?\d+(?:[\s,]+-?\d+)*[\s,]*)?)",
+                     text)
     if not m:
         raise ValueError(f"cannot parse braid word {text!r}")
     strands = int(m.group(1))

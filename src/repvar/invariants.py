@@ -1,12 +1,13 @@
-"""Exact knot invariants from the reduced Burau representation.
+"""Exact knot invariants from the unreduced Burau representation.
 
 A polynomial in Z[t, t^-1] is a numpy ``dtype=object`` array of Python
 integers, lowest exponent first, so nothing here overflows and nothing is
-floating point.  The chain is: braid word -> reduced Burau coefficient array
--> det(B - I) by cofactors, with ``np.convolve`` as the product -> synthetic
-division by 1 + t + ... + t^(n-1) -> normalized Alexander polynomial ->
-determinant |value at t = -1|.  `colourings`, the Fox colourings of the
-word (the binary-dihedral fixed points of the action), count det again.
+floating point.  One matrix serves both invariants.  The Alexander chain is:
+braid word -> Burau coefficient array B -> the minor of B - I without row
+and column 0 by cofactors, with ``np.convolve`` as the product -> normalized
+Alexander polynomial -> determinant |value at t = -1|.  `colourings`, the
+Fox colourings of the word (the binary-dihedral fixed points of the
+action), read B at t = -1 and count det again.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ import numpy as np
 
 from .braid import BraidWord, closure_components, load_knot_table
 from .su2 import InternalError
-
-
-class InexactDivisionError(ArithmeticError):
-    """Laurent division that should have been exact left a remainder."""
 
 
 class NonKnotError(ValueError):
@@ -63,34 +60,30 @@ class LaurentPoly:
         return det
 
 
-def burau_reduced(word: BraidWord) -> np.ndarray:
-    """Reduced Burau matrix of the word as an (n-1, n-1, 2L+1) array of
-    Python ints, L = len(word.letters): entry [i, j, e] is the coefficient of
+def burau(word: BraidWord) -> np.ndarray:
+    """Unreduced Burau matrix of the word as an (n, n, 2L+1) array of Python
+    ints, L = len(word.letters): entry [i, j, e] is the coefficient of
     t^(e - L).  Letters compose like the action (a homomorphism:
     burau(v * w) = burau(v) @ burau(w)).
 
-    Right multiplication by the image of letter i in the basis f_1 .. f_{n-1}
-    is three operations on column c = i - 1: for sigma_i, column c - 1 gains
-    column c, column c + 1 gains t * column c, and column c becomes -t times
-    itself; for the inverse letter the gains are t^-1 and 1 and the factor
-    is -t^-1.  Columns outside the basis are dropped.  An entry after k
-    letters has degree at most k in t and in t^-1, so no shift wraps round.
+    A letter acts on its two columns (a, b) only: sigma_i takes them to
+    ((1 - t) a + b, t a), its inverse to (t^-1 b, a + (1 - t^-1) b).  An
+    entry after k letters has degree at most k in t and in t^-1, so no shift
+    wraps round.  Every row sums to 1, and (1, t, ..., t^(n-1)) B is
+    (1, t, ..., t^(n-1)).
     """
-    if word.strands < 2:
-        raise ValueError("Burau needs at least two strands")
-    n, span = word.strands - 1, len(word.letters)
+    n, span = word.strands, len(word.letters)
     out = np.zeros((n, n, 2 * span + 1), dtype=object)
     out[range(n), range(n), span] = 1
     for letter in word.letters:
         c = abs(letter) - 1
-        col = out[:, c].copy()
-        shifted = np.roll(col, 1 if letter > 0 else -1, axis=-1)
-        left, right = (col, shifted) if letter > 0 else (shifted, col)
-        if c > 0:
-            out[:, c - 1] += left
-        if c + 1 < n:
-            out[:, c + 1] += right
-        out[:, c] = -shifted
+        a, b = out[:, c], out[:, c + 1]
+        if letter > 0:
+            ta = np.roll(a, 1, axis=-1)
+            out[:, c], out[:, c + 1] = a + b - ta, ta
+        else:
+            b_t = np.roll(b, -1, axis=-1)
+            out[:, c], out[:, c + 1] = b_t, a + b - b_t
     return out
 
 
@@ -108,38 +101,25 @@ def _det(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def _exact_quotient(numerator: np.ndarray, n: int) -> np.ndarray:
-    """numerator / (1 + t + ... + t^(n-1)) by synthetic division, lowest
-    exponent first; raises InexactDivisionError if a remainder is left."""
-    rem = numerator.copy()
-    quotient = np.zeros(max(len(rem) - n + 1, 0), dtype=object)
-    for i in range(len(quotient) - 1, -1, -1):
-        quotient[i] = rem[i + n - 1]
-        rem[i:i + n] -= quotient[i]
-    if rem.any():
-        raise InexactDivisionError("nonzero remainder")
-    return quotient
-
-
 def alexander(word: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of the knot closure.
 
-    Exact chain: det(burau - I) divided by 1 + t + ... + t^(n-1) before any
-    evaluation, then shifted to lowest exponent 0 and signed so the value at
-    t = 1 is +1.  Raises NonKnotError for multi-component closures and
-    InexactDivisionError if the division fails (which would mean a bug).
+    Exact chain: B - I is the Alexander matrix of the closed braid (Fox), so
+    its minor without row and column 0 is the polynomial up to a unit +-t^k;
+    it is shifted to lowest exponent 0 and signed so the value at t = 1 is
+    +1.  Raises NonKnotError for multi-component closures.
     """
     _require_knot(word)
     if word.strands == 1:
         return LaurentPoly(0, (1,))
-    matrix = burau_reduced(word)
-    matrix[range(word.strands - 1), range(word.strands - 1),
-           len(word.letters)] -= 1
-    quotient = _exact_quotient(_det(matrix), word.strands)
-    support = np.flatnonzero(quotient)
+    n = word.strands
+    matrix = burau(word)
+    matrix[range(n), range(n), len(word.letters)] -= 1
+    minor = _det(matrix[1:, 1:])
+    support = np.flatnonzero(minor)
     if not len(support):
         raise InternalError("Alexander polynomial cannot be zero for a knot")
-    coeffs = tuple(int(c) for c in quotient[support[0]:support[-1] + 1])
+    coeffs = tuple(int(c) for c in minor[support[0]:support[-1] + 1])
     at_one = sum(coeffs)
     if at_one == -1:
         coeffs = tuple(-c for c in coeffs)
@@ -191,11 +171,6 @@ def _smith(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return [abs(a[k][k]) for k in range(cols)], w
 
 
-# a letter's action on the angles of its two slots (inverse letter, letter)
-_ANGLE_BLOCKS = (np.array([[0, 1], [-1, 2]], dtype=object),
-                 np.array([[2, -1], [1, 0]], dtype=object))
-
-
 def colourings(word: BraidWord) -> list[tuple[Fraction, ...]]:
     """Fox colourings of the knot closure up to sign: turns x in [0, 1)^n
     with x_1 = 0, one per pair x, -x mod 1, the trivial class first.
@@ -208,11 +183,10 @@ def colourings(word: BraidWord) -> list[tuple[Fraction, ...]]:
     (B - I)[:, 1:]; each nontrivial class is one binary-dihedral
     representation.  Raises NonKnotError on a link."""
     _require_knot(word)
-    n = word.strands
-    b = np.eye(n, dtype=int).astype(object)
-    for letter in word.letters:
-        i = abs(letter) - 1
-        b[:, i:i + 2] = b[:, i:i + 2] @ _ANGLE_BLOCKS[letter > 0]
+    n, span = word.strands, len(word.letters)
+    signs = np.array([(-1) ** abs(e - span) for e in range(2 * span + 1)],
+                     dtype=object)
+    b = burau(word) @ signs
     b[range(n), range(n)] -= 1
     factors, w = _smith(b[:, 1:].tolist())
     classes = set()

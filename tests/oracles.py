@@ -63,6 +63,73 @@ def poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _laurent_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def reduced_burau_alexander(strands: int, letters) -> tuple[int, ...]:
+    """Alexander polynomial of a knot closure by the older chain: det(R - I)
+    of the reduced Burau matrix R, divided by 1 + t + ... + t^(n-1) by
+    synthetic division.  Polynomials are {exponent: coefficient} dicts and
+    matrices lists of lists of them; R is the product of one full generator
+    matrix per letter, the determinant the Leibniz sum.  Returns the
+    coefficients from exponent 0, signed so the value at t = 1 is +1."""
+    k = strands - 1
+    if k == 0:
+        return (1,)
+    ident = [[{0: 1} if i == j else {} for j in range(k)] for i in range(k)]
+    r = [row[:] for row in ident]
+    for letter in letters:
+        c, e = abs(letter) - 1, 1 if letter > 0 else -1
+        # the identity but for row c, which is (1, -t, t) on columns c - 1,
+        # c, c + 1 for sigma and (t^-1, -t^-1, 1) for its inverse
+        g = [row[:] for row in ident]
+        g[c] = [{} for _ in range(k)]
+        if c > 0:
+            g[c][c - 1] = {0: 1} if e > 0 else {-1: 1}
+        g[c][c] = {e: -1}
+        if c + 1 < k:
+            g[c][c + 1] = {1: 1} if e > 0 else {0: 1}
+        prod = [[{} for _ in range(k)] for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                for m in range(k):
+                    for x, v in _laurent_mul(r[i][m], g[m][j]).items():
+                        prod[i][j][x] = prod[i][j].get(x, 0) + v
+        r = prod
+    for i in range(k):
+        r[i][i] = {**r[i][i], 0: r[i][i].get(0, 0) - 1}
+    det: dict = {}
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k)
+                         for j in range(i + 1, k))
+        term = {0: (-1) ** inversions}
+        for i in range(k):
+            term = _laurent_mul(term, r[i][perm[i]])
+        for x, v in term.items():
+            det[x] = det.get(x, 0) + v
+    det = {x: v for x, v in det.items() if v}
+    low, high = min(det), max(det)
+    rem = [det.get(x, 0) for x in range(low, high + 1)]
+    quotient = [0] * (len(rem) - k)
+    for i in range(len(quotient) - 1, -1, -1):  # from the top coefficient
+        quotient[i] = rem[i + k]
+        for j in range(i, i + k + 1):
+            rem[j] -= quotient[i]
+    assert not any(rem), "division by 1 + t + ... + t^(n-1) left a remainder"
+    while quotient[-1] == 0:
+        quotient.pop()
+    while quotient[0] == 0:
+        quotient.pop(0)
+    if sum(quotient) < 0:
+        quotient = [-q for q in quotient]
+    return tuple(quotient)
+
+
 # ---------------------------------------------------------------------------
 # Rotation oracle: conjugation in SU(2) is a rotation of the vector part.
 

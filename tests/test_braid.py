@@ -58,6 +58,9 @@ def test_parse_braid_rejects_garbage():
     for text in ("4", "1: 1", "3: 0", "3: 5", "3: -3", "x: 1", "3: a"):
         with pytest.raises(ValueError):
             parse_braid(text)
+    # two letters with no separator between them
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_braid("3: 1-2")
 
 
 def test_parse_braid_rejects_a_long_malformed_word_quickly():

@@ -203,13 +203,13 @@ def test_invariants_runs_the_burau_chain_once(runner, tmp_path, monkeypatch):
     from repvar import invariants
 
     calls = []
-    burau = invariants.burau_reduced
+    burau = invariants.burau
 
     def counting(word):
         calls.append(word)
         return burau(word)
 
-    monkeypatch.setattr(invariants, "burau_reduced", counting)
+    monkeypatch.setattr(invariants, "burau", counting)
     result = _run(runner, tmp_path, ["invariants", "--name", "5_2", "--json"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["determinant"] == 7

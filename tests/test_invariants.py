@@ -1,5 +1,5 @@
-"""The exact invariants pipeline: reduced Burau, Alexander, determinant, and
-the Fox colourings."""
+"""The exact invariants pipeline: the unreduced Burau matrix, and from it the
+Alexander polynomial, the determinant and the Fox colourings."""
 from __future__ import annotations
 
 import math
@@ -14,13 +14,11 @@ import oracles
 from repvar.braid import (BraidWord, act_array, closure_components,
                           knot_by_name, load_knot_table, parse_braid)
 from repvar.invariants import (
-    InexactDivisionError,
     LaurentPoly,
     NonKnotError,
-    _exact_quotient,
     _parse_khovanov_ranks,
     alexander,
-    burau_reduced,
+    burau,
     colourings,
     determinant,
     load_khovanov_ranks,
@@ -30,25 +28,7 @@ from repvar.invariants import (
 from repvar.su2 import circle_point
 
 
-def _poly(coeffs) -> np.ndarray:
-    return np.array(coeffs, dtype=object)
-
-
-# --- the result type and the division helper ------------------------------------
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(1, 5))
-@settings(max_examples=60)
-def test_exact_division_inverts_multiplication(q, n):
-    product = np.convolve(_poly(q), _poly([1] * n))
-    assert _exact_quotient(product, n).tolist() == q
-
-
-def test_inexact_division_is_an_error():
-    with pytest.raises(InexactDivisionError):
-        _exact_quotient(_poly([1, 1, 1]), 2)
-    with pytest.raises(InexactDivisionError):
-        _exact_quotient(_poly([1]), 2)
+# --- the result type --------------------------------------------------------------
 
 
 def test_evaluate_is_exact_rational():
@@ -63,7 +43,7 @@ def test_text_format():
     assert str(LaurentPoly(0, ())) == "0"
 
 
-# --- reduced Burau representation ------------------------------------------------
+# --- the Burau representation -----------------------------------------------------
 
 
 def _random_word(rng_like, strands, length):
@@ -77,32 +57,69 @@ def _random_word(rng_like, strands, length):
     return BraidWord(strands, letters)
 
 
+def _random_knot_words(count: int, seed: int = 5) -> list[BraidWord]:
+    rng = np.random.default_rng(seed)
+    words = []
+    while len(words) < count:
+        strands = int(rng.integers(2, 6))
+        letters = tuple(int(rng.integers(1, strands)) * int(rng.choice([-1, 1]))
+                        for _ in range(int(rng.integers(1, 12))))
+        word = BraidWord(strands, letters)
+        if closure_components(word) == 1:
+            words.append(word)
+    return words
+
+
+# 500 random knot words on 2-5 strands, 1-11 letters, from a fixed seed
+RANDOM_KNOT_WORDS = _random_knot_words(500)
+
+
 def test_burau_is_a_homomorphism():
     for seed in range(6):
         strands = 3 + seed % 2
         v = _random_word(seed, strands, 3)
         w = _random_word(seed + 100, strands, 3)
-        lhs = burau_reduced(v * w)
-        rhs = oracles.poly_matmul(burau_reduced(v), burau_reduced(w))
+        lhs = burau(v * w)
+        rhs = oracles.poly_matmul(burau(v), burau(w))
         assert np.array_equal(lhs, rhs)
 
 
 def test_burau_respects_inverses():
     w = parse_braid("3: 1 -2 1 1")
-    prod = oracles.poly_matmul(burau_reduced(w), burau_reduced(w.inverse()))
+    prod = oracles.poly_matmul(burau(w), burau(w.inverse()))
     identity = np.zeros_like(prod)
-    identity[[0, 1], [0, 1], prod.shape[2] // 2] = 1
+    identity[[0, 1, 2], [0, 1, 2], prod.shape[2] // 2] = 1
     assert np.array_equal(prod, identity)
 
 
 def test_burau_satisfies_braid_relation():
-    lhs = burau_reduced(parse_braid("3: 1 2 1"))
-    rhs = burau_reduced(parse_braid("3: 2 1 2"))
+    lhs = burau(parse_braid("3: 1 2 1"))
+    rhs = burau(parse_braid("3: 2 1 2"))
     assert np.array_equal(lhs, rhs)
 
 
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n - 1).flatmap(
+        lambda k: st.sampled_from((k, -k))), max_size=8))))
+@settings(max_examples=60)
+def test_burau_fixes_the_ones_and_the_powers_of_t(strands_letters):
+    # B (1, ..., 1)^T = (1, ..., 1)^T and (1, t, ..., t^(n-1)) B = (1, t, ...,
+    # t^(n-1)): why the Alexander minor may drop row and column 0
+    n, letters = strands_letters
+    matrix = burau(BraidWord(n, tuple(letters)))
+    span = len(letters)
+    one = np.zeros(2 * span + 1, dtype=object)
+    one[span] = 1
+    assert all(np.array_equal(row, one) for row in matrix.sum(axis=1))
+    padded = np.pad(matrix, ((0, 0), (0, 0), (0, n - 1)))
+    weighted = sum(np.roll(padded[i], i, axis=-1) for i in range(n))
+    powers = np.zeros_like(weighted)
+    powers[range(n), span + np.arange(n)] = 1
+    assert np.array_equal(weighted, powers)
+
+
 def test_burau_coefficients_are_python_ints():
-    matrix = burau_reduced(parse_braid("3: 1 -2 1 -2"))
+    matrix = burau(parse_braid("3: 1 -2 1 -2"))
     assert matrix.dtype == object
     assert {type(c) for c in matrix.flat} == {int}
 
@@ -141,6 +158,16 @@ def test_turks_head_determinant_is_exact(k):
     while len(lucas) <= 2 * k:
         lucas.append(lucas[-1] + lucas[-2])
     assert determinant(BraidWord(3, (1, -2) * k)) == lucas[2 * k] - 2
+
+
+def test_alexander_matches_the_reduced_burau_chain():
+    # the minor of the unreduced B - I against det(R - I) / (1 + ... + t^(n-1))
+    # for the reduced R, computed apart from the package
+    for word in RANDOM_KNOT_WORDS:
+        poly = alexander(word)
+        assert poly.min_exp == 0
+        assert poly.coeffs == oracles.reduced_burau_alexander(
+            word.strands, word.letters), word
 
 
 def test_alexander_of_the_unknot_is_one():
@@ -201,23 +228,10 @@ COLOURED_WORDS = [
 ]
 
 
-def _random_knot_words(count: int, seed: int = 5) -> list[BraidWord]:
-    rng = np.random.default_rng(seed)
-    words = []
-    while len(words) < count:
-        strands = int(rng.integers(2, 6))
-        letters = tuple(int(rng.integers(1, strands)) * int(rng.choice([-1, 1]))
-                        for _ in range(int(rng.integers(1, 12))))
-        word = BraidWord(strands, letters)
-        if closure_components(word) == 1:
-            words.append(word)
-    return words
-
-
 def test_colourings_count_the_determinant():
     # a second route to det: (det - 1) / 2 nonabelian classes and the
     # trivial one, from the Smith normal form rather than the Alexander chain
-    for word in COLOURED_WORDS + _random_knot_words(60):
+    for word in COLOURED_WORDS + RANDOM_KNOT_WORDS:
         classes = colourings(word)
         assert len(classes) == (determinant(word) + 1) // 2, word
         assert classes[0] == (0,) * word.strands

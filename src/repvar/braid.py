@@ -301,7 +301,16 @@ def knot_by_name(name: str) -> KnotEntry:
     return table[name]
 
 
+def _rotations(word: BraidWord) -> set[BraidWord]:
+    """Every cyclic rotation of ``word``: its conjugates by a prefix, whose
+    closures are the same link."""
+    letters = word.letters
+    return {BraidWord(word.strands, letters[k:] + letters[:k])
+            for k in range(max(len(letters), 1))}
+
+
 def knot_name(word: BraidWord) -> str | None:
-    """The name of the table knot whose shipped braid is ``word``, or None."""
+    """The name of the table knot whose shipped braid is ``word`` or a cyclic
+    rotation of it, or None."""
     return next((name for name, entry in load_knot_table().items()
-                 if entry.word == word), None)
+                 if word in _rotations(entry.word)), None)

@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # the verify suites never load the solver
     from .solver import SolveReport
 
 HESSIAN_SIZES = range(2, 9)
+# det H(n) = Pf(H'(n))^4 is checked for the first three sizes, n = 2..4
+DETERMINANT_SIZES = range(2, 5)
 # Pf(H'(n)) for n = 2..8, the table the recurrence Pf(n+2) = 2 Pf(n+1) + Pf(n)
 # produces from 2, 5.  Transcribed from the paper, like the Hessian blocks
 # and the contour frames the hessian.* and chern.* claims measure: none of
@@ -62,9 +64,13 @@ class Measurements:
     """One run's inputs and the values its claims share.
 
     Each shared value is a cached property, measured on first use and kept
-    only as long as this object: the Hessians H(n) and their spectra, the
-    leading Pfaffians of H'(8), the contour determinants (one `chern`
-    determinant evaluation), the windings of both contours and the
+    only as long as this object: the Hessians H(n), each a leading block of
+    the one H(8) that is built, and their spectra (one eigensolve per H(n));
+    the exact values read off one pass over the largest matrix -- the parity
+    result of every H(n) from one comparison of H(8) with its swap
+    conjugate, every Pf(H'(n)) from one elimination of H'(8), and det H(n)
+    for n = 2..4 from one elimination of H(4); the contour determinants (one
+    `chern` determinant evaluation), the windings of both contours and the
     monotonicity report (one evaluation of the form, which every monotone
     claim reads, the cap maximum included).  So no run reads a value
     another measured; only the read-only inputs of the contour and of the
@@ -84,6 +90,22 @@ class Measurements:
     @functools.cached_property
     def spectra(self) -> list[np.ndarray]:
         return [hessian.spectrum(h) for h in self.hessians]
+
+    @functools.cached_property
+    def parity_negated(self) -> list[bool]:
+        """Whether the parity swap negates H(n), for every n in HESSIAN_SIZES,
+        from one comparison of the largest H with its swap conjugate; H(n)
+        is its leading block of size 4n-4, the (2n-2)-th even one."""
+        negated = hessian.parity_swap_negates(self.hessians[-1])
+        return [negated[2 * n - 3] for n in HESSIAN_SIZES]
+
+    @functools.cached_property
+    def determinants(self) -> list[int]:
+        """det H(n) for every n in DETERMINANT_SIZES, from one elimination of
+        the largest of them, H(n) being its leading block of size 4n-4."""
+        size = 4 * DETERMINANT_SIZES[-1] - 4
+        dets = hessian.leading_determinants(self.hessians[-1][:size, :size])
+        return [dets[4 * n - 5] for n in DETERMINANT_SIZES]
 
     @functools.cached_property
     def hprime_pfaffians(self) -> tuple[int, ...]:
@@ -177,7 +199,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("lagrangian.random_words_6_strands", "abs_le", 1e-10,
           functools.partial(_random_word_images, 6)),
     Claim("hessian.parity_swap_negates", "equals", [True] * 7,
-          lambda m: [hessian.php_identity(h) for h in m.hessians]),
+          lambda m: m.parity_negated),
     Claim("hessian.signature_zero", "equals", [0] * 7,
           lambda m: [hessian.signature(eigs) for eigs in m.spectra]),
     Claim("hessian.min_abs_eigenvalue", "gt", 1e-2,
@@ -187,8 +209,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("hessian.pfaffian_table", "equals", PFAFFIANS_2_TO_8,
           lambda m: hessian.pfaffian_recurrence(8)),
     Claim("hessian.det_equals_pfaffian_fourth", "equals", [True] * 3,
-          lambda m: [hessian.det_factorization(h, pf)
-                     for h, pf in zip(m.hessians[:3], m.hprime_pfaffians)]),
+          lambda m: [det == pf ** 4
+                     for det, pf in zip(m.determinants, m.hprime_pfaffians)]),
     Claim("chern.modulus_deviation_first_contour", "abs_le", 1e-9,
           lambda m: chern.modulus_deviation(m.contour)),
     Claim("chern.modulus_deviation_second_contour", "abs_le", 1e-9,

@@ -8,21 +8,27 @@ swap-adjacent-coordinates permutation conjugates it to its negative (hence
 signature 0), and its odd rows and even columns form a pentadiagonal skew
 matrix H' whose Pfaffian obeys a two-term integer recurrence.  Both
 matrices for n pairs are leading blocks of the ones for any larger n, so
-one elimination of the largest H' gives the Pfaffians of all the smaller
-ones; the same pass reads every leading Pfaffian of any skew matrix, past
-its row swaps.  Floating point appears only in the eigenvalue-based
-signature check; determinants and Pfaffians come from fraction-free
-elimination over Python integers, so they are exact.  Every function here
-is a plain function of its inputs and keeps nothing between calls.
+every check on the smaller ones is a read-off of one pass over the largest:
+one elimination of H' gives every leading Pfaffian and one of H every
+leading determinant, each past its row swaps, and one comparison of H with
+its swap conjugate gives the parity result of every even leading block,
+because the swap maps each even leading range to itself.  Floating point
+appears only in the eigenvalue-based signature check; determinants and
+Pfaffians come from fraction-free elimination over Python integers, so they
+are exact.  Every function here is a plain function of its inputs and keeps
+nothing between calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = [
     "build_hessian",
     "php_identity",
+    "parity_swap_negates",
     "signature",
     "min_abs_eigenvalue",
     "spectrum",
@@ -31,7 +37,7 @@ __all__ = [
     "leading_pfaffians",
     "pfaffian_recurrence",
     "integer_determinant",
-    "det_factorization",
+    "leading_determinants",
     "PFAFFIAN_SEEDS",
 ]
 
@@ -88,17 +94,31 @@ def build_hessian(n: int) -> np.ndarray:
     return h
 
 
-def php_identity(matrix: np.ndarray) -> bool:
-    """Whether the parity swap conjugates ``matrix`` to its exact negative.
+def parity_swap_negates(matrix: np.ndarray) -> list[bool]:
+    """Whether the parity swap conjugates the leading 2x2, 4x4, ..., full
+    blocks of ``matrix`` to their exact negatives.
 
     The swap exchanges coordinates 2j and 2j+1 (0-based), so conjugating by
-    it permutes rows and columns by ``i -> i ^ 1``.
+    it permutes rows and columns by ``i -> i ^ 1``, which maps every even
+    leading range to itself: the conjugate of a leading block is the leading
+    block of the conjugate.  So one comparison of the whole matrix serves
+    every block, and an entry (i, j) that breaks the identity fails exactly
+    the blocks larger than max(i, j).
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError("need an even-sized square matrix")
-    swap = np.arange(m.shape[0]) ^ 1
-    return bool(np.array_equal(m[swap][:, swap], -m))
+    size = m.shape[0]
+    swap = np.arange(size) ^ 1
+    rows, cols = np.nonzero(m[swap][:, swap] != -m)
+    first = int(np.maximum(rows, cols).min()) if len(rows) else size
+    return [block <= first for block in range(2, size + 1, 2)]
+
+
+def php_identity(matrix: np.ndarray) -> bool:
+    """Whether the parity swap conjugates ``matrix`` to its exact negative:
+    the last value of :func:`parity_swap_negates`, or True for 0x0."""
+    return (parity_swap_negates(matrix) or [True])[-1]
 
 
 def spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -110,8 +130,16 @@ def spectrum(matrix: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _min_abs(values: list[float]) -> float:
+    """Smallest |value|, or NaN if any value is NaN."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return min(map(abs, values))
+
+
 def min_abs_eigenvalue(eigs: np.ndarray) -> float:
-    return float(np.abs(eigs).min())
+    """Smallest |eigenvalue| of ``eigs``; NaN if any eigenvalue is NaN."""
+    return _min_abs(np.asarray(eigs, dtype=float).tolist())
 
 
 def signature(eigs: np.ndarray) -> int:
@@ -120,13 +148,15 @@ def signature(eigs: np.ndarray) -> int:
 
     The parity-swap identity forces the value 0 whenever the matrix is
     invertible, so a near-zero eigenvalue is reported as an error rather
-    than silently classified.
+    than silently classified.  A spectrum has at most a few dozen values
+    here, so one ``tolist`` and Python's own loops beat numpy calls on it.
     """
-    if min_abs_eigenvalue(eigs) <= EIGENVALUE_ZERO_THRESHOLD:
+    values = np.asarray(eigs, dtype=float).tolist()
+    if _min_abs(values) <= EIGENVALUE_ZERO_THRESHOLD:
         raise ValueError(
             f"eigenvalue within {EIGENVALUE_ZERO_THRESHOLD} of zero: "
-            f"{len(eigs)}x{len(eigs)} matrix unexpectedly near-singular")
-    return int(np.count_nonzero(eigs > 0) - np.count_nonzero(eigs < 0))
+            f"{len(values)}x{len(values)} matrix unexpectedly near-singular")
+    return sum((v > 0) - (v < 0) for v in values)
 
 
 def build_hprime(n: int) -> np.ndarray:
@@ -249,45 +279,67 @@ def pfaffian_recurrence(n_max: int) -> list[int]:
     return values
 
 
-def integer_determinant(matrix: np.ndarray) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = _integer_rows(_validate_square(matrix))
+def _bareiss(a: list[list[int]]) -> list[int]:
+    """Leading determinants of the square rows ``a``, by one elimination in
+    place.
+
+    Fraction-free (Bareiss) elimination: step k pivots on (k, k), first
+    swapping row k with the first row r below it that has a nonzero entry in
+    column k (one sign flip per swap), and replaces each remaining entry by
+    a bordered 2x2 determinant divided by the previous pivot, exactly by
+    Sylvester's identity.  Before the swap, column k is zero in rows k..r-1
+    of every block of size k+1..r, so their determinants are 0; a larger
+    block holds the swapped rows, so its determinant is the signed pivot at
+    its last step.  Without an r, every block from k+1 on is singular.
+    """
     size = len(a)
-    if size == 0:
-        return 1
     sign = 1
     prev = 1
-    for k in range(size - 1):
+    values: list[int] = []
+    for k in range(size):
         if a[k][k] == 0:
             pivot_row = next(
                 (i for i in range(k + 1, size) if a[i][k] != 0), None)
             if pivot_row is None:
-                return 0
+                return values + [0] * (size - len(values))
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+            values += [0] * (pivot_row - len(values))
         row_k = a[k]
         pivot = row_k[k]
+        if len(values) == k:
+            values.append(sign * pivot)
         for i in range(k + 1, size):
             row_i = a[i]
             a_ik = row_i[k]
             # a zero in the pivot column drops the cross term, and the
-            # division stays exact
+            # division stays exact; a zero entry then stays zero
             if a_ik:
                 for j in range(k + 1, size):
                     row_i[j] = (row_i[j] * pivot - a_ik * row_k[j]) // prev
             else:
                 for j in range(k + 1, size):
-                    row_i[j] = row_i[j] * pivot // prev
+                    if row_i[j]:
+                        row_i[j] = row_i[j] * pivot // prev
         prev = pivot
-    return sign * a[size - 1][size - 1]
+    return values
 
 
-def det_factorization(hessian_matrix: np.ndarray, hprime_pfaffian: int) -> bool:
-    """Certify det(H(n)) = Pf(H'(n))^4 exactly, given H(n) and Pf(H'(n)).
+def integer_determinant(matrix: np.ndarray) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
 
-    Reordered by parity, the Hessian splits into two complementary skew blocks
-    that are negatives of each other, so its determinant is the square of
-    one block's determinant, i.e. the fourth power of that block's
-    Pfaffian.
+    Refuses entries that are not integers.  Equals
+    ``leading_determinants(matrix)[-1]``, or 1 for the 0x0 matrix.
     """
-    return integer_determinant(hessian_matrix) == hprime_pfaffian ** 4
+    return (_bareiss(_integer_rows(_validate_square(matrix))) or [1])[-1]
+
+
+def leading_determinants(matrix: np.ndarray) -> list[int]:
+    """Exact determinants of the leading 1x1, 2x2, ..., full blocks of
+    ``matrix``.
+
+    One elimination gives them all, past every row swap: each block's
+    determinant is 0 or the signed pivot at its last step (see `_bareiss`).
+    The last value is :func:`integer_determinant` of the whole matrix.
+    """
+    return _bareiss(_integer_rows(_validate_square(matrix)))

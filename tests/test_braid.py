@@ -19,6 +19,7 @@ from repvar.braid import (
     differential_arrays,
     generator_step,
     knot_by_name,
+    knot_name,
     load_knot_table,
     parse_braid,
     random_configurations,
@@ -289,3 +290,18 @@ def test_unknown_knot_name_lists_the_table():
     with pytest.raises(KeyError) as err:
         knot_by_name("10_139")
     assert "3_1" in str(err.value)
+
+
+def test_knot_name_recognises_every_cyclic_rotation_of_a_table_word():
+    # a rotation is a conjugation by a prefix, so its closure is the same
+    # knot
+    for name, entry in load_knot_table().items():
+        letters = entry.word.letters
+        for k in range(len(letters)):
+            rotated = BraidWord(entry.word.strands, letters[k:] + letters[:k])
+            assert knot_name(rotated) == name, (name, k)
+    assert knot_name(parse_braid("3: -2 1 -2 1")) == "4_1"
+    # not rotations: the reversed or inverted letters, another strand count
+    for text in ("3: -2 -2 1 1", "3: 2 -1 2 -1", "4: 1 -2 1 -2", "2: 1 1",
+                 "2: 1 -1 1", "3:"):
+        assert knot_name(parse_braid(text)) is None, text

@@ -98,31 +98,47 @@ def test_each_run_solves_each_hessian_spectrum_once(monkeypatch):
 
 def test_each_run_builds_each_hessian_once(monkeypatch):
     # H(n) only for the largest n: the smaller ones are its leading blocks,
-    # H'(n) is read off its odd rows and even columns, and one elimination
-    # gives all the Pfaffians
+    # H'(n) is read off its odd rows and even columns, one elimination of
+    # H'(8) gives all the Pfaffians, one of H(4) the determinants of H(2..4),
+    # and one comparison of H(8) the parity results; the spectra still take
+    # one eigensolve per H(n)
     calls = []
     zeros = np.zeros
-    eliminations = []
-    eliminate = hessian._eliminate
+    counted = {"_eliminate": [], "_bareiss": []}
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
 
     def counting(shape, *args, **kwargs):
         calls.append(shape)
         return zeros(shape, *args, **kwargs)
 
-    def counting_eliminate(a):
-        eliminations.append(len(a))
-        return eliminate(a)
+    def counter(name):
+        original = getattr(hessian, name)
+
+        def count(a):
+            counted[name].append(len(a))
+            return original(a)
+        return count
+
+    def counting_eigvalsh(m):
+        solves.append(len(m))
+        return eigvalsh(m)
 
     monkeypatch.setattr(np, "zeros", counting)
-    monkeypatch.setattr(hessian, "_eliminate", counting_eliminate)
+    for name in counted:
+        monkeypatch.setattr(hessian, name, counter(name))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     names = [c.name for c in claims.CLAIMS if c.name.startswith("hessian.")]
     sizes = [4 * claims.HESSIAN_SIZES[-1] - 4]  # H(8)
     for _ in range(2):
         calls.clear()
-        eliminations.clear()
+        solves.clear()
+        for log in counted.values():
+            log.clear()
         assert all(c["passed"] for c in claims.run(names))
         assert sorted(calls) == sorted((s, s) for s in sizes)
-        assert eliminations == [14]
+        assert counted == {"_eliminate": [14], "_bareiss": [12]}
+        assert sorted(solves) == [4 * n - 4 for n in claims.HESSIAN_SIZES]
 
 
 def test_each_run_evaluates_the_contour_once(monkeypatch):

@@ -138,6 +138,24 @@ def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
         assert checks["census.binary_dihedral"]["expected"] == [0, 0]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_variety_of_a_rotated_table_word_gets_the_full_census(runner,
+                                                              tmp_path, seed):
+    # a cyclic rotation of 4_1's word is a conjugate, so `knot_name` finds
+    # 4_1 and the solve is held to its whole reference census
+    result = _run(runner, tmp_path, ["variety", "--braid", "3: -2 1 -2 1",
+                                     "--seed", str(seed), "--json"])
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output)
+    checks = {c["name"]: c for c in record["checks"]}
+    assert list(checks) == ["census.components", "census.abelian_dimensions",
+                            "census.binary_dihedral"]
+    assert checks["census.components"]["expected"] == [
+        ["RP3", 3], ["RP3", 3], ["S2", 2]]
+    assert record["passed"] is True
+    assert record["results"]["khovanov"]["matches"] is True
+
+
 def test_variety_records_the_planted_abelian_samples(runner, tmp_path):
     # one seed: it is planted, so the record's one component is an S2 that
     # random search did not find, and its census fails

@@ -12,10 +12,11 @@ from repvar.hessian import (
     PFAFFIAN_SEEDS,
     build_hessian,
     build_hprime,
-    det_factorization,
     integer_determinant,
+    leading_determinants,
     leading_pfaffians,
     min_abs_eigenvalue,
+    parity_swap_negates,
     pfaffian,
     pfaffian_recurrence,
     php_identity,
@@ -210,6 +211,38 @@ def test_php_identity_matches_the_permutation_matrix_oracle(half, entries,
     assert php_identity(m) == want
     if negated:
         assert want
+    # every even leading block is conjugated by its own swap
+    assert parity_swap_negates(m) == [
+        bool(np.array_equal(oracles.parity_swap(s) @ m[:s, :s]
+                            @ oracles.parity_swap(s), -m[:s, :s]))
+        for s in range(2, size + 1, 2)]
+
+
+def test_one_broken_entry_fails_exactly_the_blocks_that_hold_it():
+    # the one comparison of H(8) is not vacuous: each single entry that
+    # breaks the identity, at every (i, j), fails exactly the leading blocks
+    # larger than max(i, j), as the permutation oracle finds block by block
+    h = build_hessian(8)
+    size = len(h)
+    swaps = {s: oracles.parity_swap(s) for s in range(2, size + 1, 2)}
+    assert parity_swap_negates(h) == [True] * (size // 2)
+    for i in range(size):
+        for j in range(size):
+            m = h.copy()
+            m[i, j] += 1
+            got = parity_swap_negates(m)
+            assert got == [s <= max(i, j) for s in swaps], (i, j)
+            assert got == [bool(np.array_equal(p @ m[:s, :s] @ p, -m[:s, :s]))
+                           for s, p in swaps.items()], (i, j)
+
+
+def test_parity_swap_input_validation():
+    for compute in (parity_swap_negates, php_identity):
+        for m in (np.zeros((3, 3)), np.zeros((2, 4)), np.zeros(4)):
+            with pytest.raises(ValueError, match="even-sized square"):
+                compute(m)
+    assert parity_swap_negates(np.zeros((0, 0))) == []
+    assert php_identity(np.zeros((0, 0))) is True
 
 
 def test_builders_return_read_only_arrays():
@@ -232,6 +265,19 @@ def test_signature_is_zero():
         assert type(signature(eigs)) is int
     with pytest.raises(ValueError, match="near-singular"):
         signature(spectrum(np.zeros((4, 4), dtype=np.int64)))
+
+
+@given(st.lists(st.floats(-50, 50).filter(lambda v: abs(v) > 1e-6),
+                min_size=1, max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_spectrum_bookkeeping_matches_numpy(values):
+    eigs = np.array(values)
+    assert min_abs_eigenvalue(eigs) == float(np.abs(eigs).min())
+    assert signature(eigs) == (np.count_nonzero(eigs > 0)
+                               - np.count_nonzero(eigs < 0))
+    with_nan = np.append(eigs, np.nan)
+    assert np.isnan(min_abs_eigenvalue(with_nan))
+    assert signature(with_nan) == signature(eigs)
 
 
 def test_spectral_gap_values():
@@ -447,15 +493,106 @@ def test_integer_determinant_matches_float_oracle(size, entries, zeroed):
     assert abs(got - want) < 0.5 + 1e-6 * abs(want)
 
 
+def int_matrices(max_size=8):
+    """Square integer matrices up to max_size; `zeroed` blanks entries
+    cyclically, and a drawn flag zeroes the diagonal, so zero leading pivots,
+    row swaps that reach past several blocks, and zero rows and columns come
+    up as well as dense matrices."""
+    def build(draw):
+        size, entries, zeroed, zero_diagonal = draw
+        m = np.zeros((size, size), dtype=np.int64)
+        for k in range(size * size):
+            if not zeroed[k % len(zeroed)]:
+                m.flat[k] = entries[k % len(entries)]
+        if zero_diagonal:
+            np.fill_diagonal(m, 0)
+        return m
+
+    return st.tuples(
+        st.integers(1, max_size),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=64),
+        st.lists(st.booleans(), min_size=1, max_size=17),
+        st.booleans(),
+    ).map(build)
+
+
+# a00 = a10 = a20 = 0: the first swap brings in row 3, so the blocks of
+# sizes 1..3 are singular and the 4x4 one is the first read off a pivot
+FAR_ROW = np.array([
+    [0, 1, 2, 0, 1],
+    [0, 3, 1, 2, 0],
+    [0, 1, 0, 1, 2],
+    [2, 0, 1, 1, 0],
+    [1, 2, 0, 0, 3],
+])
+# a00 = 2, then the second pivot 2*2 - 4*1 = 0: a swap at step 1 with row 2
+LATER_SWAP = np.array([
+    [2, 1, 0, 1, 0],
+    [4, 2, 1, 0, 1],
+    [1, 3, 0, 2, 0],
+    [0, 1, 1, 0, 2],
+    [3, 0, 2, 1, 1],
+])
+# row 1 is zero: every block from the 2x2 one on is singular
+ZERO_ROW = np.array([[1, 2, 0, 1], [0, 0, 0, 0], [3, 1, 2, 0], [1, 0, 1, 4]])
+# column 2 is zero: no row to swap in at step 2, so the rest are 0
+ZERO_COLUMN = np.array([[2, 1, 0, 3], [1, 3, 0, 1], [4, 1, 0, 2], [0, 2, 0, 1]])
+
+
+@given(int_matrices())
+@settings(max_examples=160, deadline=None)
+@example(FAR_ROW)
+@example(LATER_SWAP)
+@example(ZERO_ROW)
+@example(ZERO_COLUMN)
+def test_leading_determinants_match_per_block_and_float_oracles(m):
+    values = leading_determinants(m)
+    assert len(values) == len(m)
+    for size, value in enumerate(values, start=1):
+        block = m[:size, :size]
+        assert value == integer_determinant(block)
+        want = oracles.det_float(block)
+        assert abs(value - want) < 0.5 + 1e-6 * abs(want), size
+    assert values[-1] == integer_determinant(m)
+
+
+@pytest.mark.parametrize("m, want", [
+    (FAR_ROW, [0, 0, 0, 2, 58]),
+    (LATER_SWAP, [2, 0, -5, -7, 29]),
+    (ZERO_ROW, [1, 0, 0, 0]),
+    (ZERO_COLUMN, [2, 5, 0, 0]),
+], ids=["far_row", "later_swap", "zero_row", "zero_column"])
+def test_leading_determinants_past_a_zero_leading_pivot(m, want):
+    # a swap with row r at step k zeroes the blocks of sizes k+1..r, and the
+    # larger blocks are read off the swapped rows with the sign flipped
+    assert leading_determinants(m) == want
+    assert want == [round(oracles.det_float(m[:s, :s]))
+                    for s in range(1, len(m) + 1)]
+
+
+def test_leading_determinant_input_validation():
+    with pytest.raises(ValueError, match="square"):
+        leading_determinants(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="integer entries"):
+        leading_determinants([[1.5]])
+    assert leading_determinants(np.zeros((0, 0), dtype=np.int64)) == []
+    assert integer_determinant(np.zeros((0, 0), dtype=np.int64)) == 1
+
+
 def test_determinant_is_the_fourth_power_of_the_pfaffian():
     expected = {2: 16, 3: 625, 4: 20736}
     for n, det in expected.items():
         assert integer_determinant(build_hessian(n)) == det
-    # up to the 44 x 44 Hessian at n = 12
+    # up to the 44 x 44 Hessian at n = 12, every det H(n) and Pf(H'(n)) read
+    # off one elimination of H(12) and one of H'(12)
     table = pfaffian_recurrence(12)
+    dets = leading_determinants(build_hessian(12))
+    pfaffians = leading_pfaffians(build_hprime(12))
+    assert pfaffians == table
     for n in range(2, 13):
-        pf = pfaffian(build_hprime(n))
-        assert pf == table[n - 2]
-        assert integer_determinant(build_hessian(n)) == pf ** 4
-        assert det_factorization(build_hessian(n), pf) is True
-    assert det_factorization(build_hessian(3), 4) is False
+        det = dets[4 * n - 5]
+        assert det == pfaffians[n - 2] ** 4
+        assert det == integer_determinant(build_hessian(n))
+    # every leading block that ends inside a 4x4 pair block is singular, so
+    # the elimination swaps rows past a block at each pair
+    assert [det for k, det in enumerate(dets) if k % 4 != 3] == [0] * 33

@@ -165,18 +165,8 @@ def variety(ctx, name, braid_text, seeds, seed, as_json, run_dir) -> None:
         "seeds_converged": report.seeds_converged,
         "component_count": len(report.components),
         "components": [
-            {
-                "id": c.id,
-                "topology_tag": c.topology_tag,
-                "est_dimension": c.est_dimension,
-                "sample_count": c.sample_count,
-                "seeded_samples": c.seeded_samples,
-                "residual": c.residual,
-                "is_abelian": c.is_abelian,
-                "is_binary_dihedral": c.is_binary_dihedral,
-                "null_gap": c.null_gap,
-                "representative": c.representative.as_array().tolist(),
-            }
+            {**dataclasses.asdict(c),
+             "representative": c.representative.as_array().tolist()}
             for c in report.components
         ],
     }

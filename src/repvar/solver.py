@@ -14,14 +14,19 @@ Grouping detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
 rotation orbits and is sampled extremely sparsely in ambient coordinates.
 Seeds are therefore compared in a rotation-invariant embedding (pairwise
-dot products plus signed triple volumes), where each orbit is one point:
-two seeds are grouped when their invariants agree within the square root
-of the residual bound that every survivor meets, i.e. when they lie on one
-orbit.  A component's dimension is not estimated from samples: it is the
-nullity of the fixed-point Jacobian at the group's first seed, read off a
-clean gap in its singular values.  On a nonabelian point a nullity of 4 is
-one direction more than the orbit; that direction is traced, and only a
-loop that closes makes the groups along it one RP3 x S1 component.
+dot products plus signed triple volumes), where each orbit is one point.
+Only a seed the descent polished to rounding level (POLISH_TOL) is a
+sample, and two samples are grouped when their invariants agree within
+sqrt(DESCENT_TOL), i.e. when they lie on one orbit.  The residual bounds a
+sample's distance to the variety only up to a factor 1/sigma_min, the
+smallest nonzero singular value of the fixed-point Jacobian there, so a
+seed kept at a looser residual can sit outside the radius of its own orbit
+and make a group of its own.  A component's dimension is not estimated
+from samples: it is the nullity of the fixed-point Jacobian at the group's
+first seed, read off a clean gap in its singular values.  On a nonabelian
+point a nullity of 4 is one direction more than the orbit; that direction
+is traced, and only a loop that closes makes the groups along it one
+RP3 x S1 component.
 """
 from __future__ import annotations
 
@@ -52,11 +57,14 @@ MAX_ITERS = 250  # Levenberg-Marquardt iterations per solve
 # direction counts as null.  A tag also needs a clean gap: no relative
 # singular value within a factor 100 of it.
 NULL_TOL = 1e-6
-DESCENT_TOL = 1e-12  # residual bound of a surviving seed
-# Residual (a squared distance) at which the descent stops: a point within
-# 1e-12 of the variety has null singular values near 1e-13, far below the
-# clean-gap floor NULL_TOL / 100, and rotation invariants good to 1e-12,
-# far inside the grouping radius sqrt(DESCENT_TOL).
+# The square of the grouping radius, and the residual that each step of the
+# loop tracer must stay below.
+DESCENT_TOL = 1e-12
+# Residual (a squared distance) at which the descent stops, and which a seed
+# must reach to be a sample.  It bounds the distance to the variety by
+# 1e-12 / sigma_min: the invariants of a sample are good to that, inside the
+# grouping radius sqrt(DESCENT_TOL) wherever sigma_min > 1e-6, and its null
+# singular values sit far below the clean-gap floor NULL_TOL / 100.
 POLISH_TOL = DESCENT_TOL ** 2
 LOOP_STEP = 0.02  # tangent step of the RP3 x S1 loop tracer
 LOOP_MAX_STEPS = 2000
@@ -337,7 +345,9 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     planted_rows = _plant_abelian(word, pts)  # in place
     planted = np.arange(config.seeds) < planted_rows
     pts, r = _levenberg(word, pts)
-    keep = r < DESCENT_TOL
+    # a seed left above POLISH_TOL, stalled at the damping cap or still live
+    # when the iterations ran out, is not a sample
+    keep = r < POLISH_TOL
     survivors, rr, planted = pts[keep], r[keep], planted[keep]
     if len(survivors) == 0:
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
@@ -346,8 +356,8 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     order = np.lexsort(feats.T[::-1])  # deterministic group order
     survivors, rr, feats, planted = (
         survivors[order], rr[order], feats[order], planted[order])
-    # one group per orbit: the residual is a squared distance, so a
-    # survivor is within sqrt(DESCENT_TOL) of its orbit
+    # one group per orbit: a sample's invariants are within about
+    # 1e-12 / sigma_min of its orbit's (see POLISH_TOL)
     groups = cluster_indices(feats, math.sqrt(DESCENT_TOL))
     firsts = np.array([g[0] for g in groups])
     reps = survivors[firsts]

@@ -85,9 +85,8 @@ def check_braid_invariance(
     x = random_coefficients(base, rng)
     y = random_coefficients(base, rng)
     before = omega_c_array(base, x, y)
-    moved, xm = differential_arrays(word, base, x)
-    _, ym = differential_arrays(word, base, y)
-    after = omega_c_array(moved, xm, ym)
+    moved, pushed = differential_arrays(word, base, np.stack([x, y]))
+    after = omega_c_array(moved, *pushed)
     return float(np.max(np.abs(after - before)))
 
 
@@ -100,8 +99,9 @@ def lagrangian_tangent_arrays(
     """Tangent frames to the mirrored-tuple submanifold, batched.
 
     half: (..., n, 3) base points; coeffs: (..., n, 3) tangent coefficients
-    at them.  Slot i of the result carries X_i; the mirror slot 2n+1-i
-    carries -Ad(p_i^{-1}) X_i at base -p_i.
+    at them, or a stack of frames that broadcasts against them (the base is
+    built from ``half`` alone).  Slot i of the result carries X_i; the
+    mirror slot 2n+1-i carries -Ad(p_i^{-1}) X_i at base -p_i.
     """
     flipped = half[..., ::-1, :]
     base = np.concatenate([half, -flipped], axis=-2)
@@ -129,11 +129,9 @@ def check_gamma_lagrangian(
     half = random_configurations(n, trials, rng)
     cx = random_coefficients(half, rng)
     cy = random_coefficients(half, rng)
-    base, x = lagrangian_tangent_arrays(half, cx)
-    _, y = lagrangian_tangent_arrays(half, cy)
-    moved, xm = differential_arrays(word, base, x)
-    _, ym = differential_arrays(word, base, y)
-    return float(np.max(np.abs(omega_c_array(moved, xm, ym))))
+    base, frames = lagrangian_tangent_arrays(half, np.stack([cx, cy]))
+    moved, pushed = differential_arrays(word, base, frames)
+    return float(np.max(np.abs(omega_c_array(moved, *pushed))))
 
 
 # --- test spheres ---------------------------------------------------------------
@@ -258,107 +256,6 @@ def product_deviation(pts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(acc, axis=-1)
 
 
-# --- pairings with the test spheres --------------------------------------------
-
-
-def cylinder_integrand(pairs: int, theta1: np.ndarray, theta2: np.ndarray
-                       ) -> np.ndarray:
-    """The pulled-back density on the cylinder chart (constant -1/2)."""
-    sphere = CapCylinderSphere(pairs)
-    base = sphere.cylinder_configuration(theta1, theta2)
-    d1, d2 = sphere.cylinder_frames(theta1, theta2)
-    return omega_c_array(base, d1, d2)
-
-
-SPHERE_SAMPLES = 256  # lattice points per sphere chart
-
-
-def _cylinder_grid(pairs: int, order: int) -> tuple[np.ndarray, ...]:
-    """The cylinder chart over [0, pi] x [0, 2 pi] at the tensor
-    Gauss-Legendre nodes, flattened with node (i, j) at i * order + j: its
-    configurations, its d(theta1) and d(theta2) frames, and the weights
-    along each angle."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    t1 = 0.5 * math.pi * (nodes + 1.0)
-    t2 = math.pi * (nodes + 1.0)
-    g1 = np.repeat(t1, order)
-    g2 = np.tile(t2, order)
-    sphere = CapCylinderSphere(pairs)
-    return (sphere.cylinder_configuration(g1, g2),
-            *sphere.cylinder_frames(g1, g2),
-            0.5 * math.pi * weights, math.pi * weights)
-
-
-def _cylinder_integral(values: np.ndarray, w1: np.ndarray,
-                       w2: np.ndarray) -> float:
-    """The quadrature sum of the form's values on the cylinder grid."""
-    return float(np.einsum("i,j,ij->", w1, w2, values.reshape(len(w1), -1)))
-
-
-def _max_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
-
-
-def integrate_fn_pullback(pairs: int, quadrature_order: int = 32) -> float:
-    """Tensor Gauss-Legendre integral of the two-form pulled back to the
-    cylinder chart over [0, pi] x [0, 2 pi] (the caps contribute zero; see
-    cap_pullback_max)."""
-    base, d1, d2, w1, w2 = _cylinder_grid(pairs, quadrature_order)
-    return _cylinder_integral(omega_c_array(base, d1, d2), w1, w2)
-
-
-def _sphere_points(charts: int, samples: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Test points A on a sphere chart, each with an orthonormal tangent pair
-    (u, A x u), as (charts * samples, 3) arrays.
-
-    Every chart gets the same golden-angle spiral lattice over the whole
-    sphere: point i sits at height z = 1 - (2i + 1) / samples and longitude
-    i times the golden angle, and u is the unit eastward direction there.
-    """
-    i = np.arange(samples)
-    z = 1.0 - (2.0 * i + 1.0) / samples
-    r = np.sqrt(1.0 - z * z)
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    a = np.stack([r * cos_phi, r * sin_phi, z], axis=-1)
-    u = np.stack([-sin_phi, cos_phi, np.zeros(samples)], axis=-1)
-    a, u = np.tile(a, (charts, 1)), np.tile(u, (charts, 1))
-    return a, u, cross(a, u)
-
-
-def _cap_charts(pairs: int, samples: int) -> tuple[np.ndarray, ...]:
-    """Both caps at the lattice points, cap 1 first: their configurations and
-    the frames of the tangent pair at each point."""
-    sphere = CapCylinderSphere(pairs)
-    a, u1, u2 = _sphere_points(2, samples)
-    base = np.concatenate([sphere.cap_configuration(1, a[:samples]),
-                           sphere.cap_configuration(2, a[samples:])])
-    return base, sphere.cap_frame(a, u1), sphere.cap_frame(a, u2)
-
-
-def _adjacent_pair_chart(sphere: AdjacentPairSphere,
-                         samples: int) -> tuple[np.ndarray, ...]:
-    """An adjacent-pair sphere at the lattice points: its configurations and
-    the frames of the tangent pair at each point."""
-    a, u1, u2 = _sphere_points(1, samples)
-    return sphere.configuration(a), sphere.frame(a, u1), sphere.frame(a, u2)
-
-
-def cap_pullback_max(pairs: int, samples: int = SPHERE_SAMPLES) -> float:
-    """Max |pullback| of the form over the lattice points of both caps (the
-    claim under test is that it vanishes identically).  Both caps go through
-    one evaluation of the form, cap 1 first."""
-    return _max_abs(omega_c_array(*_cap_charts(pairs, samples)))
-
-
-def adjacent_pair_pullback_max(sphere: AdjacentPairSphere,
-                               samples: int = SPHERE_SAMPLES) -> float:
-    """Max |pullback| of the form over the lattice points of an adjacent-pair
-    sphere (vanishes identically)."""
-    return _max_abs(omega_c_array(*_adjacent_pair_chart(sphere, samples)))
-
-
 # --- nondegeneracy on the product-one locus -------------------------------------
 
 
@@ -404,28 +301,62 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
 # --- the monotonicity constant ---------------------------------------------------
 
 
+SPHERE_SAMPLES = 256  # lattice points per sphere chart
+
+
+def _sphere_points(charts: int, samples: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test points A on a sphere chart, each with an orthonormal tangent pair
+    (u, A x u), as (charts * samples, 3) arrays.
+
+    Every chart gets the same golden-angle spiral lattice over the whole
+    sphere: point i sits at height z = 1 - (2i + 1) / samples and longitude
+    i times the golden angle, and u is the unit eastward direction there.
+    """
+    i = np.arange(samples)
+    z = 1.0 - (2.0 * i + 1.0) / samples
+    r = np.sqrt(1.0 - z * z)
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    a = np.stack([r * cos_phi, r * sin_phi, z], axis=-1)
+    u = np.stack([-sin_phi, cos_phi, np.zeros(samples)], axis=-1)
+    a, u = np.tile(a, (charts, 1)), np.tile(u, (charts, 1))
+    return a, u, cross(a, u)
+
+
 @functools.cache
 def _monotone_stack(pairs: int, order: int) -> tuple[np.ndarray, ...]:
     """Every chart `monotonicity_ratio` evaluates the form on, stacked in
-    this order: the cylinder grid (order ** 2 nodes), both caps and the
-    adjacent-pair sphere (SPHERE_SAMPLES lattice points each), as one
-    (points, slots, 3) array of configurations and one of each frame; then
-    the cylinder's weights.
+    this order: the cylinder chart over [0, pi] x [0, 2 pi] at the tensor
+    Gauss-Legendre nodes (order ** 2 of them, node (i, j) at i * order + j),
+    both caps, cap 1 first, and the adjacent-pair sphere at slot 3, sign +1
+    (SPHERE_SAMPLES lattice points each, carrying the tangent pair
+    (u, A x u)), as one (points, slots, 3) array of configurations and one
+    of each frame; then the cylinder's weights along each angle.
 
     The charts are inputs to the integral and the maxima, not measurements,
     so the stack is built on first use once per key for the life of the
     process and is read-only; every call evaluates the form on it afresh.
     """
-    base, d1, d2, w1, w2 = _cylinder_grid(pairs, order)
-    charts = ((base, d1, d2), _cap_charts(pairs, SPHERE_SAMPLES),
-              _adjacent_pair_chart(AdjacentPairSphere(3, 1, pairs),
-                                   SPHERE_SAMPLES))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    t1 = np.repeat(0.5 * math.pi * (nodes + 1.0), order)
+    t2 = np.tile(math.pi * (nodes + 1.0), order)
+    sphere = CapCylinderSphere(pairs)
+    adjacent = AdjacentPairSphere(3, 1, pairs)
+    a, u, v = _sphere_points(1, SPHERE_SAMPLES)
+    charts = (
+        (sphere.cylinder_configuration(t1, t2), *sphere.cylinder_frames(t1, t2)),
+        *((sphere.cap_configuration(which, a), sphere.cap_frame(a, u),
+           sphere.cap_frame(a, v)) for which in (1, 2)),
+        (adjacent.configuration(a), adjacent.frame(a, u), adjacent.frame(a, v)),
+    )
     # slot-major, component-major in memory, so that the views the form
     # loops over are contiguous
     stack = (*(np.ascontiguousarray(np.concatenate(parts).transpose(1, 2, 0))
-               .transpose(2, 0, 1) for parts in zip(*charts)), w1, w2)
-    for a in stack:
-        a.setflags(write=False)
+               .transpose(2, 0, 1) for parts in zip(*charts)),
+             0.5 * math.pi * weights, math.pi * weights)
+    for arr in stack:
+        arr.setflags(write=False)
     return stack
 
 
@@ -450,20 +381,22 @@ def monotonicity_ratio(c1: int, pairs: int = 2,
     the form on the sphere's caps and on the adjacent-pair sphere (slot 3,
     sign +1), where the form vanishes, so there is no ratio to take.
 
-    One evaluation of the form over the stacked charts: each value is read
-    off its slice, and equals what `integrate_fn_pullback`,
-    `cap_pullback_max` and `adjacent_pair_pullback_max` measure on the same
+    The one evaluation of the form, over the charts `_monotone_stack`
+    stacks: the integral is the tensor Gauss-Legendre sum over the cylinder
+    chart's slice (the caps contribute nothing), and each maximum is read
+    off its sphere's slice.  Each value equals what the form gives on its
     chart alone.
     """
     base, x, y, w1, w2 = _monotone_stack(pairs, quadrature_order)
     values = omega_c_array(base, x, y)
     grid = quadrature_order ** 2
     caps = grid + 2 * SPHERE_SAMPLES
-    fn_val = _cylinder_integral(values[:grid], w1, w2)
+    fn_val = float(np.einsum("i,j,ij->", w1, w2,
+                             values[:grid].reshape(len(w1), -1)))
     return MonotonicityReport(
         fn_integral=fn_val,
         chern_pairing=c1,
         ratio=fn_val / c1,
-        gamma_form_max=_max_abs(values[caps:]),
-        cap_form_max=_max_abs(values[grid:caps]),
+        gamma_form_max=float(np.max(np.abs(values[caps:]))),
+        cap_form_max=float(np.max(np.abs(values[grid:caps]))),
     )

@@ -192,13 +192,18 @@ def test_differential_matches_finite_differences():
 ])
 def test_differential_moves_base_points_by_the_action(word):
     # one action: the pushforward's base points are act_array's, bit for
-    # bit, also when one batch of points carries a stack of frames
+    # bit, also when one batch of points carries a stack of frames; and each
+    # frame of the stack is pushed bit for bit as it is alone
     rng = np.random.default_rng(31)
     pts = random_configurations(word.strands, 16, rng)
     frames = random_coefficients(np.broadcast_to(pts, (3,) + pts.shape), rng)
     moved, pushed = differential_arrays(word, pts, frames)
     assert np.array_equal(moved, act_array(word, pts))
     assert pushed.shape == frames.shape
+    for frame, stacked in zip(frames, pushed):
+        alone_moved, alone = differential_arrays(word, pts, frame)
+        assert alone_moved.tobytes() == moved.tobytes()
+        assert alone.tobytes() == stacked.tobytes()
 
 
 def test_differential_is_linear_in_the_frame():

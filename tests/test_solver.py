@@ -27,6 +27,7 @@ from repvar.claims import census_checks, torus_components
 from repvar.solver import (
     DESCENT_TOL,
     NULL_TOL,
+    POLISH_TOL,
     SolverConfig,
     _classify,
     _levenberg,
@@ -133,6 +134,32 @@ def test_levenberg_steps_only_the_live_seeds(monkeypatch):
     out, _ = _levenberg(word, pts)
     assert rows and max(rows) <= 32, rows
     assert np.array_equal(out[32:], fixed)
+
+
+def test_seeds_above_the_polish_bound_are_not_samples(monkeypatch):
+    # the descent reports residuals between POLISH_TOL and DESCENT_TOL for
+    # the planted abelian rows, which come first, and for every tenth row:
+    # none of them is counted as converged or as a component's sample
+    word = parse_braid("2: 1 1 1")
+    planted = 4  # one link component: the four-row minimum
+    counts = []
+
+    def levenberg(word, pts):
+        out, r = _levenberg(word, pts)
+        unpolished = np.arange(len(r)) % 10 == 0
+        unpolished[:planted] = True
+        polished = r < POLISH_TOL
+        counts.append((np.count_nonzero(polished & ~unpolished),
+                       np.count_nonzero(polished & unpolished)))
+        return out, np.where(unpolished, math.sqrt(POLISH_TOL * DESCENT_TOL), r)
+
+    monkeypatch.setattr(solver, "_levenberg", levenberg)
+    report = solve(word, FAST)
+    kept, demoted = counts[0]
+    assert demoted == 29  # rows 0-3 and every tenth: all polished in fact
+    assert report.seeds_converged == kept
+    assert sum(c.sample_count for c in report.components) == kept
+    assert sum(c.seeded_samples for c in report.components) == 0
 
 
 def test_residual_is_conjugation_invariant():
@@ -372,6 +399,23 @@ def test_table_censuses_at_other_solver_seeds(seed):
         report = solve(knot.word, SolverConfig(rng_seed=seed))
         checks = census_checks(report)
         assert checks and all(c["passed"] for c in checks), (knot.name, checks)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_stabilised_word_of_9_42_gets_its_census(seed):
+    # 9_42's word conjugated and stabilised: the same variety from other
+    # equations, with a Jacobian whose sigma_min / sigma_max falls to 1.8e-3
+    # near one RP3.  A seed kept unpolished there, at a residual such as
+    # 6.9e-15, sits just past the grouping radius of its orbit and makes a
+    # ninth component
+    word = parse_braid("5: 1 -2 -1 -1 -1 2 -1 2 -1 3 -2 3 1 2 -1 4")
+    report = solve(word, SolverConfig(rng_seed=seed))
+    census = sorted((c.topology_tag, c.est_dimension) for c in report.components)
+    assert census == [("RP3", 3)] * 7 + [("S2", 2)]
+    assert [c.is_abelian for c in report.components].count(True) == 1
+    checks = census_checks(report)
+    assert [c["name"] for c in checks] == ["census.binary_dihedral"]
+    assert checks[0]["passed"], checks
 
 
 def test_gate_solves_are_polished_well_inside_the_gap(solve_table):

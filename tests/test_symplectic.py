@@ -13,15 +13,12 @@ from repvar import claims
 from repvar.braid import BraidWord, parse_braid, random_configurations
 from repvar.su2 import reflect, slot_product
 from repvar.symplectic import (
+    SPHERE_SAMPLES,
     AdjacentPairSphere,
     CapCylinderSphere,
     _sphere_points,
-    adjacent_pair_pullback_max,
-    cap_pullback_max,
     check_braid_invariance,
     check_gamma_lagrangian,
-    cylinder_integrand,
-    integrate_fn_pullback,
     lagrangian_tangent_arrays,
     monotonicity_ratio,
     nondegeneracy_rank,
@@ -250,42 +247,62 @@ def test_sphere_parameter_validation():
         CapCylinderSphere(1)
 
 
+def _cylinder_integrand(pairs, theta1, theta2):
+    """The form pulled back to the cylinder chart at the given angles."""
+    sphere = CapCylinderSphere(pairs)
+    return omega_c_array(sphere.cylinder_configuration(theta1, theta2),
+                         *sphere.cylinder_frames(theta1, theta2))
+
+
+def _sphere_form_maxima(pairs, a, u, v):
+    """Largest |form| at the points A with tangent pair (u, v) on each cap,
+    then on each adjacent-pair sphere at slots 1, 2 and 2n-1, both signs,
+    each chart evaluated alone."""
+    cap = CapCylinderSphere(pairs)
+    charts = [(cap.cap_configuration(which, a), cap.cap_frame(a, u),
+               cap.cap_frame(a, v)) for which in (1, 2)]
+    for slot in (1, 2, 2 * pairs - 1):
+        for sign in (1, -1):
+            sphere = AdjacentPairSphere(slot, sign, pairs)
+            charts.append((sphere.configuration(a), sphere.frame(a, u),
+                           sphere.frame(a, v)))
+    return [float(np.max(np.abs(omega_c_array(*chart)))) for chart in charts]
+
+
 def test_degree_one_pairing_is_minus_pi_squared():
-    val = integrate_fn_pullback(2)
+    val = monotonicity_ratio(-2, pairs=2).fn_integral
     assert abs(val + PI_SQ) < 1e-8
     # quadrature refinement does not move the value
-    assert abs(integrate_fn_pullback(2, quadrature_order=64) - val) < 1e-9
+    refined = monotonicity_ratio(-2, pairs=2, quadrature_order=64).fn_integral
+    assert abs(refined - val) < 1e-9
     # and the pairing does not depend on the number of pairs
-    assert abs(integrate_fn_pullback(3) + PI_SQ) < 1e-8
+    assert abs(monotonicity_ratio(-2, pairs=3).fn_integral + PI_SQ) < 1e-8
 
 
 def test_cylinder_integrand_is_constant_minus_half():
     for pairs in (2, 3):
         t1 = RNG.uniform(0, 2 * math.pi, size=50)
         t2 = RNG.uniform(0, 2 * math.pi, size=50)
-        vals = cylinder_integrand(pairs, t1, t2)
+        vals = _cylinder_integrand(pairs, t1, t2)
         assert np.max(np.abs(vals + 0.5)) < 1e-12
 
 
 def test_integrand_agrees_with_independent_quadrature():
-    got = integrate_fn_pullback(2, quadrature_order=24)
+    got = monotonicity_ratio(-2, pairs=2, quadrature_order=24).fn_integral
     # chart domain: the first angle runs over half a turn, the second over
     # a full one
     want = oracles.gauss_legendre_2d(
-        lambda t1, t2: cylinder_integrand(2, t1, t2),
+        lambda t1, t2: _cylinder_integrand(2, t1, t2),
         0.0, math.pi, 0.0, 2.0 * math.pi, order=24,
     )
     assert abs(got - want) < 1e-10
 
 
 def test_caps_and_degree_zero_spheres_contribute_nothing():
-    assert cap_pullback_max(2) < 1e-12
-    assert cap_pullback_max(3) < 1e-12
+    # at the lattice points the report reads its maxima at
+    lattice = _sphere_points(1, SPHERE_SAMPLES)
     for pairs in (2, 3):
-        for slot in (1, 2, 2 * pairs - 1):
-            for sign in (1, -1):
-                sphere = AdjacentPairSphere(slot, sign, pairs)
-                assert adjacent_pair_pullback_max(sphere) < 1e-12
+        assert max(_sphere_form_maxima(pairs, *lattice)) < 1e-12
 
 
 @pytest.mark.parametrize("pairs", range(2, 6))
@@ -323,19 +340,6 @@ def test_sphere_lattice_is_an_orthonormal_frame_covering_each_chart(charts):
         assert math.acos(min(1.0, float(np.min(nearest)))) < 0.25
 
 
-@pytest.mark.parametrize("pairs", (2, 3))
-@pytest.mark.parametrize("samples", (64, 256))
-def test_one_evaluation_over_both_caps_equals_one_per_cap(pairs, samples):
-    sphere = CapCylinderSphere(pairs)
-    a, u, v = _sphere_points(1, samples)
-    per_cap = [
-        float(np.max(np.abs(omega_c_array(sphere.cap_configuration(which, a),
-                                          sphere.cap_frame(a, u),
-                                          sphere.cap_frame(a, v)))))
-        for which in (1, 2)]
-    assert cap_pullback_max(pairs, samples) == max(per_cap)
-
-
 def test_caps_and_adjacent_pair_spheres_vanish_at_random_points():
     rng = np.random.default_rng(41)
     a = rng.normal(size=(500, 3))
@@ -345,17 +349,7 @@ def test_caps_and_adjacent_pair_spheres_vanish_at_random_points():
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     v = np.cross(a, u)
     for pairs in (2, 3):
-        cap = CapCylinderSphere(pairs)
-        for which in (1, 2):
-            values = omega_c_array(cap.cap_configuration(which, a),
-                                   cap.cap_frame(a, u), cap.cap_frame(a, v))
-            assert np.max(np.abs(values)) < 1e-12
-        for slot in (1, 2, 2 * pairs - 1):
-            for sign in (1, -1):
-                sphere = AdjacentPairSphere(slot, sign, pairs)
-                values = omega_c_array(sphere.configuration(a),
-                                       sphere.frame(a, u), sphere.frame(a, v))
-                assert np.max(np.abs(values)) < 1e-12
+        assert max(_sphere_form_maxima(pairs, a, u, v)) < 1e-12
 
 
 def test_monotonicity_report():
@@ -370,14 +364,23 @@ def test_monotonicity_report():
 @pytest.mark.parametrize("pairs", (2, 3))
 def test_monotonicity_report_reads_what_each_chart_alone_measures(pairs):
     # one evaluation over the stacked charts, read off slices, against one
-    # evaluation per chart
+    # evaluation per chart, each built from its sphere class: the cylinder
+    # on the tensor Gauss-Legendre grid, each cap, and the adjacent-pair
+    # sphere at slot 3, sign +1, at the lattice points
     report = monotonicity_ratio(-2, pairs=pairs)
-    fn_integral = integrate_fn_pullback(pairs)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    values = _cylinder_integrand(pairs, 0.5 * math.pi * (nodes[:, None] + 1.0),
+                                 math.pi * (nodes[None, :] + 1.0))
+    fn_integral = float(np.einsum("i,j,ij->", 0.5 * math.pi * weights,
+                                  math.pi * weights, values))
     assert report.fn_integral == fn_integral
     assert report.ratio == fn_integral / -2
-    assert report.cap_form_max == cap_pullback_max(pairs)
-    assert report.gamma_form_max == adjacent_pair_pullback_max(
-        AdjacentPairSphere(3, 1, pairs))
+    a, u, v = _sphere_points(1, SPHERE_SAMPLES)
+    assert report.cap_form_max == max(_sphere_form_maxima(pairs, a, u, v)[:2])
+    sphere = AdjacentPairSphere(3, 1, pairs)
+    gamma = omega_c_array(sphere.configuration(a), sphere.frame(a, u),
+                          sphere.frame(a, v))
+    assert report.gamma_form_max == float(np.max(np.abs(gamma)))
 
 
 # --- nondegeneracy -------------------------------------------------------------------

@@ -9,11 +9,11 @@ Conjugation by a class point is the half-turn about it, so on coordinate
 vectors the generator reads (a, b) -> (2 (a.b) a - b, a); the whole action
 stays inside products of 2-spheres and never needs quaternion products.
 
-The action has one implementation, `generator_step`, which renormalises the
-half-turned slot after each letter; `act_array` and `differential_arrays`
-both advance base points through it.  Words act on the left:
-act_array(v * w, g) == act_array(v, act_array(w, g)), i.e. the last letter
-of a word is applied first.  Tangent vectors are stored as one
+The action has one implementation, `generator_step`, which steps a letter in
+place and renormalises the half-turned slot; `act_array` and
+`differential_arrays` step every letter on one copy of their input.  Words
+act on the left: act_array(v * w, g) == act_array(v, act_array(w, g)), i.e.
+the last letter of a word is applied first.  Tangent vectors are stored as one
 right-translation coefficient per slot (velocity X . p = X x p, with X
 orthogonal to p), and `differential_arrays` is the one pushforward: the
 solver's fixed-point Jacobian and the symplectic checks both read it.
@@ -131,29 +131,30 @@ def is_singular_config(pts: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
 # --- the action --------------------------------------------------------------
 
 
-def generator_step(k: int, pts: np.ndarray) -> np.ndarray:
-    """One letter applied to (..., n, 3) configurations, as a new array.
+def generator_step(k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One letter applied in place to (..., n, 3) configurations; returns
+    copies of the two slots it read.
 
     The half-turned slot is renormalised: the half-turn drifts off the
     sphere in floating point, and a long word amplifies the drift (without
     it the norm error on random seeds is 6e-4 at T(2,20) and overflows by
     T(2,35)); with it the error stays at rounding level."""
     i = abs(k) - 1
-    a = pts[..., i, :]
-    b = pts[..., i + 1, :]
-    out = pts.copy()
+    a = pts[..., i, :].copy()
+    b = pts[..., i + 1, :].copy()
     if k > 0:
-        out[..., i, :] = normalize(reflect(a, b))
-        out[..., i + 1, :] = a
+        pts[..., i, :] = normalize(reflect(a, b))
+        pts[..., i + 1, :] = a
     else:
-        out[..., i, :] = b
-        out[..., i + 1, :] = normalize(reflect(b, a))
-    return out
+        pts[..., i, :] = b
+        pts[..., i + 1, :] = normalize(reflect(b, a))
+    return a, b
 
 
 def act_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
+    pts = pts.copy()
     for k in reversed(word.letters):
-        pts = generator_step(k, pts)
+        generator_step(k, pts)
     return pts
 
 
@@ -185,13 +186,12 @@ def differential_arrays(
         raise ValueError(
             "coefficients are not tangent to their base points: "
             f"|X . p| reaches {float(np.max(along)):.3e}")
-    coeffs = coeffs.copy()
+    pts, coeffs = pts.copy(), coeffs.copy()
     for k in reversed(word.letters):
         i = abs(k) - 1
-        a = pts[..., i, :]
-        b = pts[..., i + 1, :]
-        pts = generator_step(k, pts)  # a new array: a and b stay the old slots
-        # copies, not views: both slots are overwritten below
+        a, b = generator_step(k, pts)
+        # copies, not views: X is read after its slot is overwritten, and
+        # the arithmetic below runs faster on contiguous slots
         X = coeffs[..., i, :].copy()
         Y = coeffs[..., i + 1, :].copy()
         if k > 0:

@@ -162,12 +162,11 @@ def _form_ranks(pairs: int, m: Measurements) -> list[int]:
     return sorted({symplectic.nondegeneracy_rank(p) for p in pts})
 
 
-def _random_word_images(strands: int, m: Measurements,
-                        words: int = 20) -> float:
+def _random_word_images(strands: int, m: Measurements) -> float:
     """Worst |form| over the images under 20 random words of length 1..8."""
     rng = np.random.default_rng(m.seed + strands)
     worst = 0.0
-    for _ in range(words):
+    for _ in range(20):
         length = int(rng.integers(1, 9))
         letters = tuple(
             int(rng.integers(1, strands)) * (1 if rng.random() < 0.5 else -1)

@@ -243,17 +243,17 @@ def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray
 # --- per-configuration predicates --------------------------------------------
 
 
-def _is_binary_dihedral(pts: np.ndarray, tol: float = ABELIAN_TOL) -> bool:
+def _is_binary_dihedral(pts: np.ndarray) -> bool:
     """True when some axis e has every coordinate at +-e or orthogonal to e
     (i.e. the configuration lies in one circle-pair after a rotation)."""
     sv = np.linalg.svd(pts, compute_uv=False)
     # all coordinates on one great circle (plane through the origin); with
     # fewer than three strands this is automatic
-    if len(sv) < 3 or sv[2] <= tol:
+    if len(sv) < 3 or sv[2] <= ABELIAN_TOL:
         return True
     for i in range(len(pts)):
         d = np.abs(pts @ pts[i])
-        if np.all((d >= 1.0 - tol) | (d <= tol)):
+        if np.all((d >= 1.0 - ABELIAN_TOL) | (d <= ABELIAN_TOL)):
             return True
     return False
 

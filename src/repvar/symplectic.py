@@ -304,14 +304,13 @@ def random_k_points(pairs: int, count: int, rng: np.random.Generator) -> np.ndar
 SPHERE_SAMPLES = 256  # lattice points per sphere chart
 
 
-def _sphere_points(charts: int, samples: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sphere_points(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Test points A on a sphere chart, each with an orthonormal tangent pair
-    (u, A x u), as (charts * samples, 3) arrays.
+    (u, A x u), as (samples, 3) arrays.
 
-    Every chart gets the same golden-angle spiral lattice over the whole
-    sphere: point i sits at height z = 1 - (2i + 1) / samples and longitude
-    i times the golden angle, and u is the unit eastward direction there.
+    The points are a golden-angle spiral lattice over the whole sphere:
+    point i sits at height z = 1 - (2i + 1) / samples and longitude i times
+    the golden angle, and u is the unit eastward direction there.
     """
     i = np.arange(samples)
     z = 1.0 - (2.0 * i + 1.0) / samples
@@ -320,7 +319,6 @@ def _sphere_points(charts: int, samples: int
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     a = np.stack([r * cos_phi, r * sin_phi, z], axis=-1)
     u = np.stack([-sin_phi, cos_phi, np.zeros(samples)], axis=-1)
-    a, u = np.tile(a, (charts, 1)), np.tile(u, (charts, 1))
     return a, u, cross(a, u)
 
 
@@ -343,7 +341,7 @@ def _monotone_stack(pairs: int, order: int) -> tuple[np.ndarray, ...]:
     t2 = np.tile(math.pi * (nodes + 1.0), order)
     sphere = CapCylinderSphere(pairs)
     adjacent = AdjacentPairSphere(3, 1, pairs)
-    a, u, v = _sphere_points(1, SPHERE_SAMPLES)
+    a, u, v = _sphere_points(SPHERE_SAMPLES)
     charts = (
         (sphere.cylinder_configuration(t1, t2), *sphere.cylinder_frames(t1, t2)),
         *((sphere.cap_configuration(which, a), sphere.cap_frame(a, u),

@@ -21,11 +21,12 @@ from repvar.braid import (
     knot_by_name,
     knot_name,
     load_knot_table,
+    normalize,
     parse_braid,
     random_configurations,
     tangent_basis,
 )
-from repvar.su2 import slot_product
+from repvar.su2 import reflect, slot_product
 from repvar.symplectic import random_coefficients
 
 RNG = np.random.default_rng(11)
@@ -96,8 +97,53 @@ def test_inverse_word_reverses_and_negates():
 def test_generator_inverse_undoes_generator():
     pts = random_configurations(4, 30, RNG)
     for k in (1, 2, 3):
-        roundtrip = generator_step(-k, generator_step(k, pts))
+        roundtrip = pts.copy()
+        generator_step(k, roundtrip)
+        generator_step(-k, roundtrip)
         assert np.max(np.abs(roundtrip - pts)) < 1e-12
+
+
+@pytest.mark.parametrize("k", (1, -1, 2, -2, 3, -3))
+def test_a_letter_writes_only_its_two_slots(k):
+    pts = random_configurations(4, 30, np.random.default_rng(17))
+    before = pts.copy()
+    a, b = generator_step(k, pts)
+    i = abs(k) - 1
+    # it returns the two slots it read, as copies of their old values
+    assert a.tobytes() == before[:, i].tobytes()
+    assert b.tobytes() == before[:, i + 1].tobytes()
+    assert not np.shares_memory(a, pts) and not np.shares_memory(b, pts)
+    # it writes the letter's image into those two slots and nowhere else
+    want = ((normalize(reflect(a, b)), a) if k > 0
+            else (b, normalize(reflect(b, a))))
+    assert pts[:, i].tobytes() == want[0].tobytes()
+    assert pts[:, i + 1].tobytes() == want[1].tobytes()
+    others = [s for s in range(4) if s not in (i, i + 1)]
+    assert pts[:, others].tobytes() == before[:, others].tobytes()
+
+
+@pytest.mark.parametrize("word", [
+    parse_braid("4: 1 -3 2 2 -1"),
+    knot_by_name("9_42").word,
+    BraidWord(4, ()),
+])
+def test_action_and_differential_leave_their_inputs_unchanged(word):
+    # each copies its input once and steps the letters on the copy: a
+    # read-only input is never written, and no result aliases an input,
+    # the identity word's included
+    rng = np.random.default_rng(37)
+    pts = random_configurations(word.strands, 16, rng)
+    frames = random_coefficients(np.broadcast_to(pts, (3,) + pts.shape), rng)
+    before = pts.tobytes(), frames.tobytes()
+    pts.setflags(write=False)
+    frames.setflags(write=False)
+    moved = act_array(word, pts)
+    base, pushed = differential_arrays(word, pts, frames)
+    assert (pts.tobytes(), frames.tobytes()) == before
+    for out in (moved, base, pushed):
+        assert out.flags.writeable
+        assert not np.shares_memory(out, pts)
+        assert not np.shares_memory(out, frames)
 
 
 def test_long_torus_word_stays_on_the_spheres():

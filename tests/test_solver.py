@@ -420,14 +420,17 @@ def test_a_stabilised_word_of_9_42_gets_its_census(seed):
 
 def test_gate_solves_are_polished_well_inside_the_gap(solve_table):
     # the words of acceptance criteria 01-04: every representative is on the
-    # variety to far below the survivor bound, and its null singular values
+    # variety to far below the survivor bound, its stored residual is its
+    # own, recomputed from the representative, and its null singular values
     # sit four orders below NULL_TOL, so a looser stopping rule shows here
     # before any census changes
     words = [BraidWord(2, (1,) * n) for n in range(2, 10)]
     for word in words + ["4_1", "5_2", "6_1", "9_42", "square"]:
         report, _ = solve_table(word)
         for comp in report.components:
-            assert comp.residual < DESCENT_TOL, (word, comp)
+            rep = comp.representative.as_array()
+            [residual] = residual_array(report.word, rep[None])
+            assert residual == comp.residual < POLISH_TOL, (word, comp)
             assert comp.null_gap[0] <= NULL_TOL * 1e-4, (word, comp)
 
 

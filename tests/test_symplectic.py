@@ -300,7 +300,7 @@ def test_integrand_agrees_with_independent_quadrature():
 
 def test_caps_and_degree_zero_spheres_contribute_nothing():
     # at the lattice points the report reads its maxima at
-    lattice = _sphere_points(1, SPHERE_SAMPLES)
+    lattice = _sphere_points(SPHERE_SAMPLES)
     for pairs in (2, 3):
         assert max(_sphere_form_maxima(pairs, *lattice)) < 1e-12
 
@@ -322,22 +322,20 @@ def test_sphere_charts_equal_the_stacked_reference_exactly(pairs):
                                   oracles.cap_chart(pairs, which, a))
 
 
-@pytest.mark.parametrize("charts", (1, 2))
-def test_sphere_lattice_is_an_orthonormal_frame_covering_each_chart(charts):
+def test_sphere_lattice_is_an_orthonormal_frame_covering_the_sphere():
     samples = 256
-    a, u, v = _sphere_points(charts, samples)
-    assert a.shape == u.shape == v.shape == (charts * samples, 3)
+    a, u, v = _sphere_points(samples)
+    assert a.shape == u.shape == v.shape == (samples, 3)
     # (A, u, A x u) is an orthonormal frame at every point
     frame = np.stack([a, u, v], axis=-1)
     gram = np.swapaxes(frame, -1, -2) @ frame
     assert np.max(np.abs(gram - np.eye(3))) < 1e-14
     assert np.max(np.abs(v - np.cross(a, u))) < 1e-15
-    # every chart covers the whole sphere: no direction is far from a point
+    # the lattice covers the whole sphere: no direction is far from a point
     directions = np.random.default_rng(5).normal(size=(12_000, 3))
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
-    for chart in a.reshape(charts, samples, 3):
-        nearest = np.max(directions @ chart.T, axis=-1)
-        assert math.acos(min(1.0, float(np.min(nearest)))) < 0.25
+    nearest = np.max(directions @ a.T, axis=-1)
+    assert math.acos(min(1.0, float(np.min(nearest)))) < 0.25
 
 
 def test_caps_and_adjacent_pair_spheres_vanish_at_random_points():
@@ -375,7 +373,7 @@ def test_monotonicity_report_reads_what_each_chart_alone_measures(pairs):
                                   math.pi * weights, values))
     assert report.fn_integral == fn_integral
     assert report.ratio == fn_integral / -2
-    a, u, v = _sphere_points(1, SPHERE_SAMPLES)
+    a, u, v = _sphere_points(SPHERE_SAMPLES)
     assert report.cap_form_max == max(_sphere_form_maxima(pairs, a, u, v)[:2])
     sphere = AdjacentPairSphere(3, 1, pairs)
     gamma = omega_c_array(sphere.configuration(a), sphere.frame(a, u),

@@ -253,10 +253,11 @@ def run(names: Iterable[str], seed: int = 0, trials: int = 1000) -> list[dict]:
 # abelian S2 and (det - 1) / 2 copies of RP3, 9_42 one abelian S2 and seven
 # three-dimensional components, the square knot components of dimensions 2,
 # 3, 3 and 4, and the (2, n) torus link the components of `torus_components`.
+# Every knot has exactly one abelian component, an S2: its determinant is odd,
+# so no nonabelian representation limits on it (Klassen, Trans. AMS 1991).
 
 TWO_BRIDGE_KNOTS = ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1")
 KNOT_DIMENSIONS = {"9_42": [2] + [3] * 7, "square": [2, 3, 3, 4]}
-ONE_ABELIAN_SPHERE = (*TWO_BRIDGE_KNOTS, "9_42")
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,10 @@ def _slot_angle(points) -> float:
 
 def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
-    word: that of the table knot with this word, the Fox colourings of any
-    knot word, and T(2, n) for a 2-strand word of exponent sum +-n, n >= 1.
+    word: that of the table knot with this word, the one abelian S2 and the
+    Fox colourings of any knot word, and T(2, n) for a 2-strand word of
+    exponent sum +-n, n >= 1.  A report with an UNKNOWN component fails
+    `census.unknown_components`, whatever else is checked.
 
     `census.binary_dihedral` counts the nonabelian colouring classes within
     sqrt(DESCENT_TOL) of a distinct RP3 representative (in the solver's
@@ -317,7 +320,7 @@ def census_checks(report: SolveReport) -> list[dict]:
         checks.append(check_record(
             "census.dimensions", "equals",
             sorted(c.est_dimension for c in comps), KNOT_DIMENSIONS[knot]))
-    if knot in ONE_ABELIAN_SPHERE:
+    if is_knot and not report.full_variety:
         checks.append(check_record(
             "census.abelian_dimensions", "equals",
             sorted(c.est_dimension for c in comps if c.is_abelian), [2]))
@@ -350,4 +353,8 @@ def census_checks(report: SolveReport) -> list[dict]:
                          sorted([c.topology_tag, c.est_dimension]
                                 for c in torus)),
             check_record("census.torus_angles", "abs_le", error, 1e-6)]
+    unknown = sum(c.topology_tag == "UNKNOWN" for c in comps)
+    if unknown:
+        checks.append(check_record(
+            "census.unknown_components", "equals", unknown, 0))
     return checks

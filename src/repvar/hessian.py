@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "build_hessian",
-    "php_identity",
     "parity_swap_negates",
     "signature",
     "min_abs_eigenvalue",
@@ -113,12 +112,6 @@ def parity_swap_negates(matrix: np.ndarray) -> list[bool]:
     rows, cols = np.nonzero(m[swap][:, swap] != -m)
     first = int(np.maximum(rows, cols).min()) if len(rows) else size
     return [block <= first for block in range(2, size + 1, 2)]
-
-
-def php_identity(matrix: np.ndarray) -> bool:
-    """Whether the parity swap conjugates ``matrix`` to its exact negative:
-    the last value of :func:`parity_swap_negates`, or True for 0x0."""
-    return (parity_swap_negates(matrix) or [True])[-1]
 
 
 def spectrum(matrix: np.ndarray) -> np.ndarray:

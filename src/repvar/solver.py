@@ -7,8 +7,11 @@ damping weight and the exact Jacobian in orthonormal tangent coordinates,
 run on each seed until its residual is at rounding level (as the damping
 falls, the step becomes the Gauss-Newton step, so the same loop polishes)
 -> orbit groups from one sweep along the first invariant -> dimension and
-topology tag per component.  The Jacobian is the action's one differential,
-`braid.differential_arrays`, carrying all 2n tangent frames in one sweep.
+topology tag per component.  The equation has one home, the value
+`FixedPointEquation` built from the word: its residual and its Jacobian are
+all that the descent, the loop tracer and the tags read of the word.  The
+Jacobian is the action's one differential, `braid.differential_arrays`,
+carrying all 2n tangent frames in one sweep.
 
 Grouping detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -125,18 +128,29 @@ def residual_array(word: BraidWord, pts: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=(-2, -1))
 
 
-def _tangent_jacobian(word, pts, e1, e2):
-    """Jacobian of g -> act(g) - g in the orthonormal tangent frames,
-    shape (S, 3n, 2n), and the image act(g).  The 2n one-slot frames ride
-    one `differential_arrays` sweep as coefficients p x v, and the pushed
-    coefficients X read back as velocities X x p; column m is the pushed
-    frame m minus frame m."""
-    S, n, _ = pts.shape
-    frames = tangent_frames(e1, e2)
-    image, coeffs = differential_arrays(word, pts, cross(pts, frames))
-    vel = cross(coeffs, image)
-    jac = np.moveaxis((vel - frames).reshape(2 * n, S, 3 * n), 0, -1)
-    return jac, image
+@dataclass(frozen=True)
+class FixedPointEquation:
+    """The fixed-point equation act(w, g) - g = 0 of a braid word: the one
+    system the descent, the loop tracer and the tags solve."""
+
+    word: BraidWord
+
+    def residual(self, pts: np.ndarray) -> np.ndarray:
+        """Squared residual per seed (`residual_array`)."""
+        return residual_array(self.word, pts)
+
+    def jacobian(self, pts, e1, e2):
+        """Jacobian of g -> act(g) - g in the orthonormal tangent frames,
+        shape (S, 3n, 2n), and the residual vector act(g) - g, shape
+        (S, 3n).  The 2n one-slot frames ride one `differential_arrays`
+        sweep as coefficients p x v, and the pushed coefficients X read back
+        as velocities X x p; column m is the pushed frame m minus frame m."""
+        S, n, _ = pts.shape
+        frames = tangent_frames(e1, e2)
+        image, coeffs = differential_arrays(self.word, pts, cross(pts, frames))
+        vel = cross(coeffs, image)
+        jac = np.moveaxis((vel - frames).reshape(2 * n, S, 3 * n), 0, -1)
+        return jac, (image - pts).reshape(S, -1)
 
 
 def _apply_tangent_step(pts, x, e1, e2):
@@ -144,7 +158,7 @@ def _apply_tangent_step(pts, x, e1, e2):
     return normalize(pts + move)
 
 
-def _levenberg(word, pts):
+def _levenberg(system: FixedPointEquation, pts):
     """Seed convergence and polish: Levenberg-Marquardt with a per-seed
     adaptive damping weight, each iteration on the live seeds only (residual
     at or above POLISH_TOL, damping below its cap).  Robust from random
@@ -153,7 +167,7 @@ def _levenberg(word, pts):
     becomes the Gauss-Newton step, which takes a converging seed on to
     rounding level.  Returns new points and their residuals."""
     pts = pts.copy()
-    r = residual_array(word, pts)
+    r = system.residual(pts)
     lam = np.full(len(pts), 0.1)
     for _ in range(MAX_ITERS):
         live = np.flatnonzero((r >= POLISH_TOL) & (lam < 1e3))
@@ -161,13 +175,12 @@ def _levenberg(word, pts):
             break
         at = pts[live]
         e1, e2 = tangent_basis(at)
-        A, image = _tangent_jacobian(word, at, e1, e2)
-        b = -(image - at).reshape(len(at), -1)
+        A, f = system.jacobian(at, e1, e2)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         gain = s / (s**2 + lam[live, None] ** 2)
-        x = np.einsum("sji,sj->si", Vt, gain * np.einsum("sji,sj->si", U, b))
+        x = np.einsum("sji,sj->si", Vt, gain * np.einsum("sji,sj->si", U, -f))
         cand = _apply_tangent_step(at, x, e1, e2)
-        rc = residual_array(word, cand)
+        rc = system.residual(cand)
         accept = rc < r[live]
         pts[live[accept]] = cand[accept]
         r[live[accept]] = rc[accept]
@@ -291,7 +304,7 @@ def _classify(
     return nullity, "UNKNOWN", gap
 
 
-def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
+def _trace_loop(system: FixedPointEquation, start: np.ndarray) -> np.ndarray | None:
     """Feature-space path of the null direction orthogonal to the orbit of
     the fixed point `start`, taken in tangent steps of LOOP_STEP, each
     re-polished by `_levenberg`.  The path once it returns to `start`
@@ -302,7 +315,7 @@ def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
     reach, left = 0.0, False
     for _ in range(LOOP_MAX_STEPS):
         e1, e2 = tangent_basis(pts)
-        jac, _ = _tangent_jacobian(word, pts, e1, e2)
+        jac, _ = system.jacobian(pts, e1, e2)
         # the rotation about axis a moves slot i by a x g_i, whose tangent
         # coordinates are (a . e2_i, -a . e1_i)
         orbit = np.stack([e2[0], -e1[0]], axis=1).reshape(-1, 3).T
@@ -311,7 +324,7 @@ def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
         if heading is not None and np.sum(move * heading) < 0:
             x, move = -x, -move
         heading = move
-        pts, r = _levenberg(word, _apply_tangent_step(pts, LOOP_STEP * x[None], e1, e2))
+        pts, r = _levenberg(system, _apply_tangent_step(pts, LOOP_STEP * x[None], e1, e2))
         if r[0] >= DESCENT_TOL:
             return None
         path.append(invariant_features(pts[0]))
@@ -326,12 +339,13 @@ def _trace_loop(word: BraidWord, start: np.ndarray) -> np.ndarray | None:
 def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport:
     rng = np.random.default_rng(config.rng_seed)
     n = word.strands
+    system = FixedPointEquation(word)
 
     # A word that fixes independent random configurations acts trivially:
     # its variety is the whole product of spheres, and clustering noise
     # would be meaningless.  Refuse with the full-variety report.
     probe = random_configurations(n, 3, rng)
-    if np.all(residual_array(word, probe) < 1e-20):
+    if np.all(system.residual(probe) < 1e-20):
         return SolveReport(
             word=word,
             components=(),
@@ -344,7 +358,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     pts = random_configurations(n, config.seeds, rng)
     planted_rows = _plant_abelian(word, pts)  # in place
     planted = np.arange(config.seeds) < planted_rows
-    pts, r = _levenberg(word, pts)
+    pts, r = _levenberg(system, pts)
     # a seed left above POLISH_TOL, stalled at the damping cap or still live
     # when the iterations ran out, is not a sample
     keep = r < POLISH_TOL
@@ -362,7 +376,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     firsts = np.array([g[0] for g in groups])
     reps = survivors[firsts]
     e1, e2 = tangent_basis(reps)
-    jac, _ = _tangent_jacobian(word, reps, e1, e2)
+    jac, _ = system.jacobian(reps, e1, e2)
     abelian = [is_singular_config(rep, ABELIAN_TOL) for rep in reps]
     classes = [_classify(sv, ab) for sv, ab in
                zip(np.linalg.svd(jac, compute_uv=False), abelian)]
@@ -374,7 +388,7 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
     for g, (dim, _, gap) in enumerate(classes):
         if owner[g] != g or dim != 4 or abelian[g] or not _clean(gap):
             continue
-        path = _trace_loop(word, reps[g])
+        path = _trace_loop(system, reps[g])
         if path is not None:
             reach = np.max(np.linalg.norm(np.diff(path, axis=0), axis=-1))
             apart = np.linalg.norm(feats[firsts][:, None] - path, axis=-1)

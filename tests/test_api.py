@@ -43,3 +43,27 @@ def test_solve_representatives_are_configuration_arrays():
     for comp in report.components:
         assert isinstance(comp.representative, Configuration)
         assert comp.representative.as_array().shape == (2, 3)
+
+
+def test_the_solver_names_the_benchmark_binds_exist(monkeypatch):
+    # perfbench times the solve through these module attributes, swapping a
+    # counting wrapper onto each, and calls `solve` with a seed-only config:
+    # a name that is renamed away, or that the solver no longer reads
+    # through its module, leaves the span reading 0 rather than failing
+    from repvar import solver
+
+    for name in ("solve", "cluster_indices", "invariant_features",
+                 "residual_array", "act_array"):
+        assert callable(getattr(solver, name)), name
+    assert solver.SolverConfig(rng_seed=3).rng_seed == 3
+    calls = {"residual_array": 0, "act_array": 0}
+    for name, original in [(n, getattr(solver, n)) for n in calls]:
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    word = parse_braid("2: 1 1 1")
+    pts = random_configurations(2, 8, np.random.default_rng(5))
+    solver._levenberg(solver.FixedPointEquation(word), pts)
+    assert calls["residual_array"] > 0 and calls["act_array"] > 0, calls

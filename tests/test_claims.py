@@ -281,8 +281,8 @@ def test_a_table_knot_is_checked_against_its_own_census():
 def test_a_two_strand_word_is_checked_against_its_torus_census(text, n):
     checks = claims.census_checks(_solved(parse_braid(text), _torus_census(n)))
     names = ["census.torus_components", "census.torus_angles"]
-    if n % 2:  # a knot: its Fox colourings too
-        names.insert(0, "census.binary_dihedral")
+    if n % 2:  # a knot: its one abelian S2 and its Fox colourings too
+        names[:0] = ["census.abelian_dimensions", "census.binary_dihedral"]
     assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
 
@@ -332,17 +332,62 @@ def test_a_word_with_no_reference_gets_no_checks(text):
     assert claims.census_checks(_solved(parse_braid(text), [])) == []
 
 
+def _binary_dihedral(report: SolveReport) -> dict:
+    [check] = [c for c in claims.census_checks(report)
+               if c["name"] == "census.binary_dihedral"]
+    return check
+
+
 def test_any_knot_word_is_checked_against_its_fox_colourings():
     # an unknot on four strands: no nonabelian class, and no RP3
-    [check] = claims.census_checks(_solved(parse_braid("4: 1 -2 3"), []))
-    assert check["name"] == "census.binary_dihedral"
+    checks = claims.census_checks(_solved(parse_braid("4: 1 -2 3"), []))
+    assert [c["name"] for c in checks] == ["census.abelian_dimensions",
+                                           "census.binary_dihedral"]
+    check = checks[1]
     assert check["value"] == check["expected"] == [0, 0] and check["passed"]
     # T(3, 4): its one class, then an unflagged RP3 away from it instead
     word = parse_braid("3: 1 2 1 2 1 2 1 2")
-    [check] = claims.census_checks(_solved(word, [], colourings(word)[1:]))
+    check = _binary_dihedral(_solved(word, [], colourings(word)[1:]))
     assert check["value"] == check["expected"] == [1, 1] and check["passed"]
-    [check] = claims.census_checks(_solved(word, [("RP3", 3, False, 1.0)]))
+    check = _binary_dihedral(_solved(word, [("RP3", 3, False, 1.0)]))
     assert check["value"] == [0, 0] and not check["passed"]
+
+
+def test_any_knot_word_has_one_abelian_sphere():
+    # the square knot and a non-table word as well as the two-bridge knots:
+    # a knot's determinant is odd, so its one abelian S2 is a component
+    words = [parse_braid(text) for text in ("2: 1 1 1", "4: 1 -2 3",
+                                            "3: 1 2 1 2 1 2 1 2")]
+    census = [("S2", 2, True, 0.0), ("RP3", 3, False, 1.0)]
+    for word in [*words, load_knot_table()["square"].word]:
+        # one abelian S2 passes; a second abelian component, or none, fails
+        for comps, passed in ((census, True), ([census[0]] * 2, False),
+                              (census[1:], False)):
+            [check] = [c for c in claims.census_checks(_solved(word, comps))
+                       if c["name"] == "census.abelian_dimensions"]
+            assert check["expected"] == [2] and check["passed"] is passed, word
+    # a link gets no such check, nor does a full-variety report
+    assert claims.census_checks(_solved(parse_braid("3: 1 1"), [])) == []
+    full = SolveReport(parse_braid("1:"), (), 0, 0, full_variety=True)
+    assert "census.abelian_dimensions" not in [
+        c["name"] for c in claims.census_checks(full)]
+
+
+def test_an_unknown_component_fails_the_census():
+    # a link with no reference census gets the one failing check; a knot
+    # word keeps its other checks and gains it last
+    unknown = ("UNKNOWN", 5, False, 1.0)
+    checks = claims.census_checks(_solved(parse_braid("3: 1 1 1"),
+                                          [unknown, unknown]))
+    assert checks == [{"name": "census.unknown_components", "kind": "equals",
+                       "value": 2, "expected": 0, "passed": False}]
+    word = load_knot_table()["4_1"].word
+    census = [("S2", 2, True, 0.0), ("RP3", 3, False, 1.0), unknown]
+    names = [c["name"] for c in claims.census_checks(_solved(word, census))]
+    assert names == ["census.components", "census.abelian_dimensions",
+                     "census.binary_dihedral", "census.unknown_components"]
+    # no UNKNOWN component, no such check
+    assert claims.census_checks(_solved(parse_braid("3: 1 1 1"), [])) == []
 
 
 def test_a_representative_2e_6_off_its_class_is_not_matched():
@@ -357,5 +402,5 @@ def test_a_representative_2e_6_off_its_class_is_not_matched():
         - invariant_features(circle_point(np.array(turns, dtype=float)
                                           * 2.0 * math.pi)))
     assert apart == pytest.approx(2e-6, rel=1e-3)
-    [check] = claims.census_checks(_solved(word, [], [off / (2.0 * math.pi)]))
+    check = _binary_dihedral(_solved(word, [], [off / (2.0 * math.pi)]))
     assert check["value"] == [0, 1] and not check["passed"]

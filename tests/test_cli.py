@@ -120,22 +120,41 @@ def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
 
 
 @pytest.mark.parametrize("text, names", [
-    ("3: 1 1", []),
-    ("2: 1 -1 1", ["census.binary_dihedral", "census.torus_components",
-                   "census.torus_angles"]),
+    # no reference census; its abelian group (a, a, -a) has nullity 4 on
+    # the S2 x S2 it lies on, is tagged UNKNOWN, and fails the record
+    ("3: 1 1", ["census.unknown_components"]),
+    ("2: 1 -1 1", ["census.abelian_dimensions", "census.binary_dihedral",
+                   "census.torus_components", "census.torus_angles"]),
 ])
 def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
                                                          text, names):
     result = _run(runner, tmp_path,
                   ["variety", "--braid", text, "--seeds", "128", "--json"])
-    assert result.exit_code == 0, result.output
     record = json.loads(result.output)
     assert [c["name"] for c in record["checks"]] == names
-    assert record["passed"] is True
-    if names:  # the word is sigma_1: the unknot's one S2, no colouring
+    unknown = "census.unknown_components" in names
+    assert result.exit_code == int(unknown), result.output
+    assert record["passed"] is not unknown
+    if not unknown:  # the word is sigma_1: the unknot's one S2, no colouring
         checks = {c["name"]: c for c in record["checks"]}
         assert checks["census.torus_components"]["expected"] == [["S2", 2]]
         assert checks["census.binary_dihedral"]["expected"] == [0, 0]
+
+
+def test_variety_fails_a_census_with_unknown_components(runner, tmp_path):
+    # trefoil beside a free strand: no reference census, and most of its
+    # groups are orbits of a 5-dimensional component, each tagged UNKNOWN
+    result = _run(runner, tmp_path,
+                  ["variety", "--braid", "3: 1 1 1", "--seeds", "128", "--json"])
+    assert result.exit_code == 1, result.output
+    record = json.loads(result.output)
+    unknown = sum(c["topology_tag"] == "UNKNOWN"
+                  for c in record["results"]["components"])
+    assert unknown > 0
+    assert record["checks"] == [{
+        "name": "census.unknown_components", "kind": "equals",
+        "value": unknown, "expected": 0, "passed": False}]
+    assert record["passed"] is False
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -28,10 +28,10 @@ from repvar.solver import (
     DESCENT_TOL,
     NULL_TOL,
     POLISH_TOL,
+    FixedPointEquation,
     SolverConfig,
     _classify,
     _levenberg,
-    _tangent_jacobian,
     _trace_loop,
     cluster_indices,
     invariant_features,
@@ -77,7 +77,7 @@ def _random_words(rng, count):
         yield BraidWord(strands, tuple(int(k) for k in letters))
 
 
-def test_tangent_jacobian_matches_finite_differences():
+def test_jacobian_matches_finite_differences():
     # column m of the Jacobian of g -> act(g) - g is the pushforward of the
     # m-th tangent basis vector (slot m // 2, vector e1 or e2) minus itself;
     # a 41-letter torus word amplifies any drift off the spheres
@@ -87,10 +87,11 @@ def test_tangent_jacobian_matches_finite_differences():
         strands = word.strands
         pts = random_configurations(strands, 2, rng)
         e1, e2 = tangent_basis(pts)
-        jac, image = _tangent_jacobian(word, pts, e1, e2)
+        jac, f = FixedPointEquation(word).jacobian(pts, e1, e2)
         assert jac.shape == (2, 3 * strands, 2 * strands)
-        # the sweep's final state is the action itself, bit for bit
-        assert np.array_equal(image, act_array(word, pts))
+        # the sweep's final state is the action itself, bit for bit, so the
+        # residual vector is act(g) - g exactly
+        assert np.array_equal(f, (act_array(word, pts) - pts).reshape(2, -1))
         for s in range(2):
             for m in range(2 * strands):
                 slot, which = divmod(m, 2)
@@ -115,7 +116,7 @@ def test_long_torus_solves_keep_every_seed(n):
     assert checks and all(c["passed"] for c in checks), checks
 
 
-def test_levenberg_steps_only_the_live_seeds(monkeypatch):
+def test_levenberg_steps_only_the_live_seeds():
     # half the batch starts on the variety (the diagonal (p, p), residual
     # at rounding level): no Jacobian is built for it, and it comes back
     # untouched
@@ -126,12 +127,12 @@ def test_levenberg_steps_only_the_live_seeds(monkeypatch):
     pts = np.concatenate([random_configurations(2, 32, rng), fixed])
     rows = []
 
-    def jacobian(word, pts, e1, e2):
-        rows.append(len(pts))
-        return _tangent_jacobian(word, pts, e1, e2)
+    class Counting(FixedPointEquation):
+        def jacobian(self, pts, e1, e2):
+            rows.append(len(pts))
+            return super().jacobian(pts, e1, e2)
 
-    monkeypatch.setattr(solver, "_tangent_jacobian", jacobian)
-    out, _ = _levenberg(word, pts)
+    out, _ = _levenberg(Counting(word), pts)
     assert rows and max(rows) <= 32, rows
     assert np.array_equal(out[32:], fixed)
 
@@ -144,8 +145,8 @@ def test_seeds_above_the_polish_bound_are_not_samples(monkeypatch):
     planted = 4  # one link component: the four-row minimum
     counts = []
 
-    def levenberg(word, pts):
-        out, r = _levenberg(word, pts)
+    def levenberg(system, pts):
+        out, r = _levenberg(system, pts)
         unpolished = np.arange(len(r)) % 10 == 0
         unpolished[:planted] = True
         polished = r < POLISH_TOL
@@ -355,8 +356,8 @@ def test_torus_census_at_seeds_that_defeat_sampled_dimensions(n, seed):
     report = solve(BraidWord(2, (1,) * n), SolverConfig(rng_seed=seed))
     checks = census_checks(report)
     names = ["census.torus_components", "census.torus_angles"]
-    if n % 2:  # a knot: its Fox colourings too
-        names.insert(0, "census.binary_dihedral")
+    if n % 2:  # a knot: its one abelian S2 and its Fox colourings too
+        names[:0] = ["census.abelian_dimensions", "census.binary_dihedral"]
     assert [c["name"] for c in checks] == names
     assert all(c["passed"] for c in checks), checks
 
@@ -414,8 +415,9 @@ def test_a_stabilised_word_of_9_42_gets_its_census(seed):
     assert census == [("RP3", 3)] * 7 + [("S2", 2)]
     assert [c.is_abelian for c in report.components].count(True) == 1
     checks = census_checks(report)
-    assert [c["name"] for c in checks] == ["census.binary_dihedral"]
-    assert checks[0]["passed"], checks
+    assert [c["name"] for c in checks] == ["census.abelian_dimensions",
+                                           "census.binary_dihedral"]
+    assert all(c["passed"] for c in checks), checks
 
 
 def test_gate_solves_are_polished_well_inside_the_gap(solve_table):
@@ -443,8 +445,8 @@ def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):
         survivors.append(pts)
         return invariant_features(pts)
 
-    def trace(word, start):
-        paths.append(_trace_loop(word, start))
+    def trace(system, start):
+        paths.append(_trace_loop(system, start))
         return paths[-1]
 
     monkeypatch.setattr(solver, "invariant_features", features)
@@ -456,7 +458,7 @@ def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):
     assert len(path) > 3 and np.linalg.norm(path[-1] - path[0]) <= steps.max()
     pts = survivors[0]
     assert len(pts) == report.seeds_converged
-    jac, _ = _tangent_jacobian(word, pts, *tangent_basis(pts))
+    jac, _ = FixedPointEquation(word).jacobian(pts, *tangent_basis(pts))
     sv = np.linalg.svd(jac, compute_uv=False)
     nullity = np.count_nonzero(sv < NULL_TOL * sv[:, :1], axis=1)
     [loop] = [c for c in report.components if c.topology_tag == "PRODUCT_RP3_S1"]

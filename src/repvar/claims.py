@@ -294,8 +294,10 @@ def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
     word: that of the table knot with this word, the one abelian S2 and the
     Fox colourings of any knot word, and T(2, n) for a 2-strand word of
-    exponent sum +-n, n >= 1.  A report with an UNKNOWN component fails
-    `census.unknown_components`, whatever else is checked.
+    exponent sum +-n, n >= 1.  A report that none of these covers fails
+    `census.covered`, unless its word acts trivially (`full_variety`), and
+    one with an UNKNOWN component fails `census.unknown_components`,
+    whatever else is checked.
 
     `census.binary_dihedral` counts the nonabelian colouring classes within
     sqrt(DESCENT_TOL) of a distinct RP3 representative (in the solver's
@@ -353,6 +355,8 @@ def census_checks(report: SolveReport) -> list[dict]:
                          sorted([c.topology_tag, c.est_dimension]
                                 for c in torus)),
             check_record("census.torus_angles", "abs_le", error, 1e-6)]
+    if not checks and not report.full_variety:
+        checks.append(check_record("census.covered", "equals", False, True))
     unknown = sum(c.topology_tag == "UNKNOWN" for c in comps)
     if unknown:
         checks.append(check_record(

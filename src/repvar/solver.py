@@ -7,11 +7,13 @@ damping weight and the exact Jacobian in orthonormal tangent coordinates,
 run on each seed until its residual is at rounding level (as the damping
 falls, the step becomes the Gauss-Newton step, so the same loop polishes)
 -> orbit groups from one sweep along the first invariant -> dimension and
-topology tag per component.  The equation has one home, the value
-`FixedPointEquation` built from the word: its residual and its Jacobian are
-all that the descent, the loop tracer and the tags read of the word.  The
-Jacobian is the action's one differential, `braid.differential_arrays`,
-carrying all 2n tangent frames in one sweep.
+topology tag per component.  Groups, their representatives (each group's
+first sample) and the component ids follow the order the seeds were drawn
+in, so a knot's planted abelian S2 is component 0.  The equation has one
+home, the value `FixedPointEquation` built from the word: its residual and
+its Jacobian are all that the descent, the loop tracer and the tags read of
+the word.  The Jacobian is the action's one differential,
+`braid.differential_arrays`, carrying all 2n tangent frames in one sweep.
 
 Grouping detail that matters: global conjugation (a rotation applied to
 every slot) maps solutions to solutions, so each component is a union of
@@ -227,8 +229,8 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
 
 def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray]:
     """Connected components of the graph linking points within link_radius,
-    each as ascending indices, ordered by smallest index.  Input order must
-    already be deterministic (callers sort lexicographically first).
+    each as ascending indices, ordered by smallest index, so the groups
+    and each group's first index follow the input order.
 
     A sweep in order of the first feature tests each point only against the
     later points at most link_radius (plus a few ulps) above it there: one
@@ -367,9 +369,6 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
 
     feats = invariant_features(survivors)
-    order = np.lexsort(feats.T[::-1])  # deterministic group order
-    survivors, rr, feats, planted = (
-        survivors[order], rr[order], feats[order], planted[order])
     # one group per orbit: a sample's invariants are within about
     # 1e-12 / sigma_min of its orbit's (see POLISH_TOL)
     groups = cluster_indices(feats, math.sqrt(DESCENT_TOL))

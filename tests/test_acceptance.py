@@ -21,8 +21,7 @@ from repvar.braid import (
     knot_by_name,
     random_configurations,
 )
-from repvar.invariants import (alexander, determinant, load_khovanov_ranks,
-                               two_bridge_prediction)
+from repvar.invariants import alexander, determinant, load_khovanov_ranks
 from repvar.solver import variety_rank
 from repvar.symplectic import random_coefficients
 
@@ -113,8 +112,9 @@ def test_criterion_05_two_bridge_predictor(solve_table):
         checks, census_ok = _census(report, "census.components")
         assert census_ok, (name, list(checks.values()))
         want = len(checks["census.components"]["expected"])
-        ok = ok and two_bridge_prediction(det).cohomology_rank == det + 1
-        rows.append(f"{name}:{len(report.components)}={want},rank {det + 1}")
+        rank = variety_rank(c.topology_tag for c in report.components)
+        ok = ok and rank == det + 1
+        rows.append(f"{name}:{len(report.components)}={want},rank {rank}={det + 1}")
     _report(
         "criterion 05 count-predictor",
         ok,

@@ -329,7 +329,14 @@ def test_torus_angles_read_rounding_level_at_0_and_pi(n, index, sign):
 
 @pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:"])
 def test_a_word_with_no_reference_gets_no_checks(text):
-    assert claims.census_checks(_solved(parse_braid(text), [])) == []
+    # no reference census: the report fails census.covered rather than read
+    # as a pass, unless the word acts trivially and every point is fixed
+    report = _solved(parse_braid(text), [])
+    assert claims.census_checks(report) == [{
+        "name": "census.covered", "kind": "equals", "value": False,
+        "expected": True, "passed": False}]
+    full = dataclasses.replace(report, components=(), full_variety=True)
+    assert claims.census_checks(full) == []
 
 
 def _binary_dihedral(report: SolveReport) -> dict:
@@ -367,27 +374,31 @@ def test_any_knot_word_has_one_abelian_sphere():
                        if c["name"] == "census.abelian_dimensions"]
             assert check["expected"] == [2] and check["passed"] is passed, word
     # a link gets no such check, nor does a full-variety report
-    assert claims.census_checks(_solved(parse_braid("3: 1 1"), [])) == []
+    assert "census.abelian_dimensions" not in [
+        c["name"] for c in claims.census_checks(_solved(parse_braid("3: 1 1"), []))]
     full = SolveReport(parse_braid("1:"), (), 0, 0, full_variety=True)
     assert "census.abelian_dimensions" not in [
         c["name"] for c in claims.census_checks(full)]
 
 
 def test_an_unknown_component_fails_the_census():
-    # a link with no reference census gets the one failing check; a knot
+    # a link with no reference census gets it after census.covered; a knot
     # word keeps its other checks and gains it last
     unknown = ("UNKNOWN", 5, False, 1.0)
     checks = claims.census_checks(_solved(parse_braid("3: 1 1 1"),
                                           [unknown, unknown]))
-    assert checks == [{"name": "census.unknown_components", "kind": "equals",
-                       "value": 2, "expected": 0, "passed": False}]
+    assert [c["name"] for c in checks] == ["census.covered",
+                                           "census.unknown_components"]
+    assert checks[1] == {"name": "census.unknown_components", "kind": "equals",
+                         "value": 2, "expected": 0, "passed": False}
     word = load_knot_table()["4_1"].word
     census = [("S2", 2, True, 0.0), ("RP3", 3, False, 1.0), unknown]
     names = [c["name"] for c in claims.census_checks(_solved(word, census))]
     assert names == ["census.components", "census.abelian_dimensions",
                      "census.binary_dihedral", "census.unknown_components"]
     # no UNKNOWN component, no such check
-    assert claims.census_checks(_solved(parse_braid("3: 1 1 1"), [])) == []
+    assert [c["name"] for c in claims.census_checks(
+        _solved(parse_braid("3: 1 1 1"), []))] == ["census.covered"]
 
 
 def test_a_representative_2e_6_off_its_class_is_not_matched():

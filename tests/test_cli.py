@@ -120,9 +120,9 @@ def test_variety_fails_on_a_census_one_component_short(runner, tmp_path,
 
 
 @pytest.mark.parametrize("text, names", [
-    # no reference census; its abelian group (a, a, -a) has nullity 4 on
-    # the S2 x S2 it lies on, is tagged UNKNOWN, and fails the record
-    ("3: 1 1", ["census.unknown_components"]),
+    # no reference census, which fails the record; and its abelian group
+    # (a, a, -a) has nullity 4 on the S2 x S2 it lies on and is tagged UNKNOWN
+    ("3: 1 1", ["census.covered", "census.unknown_components"]),
     ("2: 1 -1 1", ["census.abelian_dimensions", "census.binary_dihedral",
                    "census.torus_components", "census.torus_angles"]),
 ])
@@ -132,10 +132,10 @@ def test_variety_checks_the_reference_census_of_its_word(runner, tmp_path,
                   ["variety", "--braid", text, "--seeds", "128", "--json"])
     record = json.loads(result.output)
     assert [c["name"] for c in record["checks"]] == names
-    unknown = "census.unknown_components" in names
-    assert result.exit_code == int(unknown), result.output
-    assert record["passed"] is not unknown
-    if not unknown:  # the word is sigma_1: the unknot's one S2, no colouring
+    uncovered = "census.covered" in names
+    assert result.exit_code == int(uncovered), result.output
+    assert record["passed"] is not uncovered
+    if not uncovered:  # the word is sigma_1: the unknot's one S2, no colouring
         checks = {c["name"]: c for c in record["checks"]}
         assert checks["census.torus_components"]["expected"] == [["S2", 2]]
         assert checks["census.binary_dihedral"]["expected"] == [0, 0]
@@ -152,6 +152,8 @@ def test_variety_fails_a_census_with_unknown_components(runner, tmp_path):
                   for c in record["results"]["components"])
     assert unknown > 0
     assert record["checks"] == [{
+        "name": "census.covered", "kind": "equals",
+        "value": False, "expected": True, "passed": False}, {
         "name": "census.unknown_components", "kind": "equals",
         "value": unknown, "expected": 0, "passed": False}]
     assert record["passed"] is False

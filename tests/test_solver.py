@@ -394,12 +394,27 @@ def test_planted_abelian_seeds_are_exact_and_counted(text, seeds, planted):
                    for c in report.components if c.seeded_samples)
 
 
+def _planted_sphere_comes_first(report) -> bool:
+    """Whether component 0 is the abelian S2 the planted seeds lie on."""
+    first = report.components[0]
+    return (first.topology_tag == "S2" and first.is_abelian
+            and first.seeded_samples > 0)
+
+
+def test_component_ids_follow_the_seeds(solve_table):
+    # the planted seeds are the first drawn, so their S2 is component 0
+    for knot in load_knot_table().values():
+        report, _ = solve_table(knot.name)
+        assert _planted_sphere_comes_first(report), (knot.name, report.components)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_table_censuses_at_other_solver_seeds(seed):
     for knot in load_knot_table().values():
         report = solve(knot.word, SolverConfig(rng_seed=seed))
         checks = census_checks(report)
         assert checks and all(c["passed"] for c in checks), (knot.name, checks)
+        assert _planted_sphere_comes_first(report), (knot.name, report.components)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -414,6 +429,37 @@ def test_a_stabilised_word_of_9_42_gets_its_census(seed):
     census = sorted((c.topology_tag, c.est_dimension) for c in report.components)
     assert census == [("RP3", 3)] * 7 + [("S2", 2)]
     assert [c.is_abelian for c in report.components].count(True) == 1
+    checks = census_checks(report)
+    assert [c["name"] for c in checks] == ["census.abelian_dimensions",
+                                           "census.binary_dihedral"]
+    assert all(c["passed"] for c in checks), checks
+
+
+# Words related to a base word by Markov moves (conjugation and
+# stabilisation): the same link, so the same variety from other equations
+MARKOV_WORDS = [
+    ("3_1", "3: 1 1 1 2"), ("3_1", "3: 1 1 1 -2"), ("3_1", "4: 1 1 1 2 3"),
+    ("3_1", "3: 1 2 1 2"),
+    ("4_1", "4: 1 -2 1 -2 3"), ("4_1", "4: 1 -2 1 -2 -3"),
+    ("5_2", "4: 1 1 1 2 -1 2 -3"),
+    ("3: 1 2 1 2 1 2 1 2", "4: 1 2 1 2 1 2 1 2 3"),  # T(3, 4)
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("base, text", MARKOV_WORDS)
+def test_words_related_by_markov_moves_get_their_base_census(
+        base, text, seed, solve_table):
+    # a base is a table knot's name or a braid word
+    base = parse_braid(base) if ":" in base else knot_by_name(base).word
+    config = SolverConfig(rng_seed=seed)
+    base_report = solve_table(base)[0] if seed == 0 else solve(base, config)
+    report = solve(parse_braid(text), config)
+
+    def census(r):
+        return sorted((c.topology_tag, c.est_dimension) for c in r.components)
+
+    assert census(report) == census(base_report)
     checks = census_checks(report)
     assert [c["name"] for c in checks] == ["census.abelian_dimensions",
                                            "census.binary_dihedral"]

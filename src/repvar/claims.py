@@ -294,10 +294,9 @@ def census_checks(report: SolveReport) -> list[dict]:
     """Check records of a solve report against every reference census of its
     word: that of the table knot with this word, the one abelian S2 and the
     Fox colourings of any knot word, and T(2, n) for a 2-strand word of
-    exponent sum +-n, n >= 1.  A report that none of these covers fails
-    `census.covered`, unless its word acts trivially (`full_variety`), and
-    one with an UNKNOWN component fails `census.unknown_components`,
-    whatever else is checked.
+    exponent sum +-n, n >= 1.  A `full_variety` report gets no check.  One
+    that none of these covers fails `census.covered`, and one with an
+    UNKNOWN component fails `census.unknown_components` besides.
 
     `census.binary_dihedral` counts the nonabelian colouring classes within
     sqrt(DESCENT_TOL) of a distinct RP3 representative (in the solver's
@@ -306,6 +305,8 @@ def census_checks(report: SolveReport) -> list[dict]:
     on a traced loop cannot be located until the report carries its path."""
     from . import invariants, solver  # only a census needs them
 
+    if report.full_variety:
+        return []
     word, comps = report.word, report.components
     tagged = sorted([c.topology_tag, c.est_dimension] for c in comps)
     knot = braid.knot_name(word)
@@ -322,7 +323,7 @@ def census_checks(report: SolveReport) -> list[dict]:
         checks.append(check_record(
             "census.dimensions", "equals",
             sorted(c.est_dimension for c in comps), KNOT_DIMENSIONS[knot]))
-    if is_knot and not report.full_variety:
+    if is_knot:
         checks.append(check_record(
             "census.abelian_dimensions", "equals",
             sorted(c.est_dimension for c in comps if c.is_abelian), [2]))
@@ -355,7 +356,7 @@ def census_checks(report: SolveReport) -> list[dict]:
                          sorted([c.topology_tag, c.est_dimension]
                                 for c in torus)),
             check_record("census.torus_angles", "abs_le", error, 1e-6)]
-    if not checks and not report.full_variety:
+    if not checks:
         checks.append(check_record("census.covered", "equals", False, True))
     unknown = sum(c.topology_tag == "UNKNOWN" for c in comps)
     if unknown:

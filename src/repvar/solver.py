@@ -6,7 +6,7 @@ on the fixed-point equation act(w, g) - g = 0, with a per-seed adaptive
 damping weight and the exact Jacobian in orthonormal tangent coordinates,
 run on each seed until its residual is at rounding level (as the damping
 falls, the step becomes the Gauss-Newton step, so the same loop polishes)
--> orbit groups from one sweep along the first invariant -> dimension and
+-> orbit groups, each the samples near its first -> dimension and
 topology tag per component.  Groups, their representatives (each group's
 first sample) and the component ids follow the order the seeds were drawn
 in, so a knot's planted abelian S2 is component 0.  The equation has one
@@ -21,17 +21,17 @@ rotation orbits and is sampled extremely sparsely in ambient coordinates.
 Seeds are therefore compared in a rotation-invariant embedding (pairwise
 dot products plus signed triple volumes), where each orbit is one point.
 Only a seed the descent polished to rounding level (POLISH_TOL) is a
-sample, and two samples are grouped when their invariants agree within
-sqrt(DESCENT_TOL), i.e. when they lie on one orbit.  The residual bounds a
-sample's distance to the variety only up to a factor 1/sigma_min, the
-smallest nonzero singular value of the fixed-point Jacobian there, so a
-seed kept at a looser residual can sit outside the radius of its own orbit
-and make a group of its own.  A component's dimension is not estimated
-from samples: it is the nullity of the fixed-point Jacobian at the group's
-first seed, read off a clean gap in its singular values.  On a nonabelian
-point a nullity of 4 is one direction more than the orbit; that direction
-is traced, and only a loop that closes makes the groups along it one
-RP3 x S1 component.
+sample, and a sample joins the first group whose first sample's invariants
+agree with its own within sqrt(DESCENT_TOL), i.e. lie on its orbit.  The
+residual bounds a sample's distance to the variety only up to a factor
+1/sigma_min, the smallest nonzero singular value of the fixed-point
+Jacobian there, so a seed kept at a looser residual can sit outside the
+radius of its own orbit and make a group of its own.  A component's
+dimension is not estimated from samples: it is the nullity of the
+fixed-point Jacobian at the group's first seed, read off a clean gap in
+its singular values.  On a nonabelian point a nullity of 4 is one
+direction more than the orbit; that direction is traced, and only a loop
+that closes makes the groups along it one RP3 x S1 component.
 """
 from __future__ import annotations
 
@@ -228,31 +228,19 @@ def invariant_features(pts: np.ndarray) -> np.ndarray:
 
 
 def cluster_indices(features: np.ndarray, link_radius: float) -> list[np.ndarray]:
-    """Connected components of the graph linking points within link_radius,
+    """Groups of points within link_radius of their group's first point,
     each as ascending indices, ordered by smallest index, so the groups
     and each group's first index follow the input order.
 
-    A sweep in order of the first feature tests each point only against the
-    later points at most link_radius (plus a few ulps) above it there: one
-    searchsorted window holds every pair the rounded test accepts.  Linked
-    roots hang on the smallest, and pointer jumping spreads each minimum."""
-    order = np.argsort(features[:, 0], kind="stable")
-    first = features[order, 0]
-    reach = link_radius * (1 + 4 * np.finfo(float).eps)
-    ends = np.searchsorted(first, np.nextafter(first + reach, np.inf), side="right")
-    labels = np.arange(len(features))
-    for start, end in enumerate(ends):
-        near = order[start:end]
-        diff = features[near] - features[near[0]]
-        roots = labels[near[np.sum(diff * diff, axis=-1) <= link_radius**2]]
-        while not np.array_equal(labels[roots], roots):
-            roots = labels[roots]
-        labels[roots] = roots.min()
-    while not np.array_equal(labels[labels], labels):
-        labels = labels[labels]
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(order, starts) if len(order) else []
+    The first point not yet grouped leads a group and takes every ungrouped
+    point within link_radius of it: one pass over the rest per group."""
+    free, groups = np.arange(len(features)), []
+    while len(free):
+        diff = features[free] - features[free[0]]
+        near = np.sum(diff * diff, axis=-1) <= link_radius**2
+        groups.append(free[near])
+        free = free[~near]
+    return groups
 
 
 # --- per-configuration predicates --------------------------------------------
@@ -339,13 +327,18 @@ def _trace_loop(system: FixedPointEquation, start: np.ndarray) -> np.ndarray | N
 
 
 def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport:
+    """The components of the fixed-point variety of `word`, from
+    `config.seeds` seeds.  A seed the descent polishes below POLISH_TOL is a
+    sample; it joins the first group whose first sample is within
+    sqrt(DESCENT_TOL) of it in the rotation invariants, or leads a new one:
+    one group per orbit.  Groups and component ids follow the order the
+    seeds were drawn in.  A word that fixes random configurations acts
+    trivially and gets the full-variety report, with no components; a solve
+    where no seed became a sample, the report "no seeds converged"."""
     rng = np.random.default_rng(config.rng_seed)
     n = word.strands
     system = FixedPointEquation(word)
 
-    # A word that fixes independent random configurations acts trivially:
-    # its variety is the whole product of spheres, and clustering noise
-    # would be meaningless.  Refuse with the full-variety report.
     probe = random_configurations(n, 3, rng)
     if np.all(system.residual(probe) < 1e-20):
         return SolveReport(
@@ -369,8 +362,6 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         return SolveReport(word, (), config.seeds, 0, note="no seeds converged")
 
     feats = invariant_features(survivors)
-    # one group per orbit: a sample's invariants are within about
-    # 1e-12 / sigma_min of its orbit's (see POLISH_TOL)
     groups = cluster_indices(feats, math.sqrt(DESCENT_TOL))
     firsts = np.array([g[0] for g in groups])
     reps = survivors[firsts]

@@ -401,6 +401,27 @@ def radius_components(points: np.ndarray, radius: float) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Leader grouping, one point at a time (J. A. Hartigan, Clustering
+# Algorithms, 1975, ch. 3).
+
+def representative_balls(points: np.ndarray, radius: float) -> list[list[int]]:
+    """Groups of points within radius of their group's leader, each as
+    ascending indices, ordered by smallest index.  Points are read in order:
+    each joins the earliest leader at squared distance <= radius**2, or
+    leads a new group when there is none."""
+    points = np.asarray(points, dtype=float)
+    leaders, groups = [], []
+    for i, p in enumerate(points):
+        near = np.flatnonzero(np.sum((p - points[leaders]) ** 2, axis=1) <= radius**2)
+        if len(near):
+            groups[near[0]].append(i)
+        else:
+            leaders.append(i)
+            groups.append([i])
+    return groups
+
+
+# ---------------------------------------------------------------------------
 # Pfaffian oracles.
 
 def det_float(M) -> float:

@@ -327,16 +327,19 @@ def test_torus_angles_read_rounding_level_at_0_and_pi(n, index, sign):
     assert angles["value"] < 1e-12 and angles["passed"]
 
 
-@pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:"])
+@pytest.mark.parametrize("text", ["3: 1 1", "2: 1 -1", "2:", "1:"])
 def test_a_word_with_no_reference_gets_no_checks(text):
-    # no reference census: the report fails census.covered rather than read
-    # as a pass, unless the word acts trivially and every point is fixed
+    # a word that acts trivially fixes every point: no census to check,
+    # though a 1-strand word's closure is a knot
     report = _solved(parse_braid(text), [])
-    assert claims.census_checks(report) == [{
-        "name": "census.covered", "kind": "equals", "value": False,
-        "expected": True, "passed": False}]
     full = dataclasses.replace(report, components=(), full_variety=True)
     assert claims.census_checks(full) == []
+    # otherwise no reference census: the report fails census.covered
+    # rather than read as a pass
+    if text != "1:":
+        assert claims.census_checks(report) == [{
+            "name": "census.covered", "kind": "equals", "value": False,
+            "expected": True, "passed": False}]
 
 
 def _binary_dihedral(report: SolveReport) -> dict:

@@ -159,6 +159,15 @@ def test_variety_fails_a_census_with_unknown_components(runner, tmp_path):
     assert record["passed"] is False
 
 
+def test_variety_of_a_trivial_knot_word_has_no_checks(runner, tmp_path):
+    # one strand: the word fixes every point, so no census can pass or fail
+    result = _run(runner, tmp_path, ["variety", "--braid", "1:", "--json"])
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output)
+    assert record["results"]["full_variety"] is True
+    assert record["checks"] == [] and record["passed"] is True
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_variety_of_a_rotated_table_word_gets_the_full_census(runner,
                                                               tmp_path, seed):

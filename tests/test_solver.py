@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from repvar import solver
@@ -200,29 +202,40 @@ def test_invariant_features_separate_mirrors():
 
 
 def test_cluster_indices_links_blobs():
+    # each blob spans 0.04 * sqrt(2) = 0.057: within 0.06 of its first point,
+    # but its last point is beyond 0.05 of it and leads a group of its own
     blob1 = np.zeros((5, 2)) + np.linspace(0, 0.04, 5)[:, None]
     blob2 = np.ones((4, 2)) + np.linspace(0, 0.04, 4)[:, None]
     feats = np.concatenate([blob1, blob2])
-    clusters = cluster_indices(feats, link_radius=0.05)
-    sizes = sorted(len(c) for c in clusters)
-    assert sizes == [4, 5]
+    got = [c.tolist() for c in cluster_indices(feats, link_radius=0.06)]
+    assert got == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    got = [c.tolist() for c in cluster_indices(feats, link_radius=0.05)]
+    assert got == [[0, 1, 2, 3], [4], [5, 6, 7], [8]]
     # radius below the intra-blob spacing shatters them
     assert len(cluster_indices(feats, link_radius=1e-4)) == 9
 
 
 def test_cluster_indices_matches_the_component_oracle():
+    # blobs narrower than the radius and further apart than it, as orbits
+    # with a clean gap are: each ball is a whole component
     rng = np.random.default_rng(31)
-    centers = rng.normal(size=(6, 3))
-    blobs = centers[rng.integers(0, 6, size=400)] + 0.1 * rng.normal(size=(400, 3))
-    # a chain with two gaps, shuffled: labels must travel ~500 links
+    centers = 3.0 * np.eye(6)
+    blobs = centers[rng.integers(0, 6, size=400)] + 0.01 * rng.normal(size=(400, 6))
+    for feats, radius in ((blobs, 0.15), (np.zeros((1, 2)), 0.15)):
+        got = [c.tolist() for c in cluster_indices(feats, radius)]
+        assert got == oracles.radius_components(feats, radius)
+        assert got == oracles.representative_balls(feats, radius)
+    assert len(cluster_indices(blobs, 0.15)) == 6
+    # a chain with two gaps, shuffled: three components, but a ball holds a
+    # point and at most its two neighbours
     steps = np.full(1500, 0.01)
     steps[[500, 1100]] = 0.05
     chain = np.stack([np.cumsum(steps), np.zeros(1500)], axis=1)
     chain = chain[rng.permutation(1500)]
-    for feats, radius in ((blobs, 0.15), (chain, 0.015), (np.zeros((1, 2)), 0.15)):
-        got = [c.tolist() for c in cluster_indices(feats, radius)]
-        assert got == oracles.radius_components(feats, radius)
-    assert len(cluster_indices(chain, 0.015)) == 3
+    got = [c.tolist() for c in cluster_indices(chain, 0.015)]
+    assert len(oracles.radius_components(chain, 0.015)) == 3
+    assert got == oracles.representative_balls(chain, 0.015)
+    assert max(map(len, got)) <= 3 and len(got) >= 500
 
 
 def _orbit_regime():
@@ -238,8 +251,9 @@ def _orbit_regime():
     return feats, 1e-6, len(np.unique(orbit))
 
 
-# (features, radius, the expected groups or their number) where a sweep
-# along the first feature could part from the all-pairs graph
+# (features, radius, the expected groups or their number) where grouping
+# by a sort, a window or a chain could part from the ball test of every
+# point against its group's first point
 SWEEP_CASES = {
     # every number here is exact in binary
     "first_features_exactly_the_radius_apart": (
@@ -251,9 +265,11 @@ SWEEP_CASES = {
         np.array([[-0.1, 0.0], [5e-324, 0.0]]), 0.1, [[0, 1]]),
     "near_in_the_first_feature_only": (
         np.array([[0.0, 0.0], [0.1, 1.0]]), 0.5, [[0], [1]]),
+    # a chain of links exactly the radius long: one component, but each
+    # ball holds its first point and the next
     "all_first_features_equal": (
-        np.stack([np.full(300, 0.3), np.random.default_rng(7).uniform(0.0, 3.0, 300)],
-                 axis=1), 0.01, None),
+        np.stack([np.full(300, 0.3), 0.125 * np.arange(300)], axis=1), 0.125,
+        [[k, k + 1] for k in range(0, 300, 2)]),
     "orbit_regime": _orbit_regime(),
 }
 
@@ -262,11 +278,31 @@ SWEEP_CASES = {
 def test_cluster_indices_sweep_keeps_the_all_pairs_graph(case):
     feats, radius, expected = SWEEP_CASES[case]
     got = [c.tolist() for c in cluster_indices(feats, radius)]
-    assert got == oracles.radius_components(feats, radius)
+    assert got == oracles.representative_balls(feats, radius)
     if isinstance(expected, list):
         assert got == expected
-    elif expected is not None:
+    else:
         assert len(got) == expected
+
+
+# points on a grid of step 1/4, so every squared distance and radius**2 is
+# exact in binary, and many pairs sit exactly at the radius
+_grid_points = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40
+).flatmap(lambda pts: st.permutations(pts + pts[: len(pts) // 3]))
+
+
+@given(_grid_points, st.sampled_from([0.25, 0.5, 1.25, 1.5]))
+@settings(max_examples=60, deadline=None)
+@example([], 0.5)
+def test_cluster_indices_puts_each_point_in_the_first_ball_that_holds_it(pts, radius):
+    # a third of the points are drawn twice: duplicates share a group
+    feats = 0.25 * np.array(pts, dtype=float).reshape(-1, 2)
+    groups = [c.tolist() for c in cluster_indices(feats, radius)]
+    assert groups == oracles.representative_balls(feats, radius)
+    group_of = {i: g for g, members in enumerate(groups) for i in members}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        assert pts[i] != pts[j] or group_of[i] == group_of[j]
 
 
 def test_is_singular_config_detects_the_abelian_locus():

@@ -16,9 +16,9 @@ batched 4x4 Laplace expansion of it (`determinants`: the six 2x2 minors of
 rows 0-1 times their complementary minors in rows 2-3), which is both faster
 and closer to the closed forms than a stacked LAPACK `np.linalg.det` on
 matrices this small.  The modulus, junction and winding checks are
-functions of that array of determinants; the contour around the second
-degenerate circle negates every section value, so its determinants are the
-negated array.
+functions of that array of determinants.  The determinants of the contour
+around the second degenerate circle are transcribed as the negation of the
+first contour's, not built from frames of their own.
 
 The first-Chern pairing with the sphere class localizes to the winding
 number of that determinant around 0 -- once per degenerate circle.  Both

@@ -6,9 +6,7 @@ Verbs: ``variety`` (solve a braid closure's trace-free variety),
 Hessian and first-Chern claims are its ``hessian`` and ``chern`` suites).
 Every invocation appends its schema-versioned JSON record, one line of
 compact JSON, to ``records.jsonl`` in the run directory; ``variety`` (its
-census) and ``verify`` exit nonzero iff a check fails.  Flags mirror to
-environment variables with the REPVAR_ prefix (command-qualified, e.g.
-REPVAR_VARIETY_SEEDS); explicit flags win.
+census) and ``verify`` exit nonzero iff a check fails.
 """
 
 from __future__ import annotations
@@ -31,16 +29,6 @@ VERIFY_SUITES = (*claims.SUITES, "all")
 
 
 # --- record plumbing ---------------------------------------------------------
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
 # an append never truncates or overwrites a record another invocation wrote
@@ -69,7 +57,7 @@ def _persist(run_dir: str, command: str, results: dict,
         "passed": all(c["passed"] for c in checks),
     }
     # compact, so that the C encoder writes it (indent selects the Python one)
-    text = json.dumps(record, sort_keys=True, default=_jsonable)
+    text = json.dumps(record, sort_keys=True)
     data = (text + "\n").encode()
     path = os.path.join(run_dir, RECORD_LOG)
     try:
@@ -276,7 +264,7 @@ def verify(ctx, which, seed, trials, as_json, run_dir) -> None:
 
 
 def main() -> None:
-    cli(auto_envvar_prefix="REPVAR")
+    cli()
 
 
 if __name__ == "__main__":

@@ -34,12 +34,6 @@ class LaurentPoly:
     min_exp: int
     coeffs: tuple[int, ...]
 
-    def evaluate(self, t: int) -> Fraction:
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total += Fraction(c) * Fraction(t) ** (self.min_exp + i)
-        return total
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -53,8 +47,10 @@ class LaurentPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def determinant(self) -> int:
-        """|value at t = -1|, odd for a knot; an even value raises."""
-        det = abs(int(self.evaluate(-1)))
+        """|value at t = -1|, odd for a knot; an even value raises.  The
+        unit t^min_exp only signs the value, so the alternating sum of the
+        coefficients is it up to sign."""
+        det = abs(sum(self.coeffs[0::2]) - sum(self.coeffs[1::2]))
         if det % 2 == 0:
             raise InternalError(f"knot determinant {det} is even; Burau chain is broken")
         return det

@@ -373,8 +373,10 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
 
     # a group of nullity 4 on a nonabelian point may be an orbit on an
     # RP3 x S1: trace its extra direction, and if that closes a loop, the
-    # groups within one step of it are that one component
+    # unclaimed groups of nullity 4 within one step of it are that one
+    # component
     owner = np.arange(len(groups))
+    nullity = np.array([dim for dim, _, _ in classes])
     for g, (dim, _, gap) in enumerate(classes):
         if owner[g] != g or dim != 4 or abelian[g] or not _clean(gap):
             continue
@@ -382,7 +384,8 @@ def solve(word: BraidWord, config: SolverConfig = SolverConfig()) -> SolveReport
         if path is not None:
             reach = np.max(np.linalg.norm(np.diff(path, axis=0), axis=-1))
             apart = np.linalg.norm(feats[firsts][:, None] - path, axis=-1)
-            owner[apart.min(axis=1) <= reach] = g
+            owner[(apart.min(axis=1) <= reach) & (nullity == 4)
+                  & (owner == np.arange(len(groups)))] = g
             classes[g] = (dim, "PRODUCT_RP3_S1", gap)
 
     sizes = np.array([len(g) for g in groups])

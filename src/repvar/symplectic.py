@@ -9,7 +9,7 @@ properties that make it usable (braid invariance, vanishing on the
 mirrored-tuple submanifold and its braid images, nondegeneracy on the
 product-one locus), and computes its pairing with the two standard test
 spheres, whose ratio against the first-Chern pairing (measured by
-`repvar.chern` and passed in) is the monotonicity constant pi^2/2.
+`repvar.chern`) is the monotonicity constant pi^2/2.
 """
 from __future__ import annotations
 
@@ -360,24 +360,22 @@ def _monotone_stack(pairs: int, order: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """The form's pairing with the cap-cylinder sphere (``fn_integral``), the
-    first-Chern pairing it is divided by and their ratio, and the largest
-    |form| on the sphere's two caps (``cap_form_max``) and on the
-    adjacent-pair sphere (``gamma_form_max``), where it vanishes."""
+    """The form's pairing with the cap-cylinder sphere (``fn_integral``), and
+    the largest |form| on the sphere's two caps (``cap_form_max``) and on
+    the adjacent-pair sphere (``gamma_form_max``), where it vanishes."""
 
     fn_integral: float
-    chern_pairing: int
-    ratio: float
     gamma_form_max: float
     cap_form_max: float
 
 
-def monotonicity_ratio(c1: int, pairs: int = 2,
+def monotonicity_ratio(pairs: int = 2,
                        quadrature_order: int = 32) -> MonotonicityReport:
-    """Ratio of the form's pairing with the cap-cylinder sphere to its
-    first-Chern pairing ``c1`` (expected pi^2/2), and the largest values of
-    the form on the sphere's caps and on the adjacent-pair sphere (slot 3,
-    sign +1), where the form vanishes, so there is no ratio to take.
+    """The numerator of the monotonicity ratio: the form's pairing with the
+    cap-cylinder sphere (expected -pi^2, which over the first-Chern pairing
+    -2 is pi^2/2), and the largest values of the form on the sphere's caps
+    and on the adjacent-pair sphere (slot 3, sign +1), where the form
+    vanishes, so there is no ratio to take.
 
     The one evaluation of the form, over the charts `_monotone_stack`
     stacks: the integral is the tensor Gauss-Legendre sum over the cylinder
@@ -393,8 +391,6 @@ def monotonicity_ratio(c1: int, pairs: int = 2,
                              values[:grid].reshape(len(w1), -1)))
     return MonotonicityReport(
         fn_integral=fn_val,
-        chern_pairing=c1,
-        ratio=fn_val / c1,
         gamma_form_max=float(np.max(np.abs(values[caps:]))),
         cap_form_max=float(np.max(np.abs(values[grid:caps]))),
     )

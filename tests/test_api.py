@@ -67,3 +67,25 @@ def test_the_solver_names_the_benchmark_binds_exist(monkeypatch):
     pts = random_configurations(2, 8, np.random.default_rng(5))
     solver._levenberg(solver.FixedPointEquation(word), pts)
     assert calls["residual_array"] > 0 and calls["act_array"] > 0, calls
+
+
+def test_the_verify_names_the_benchmark_binds_exist():
+    # perfbench times the verify suites and their kernels through these
+    # module attributes; a name renamed away leaves its span or kernel
+    # unmeasured rather than failing
+    from repvar import braid, chern, hessian, symplectic
+
+    bound = {
+        symplectic: ("monotonicity_ratio", "omega_c_array",
+                     "random_coefficients", "check_braid_invariance",
+                     "check_gamma_lagrangian", "nondegeneracy_rank",
+                     "random_k_points"),
+        braid: ("act_array", "differential_arrays", "knot_by_name",
+                "random_configurations"),
+        hessian: ("pfaffian", "integer_determinant", "build_hprime",
+                  "build_hessian", "signature"),
+        chern: ("winding_number", "modulus_deviation"),
+    }
+    for module, names in bound.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)

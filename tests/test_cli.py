@@ -1,4 +1,4 @@
-"""Command-line surface: verbs, reports on disk, exit codes, env overrides."""
+"""Command-line surface: verbs, reports on disk, exit codes."""
 from __future__ import annotations
 
 import contextlib
@@ -34,12 +34,10 @@ def runner():
     return CliRunner()
 
 
-def _run(runner, tmp_path, args, env=None):
+def _run(runner, tmp_path, args):
     return runner.invoke(
         cli,
         [*args, "--run-dir", str(tmp_path)],
-        env=env,
-        auto_envvar_prefix="REPVAR",
         catch_exceptions=False,
     )
 
@@ -210,16 +208,6 @@ def test_variety_requires_exactly_one_word(runner, tmp_path):
     assert both.exit_code == 2
 
 
-def test_variety_env_var_overrides_seeds(runner, tmp_path):
-    result = _run(
-        runner, tmp_path, ["variety", "--name", "3_1", "--json"],
-        env={"REPVAR_VARIETY_SEEDS": "96"},
-    )
-    assert result.exit_code == 0
-    record = json.loads(result.output)
-    assert record["config"]["seeds"] == 96
-
-
 def test_variety_is_deterministic(runner, tmp_path):
     args = ["variety", "--braid", "2: 1 1 1 1 1", "--seeds", "128", "--json"]
     r1 = json.loads(_run(runner, tmp_path, args).output)
@@ -343,6 +331,17 @@ def test_verify_rejects_unknown_suite(runner, tmp_path):
 
 def test_the_commands_are_variety_invariants_and_verify():
     assert sorted(cli.commands) == ["invariants", "variety", "verify"]
+
+
+def test_environment_variables_set_no_option(tmp_path):
+    # flags are the one channel: the entry point reads no REPVAR_ variable
+    done = subprocess.run(
+        [sys.executable, "-m", "repvar.cli", "verify", "hessian", "--json",
+         "--run-dir", str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC, "REPVAR_VERIFY_TRIALS": "7"})
+    trials = next(p for p in cli.commands["verify"].params if p.name == "trials")
+    assert json.loads(done.stdout)["config"]["trials"] == trials.default
 
 
 def test_report_commands_do_not_read_an_earlier_run_s_memos(

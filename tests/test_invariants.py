@@ -25,16 +25,19 @@ from repvar.invariants import (
     two_bridge_prediction,
     validate_knot_table,
 )
-from repvar.su2 import circle_point
+from repvar.su2 import InternalError, circle_point
 
 
 # --- the result type --------------------------------------------------------------
 
 
-def test_evaluate_is_exact_rational():
-    p = LaurentPoly(-2, (1, 0, 3))  # t^-2 + 3
-    assert p.evaluate(2) == Fraction(13, 4)
-    assert p.evaluate(-1) == 4
+def test_determinant_is_the_absolute_value_at_minus_one():
+    # t^-1 + 1 + 3t at t = -1 is -3; the unit t^-1 only signs it
+    assert LaurentPoly(-1, (1, 1, 3)).determinant() == 3
+    assert LaurentPoly(0, (1, 1, 3)).determinant() == 3
+    # t^-2 + 3 at t = -1 is 4: no knot has an even determinant
+    with pytest.raises(InternalError, match="even"):
+        LaurentPoly(-2, (1, 0, 3)).determinant()
 
 
 def test_text_format():
@@ -178,7 +181,7 @@ def test_alexander_of_the_unknot_is_one():
 def test_alexander_normalization_and_symmetry():
     for entry in load_knot_table().values():
         poly = alexander(entry.word)
-        assert poly.evaluate(1) == 1
+        assert sum(poly.coeffs) == 1  # the value at t = 1
         assert poly.min_exp == 0
         assert poly.coeffs == poly.coeffs[::-1]
 

@@ -518,9 +518,13 @@ def test_gate_solves_are_polished_well_inside_the_gap(solve_table):
             assert comp.null_gap[0] <= NULL_TOL * 1e-4, (word, comp)
 
 
-def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):
-    # the S1 factor is traced, not read off the nullity: one loop closes,
-    # and its component holds every surviving seed of nullity 4
+@pytest.mark.parametrize("text, loops", [
+    ("3: 1 1 1 -2 -2 -2", 1), ("3: 1 1 1 2 2 2", 1), ("3: 1 1 1 2 2 2 2 2", 2),
+], ids=["square", "granny", "3_1#5_1"])
+def test_rp3_x_s1_loops_hold_every_survivor_of_nullity_4(monkeypatch, text,
+                                                          loops):
+    # the S1 factor is traced, not read off the nullity: each trace closes a
+    # loop, and the loops' components hold every surviving seed of nullity 4
     survivors, paths = [], []
 
     def features(pts):
@@ -533,19 +537,33 @@ def test_square_rp3_x_s1_is_one_closed_loop(monkeypatch):
 
     monkeypatch.setattr(solver, "invariant_features", features)
     monkeypatch.setattr(solver, "_trace_loop", trace)
-    word = knot_by_name("square").word
+    word = parse_braid(text)
     report = solve(word)
-    [path] = paths
-    steps = np.linalg.norm(np.diff(path, axis=0), axis=-1)
-    assert len(path) > 3 and np.linalg.norm(path[-1] - path[0]) <= steps.max()
+    assert len(paths) == loops
+    for path in paths:
+        steps = np.linalg.norm(np.diff(path, axis=0), axis=-1)
+        assert len(path) > 3 and np.linalg.norm(path[-1] - path[0]) <= steps.max()
     pts = survivors[0]
     assert len(pts) == report.seeds_converged
     jac, _ = FixedPointEquation(word).jacobian(pts, *tangent_basis(pts))
     sv = np.linalg.svd(jac, compute_uv=False)
     nullity = np.count_nonzero(sv < NULL_TOL * sv[:, :1], axis=1)
-    [loop] = [c for c in report.components if c.topology_tag == "PRODUCT_RP3_S1"]
-    assert loop.sample_count == np.count_nonzero(nullity == 4)
+    held = [c.sample_count for c in report.components
+            if c.topology_tag == "PRODUCT_RP3_S1"]
+    assert len(held) == loops
+    assert sum(held) == np.count_nonzero(nullity == 4)
     assert "UNKNOWN" not in [c.topology_tag for c in report.components]
+
+
+def test_a_loop_leaves_the_borromean_groups_of_nullity_3_unknown():
+    # a traced loop takes only groups of nullity 4 that no loop holds yet,
+    # so the orbits of nullity 3 beside the Borromean rings' loops keep
+    # their UNKNOWN tag, and the census fails them
+    report = solve(parse_braid("3: 1 -2 1 -2 1 -2"))
+    unknown = [c for c in report.components if c.topology_tag == "UNKNOWN"]
+    assert unknown and {c.est_dimension for c in unknown} == {3}
+    failed = [c["name"] for c in census_checks(report) if not c["passed"]]
+    assert "census.unknown_components" in failed
 
 
 def _clean_intersection_dimension(word, g):

@@ -270,13 +270,13 @@ def _sphere_form_maxima(pairs, a, u, v):
 
 
 def test_degree_one_pairing_is_minus_pi_squared():
-    val = monotonicity_ratio(-2, pairs=2).fn_integral
+    val = monotonicity_ratio(pairs=2).fn_integral
     assert abs(val + PI_SQ) < 1e-8
     # quadrature refinement does not move the value
-    refined = monotonicity_ratio(-2, pairs=2, quadrature_order=64).fn_integral
+    refined = monotonicity_ratio(pairs=2, quadrature_order=64).fn_integral
     assert abs(refined - val) < 1e-9
     # and the pairing does not depend on the number of pairs
-    assert abs(monotonicity_ratio(-2, pairs=3).fn_integral + PI_SQ) < 1e-8
+    assert abs(monotonicity_ratio(pairs=3).fn_integral + PI_SQ) < 1e-8
 
 
 def test_cylinder_integrand_is_constant_minus_half():
@@ -288,7 +288,7 @@ def test_cylinder_integrand_is_constant_minus_half():
 
 
 def test_integrand_agrees_with_independent_quadrature():
-    got = monotonicity_ratio(-2, pairs=2, quadrature_order=24).fn_integral
+    got = monotonicity_ratio(pairs=2, quadrature_order=24).fn_integral
     # chart domain: the first angle runs over half a turn, the second over
     # a full one
     want = oracles.gauss_legendre_2d(
@@ -351,10 +351,10 @@ def test_caps_and_adjacent_pair_spheres_vanish_at_random_points():
 
 
 def test_monotonicity_report():
-    report = monotonicity_ratio(claims.Measurements().chern_pairing, pairs=2)
+    report = monotonicity_ratio(pairs=2)
     assert abs(report.fn_integral + PI_SQ) < 1e-8
-    assert report.chern_pairing == -2
-    assert abs(report.ratio - PI_SQ / 2.0) < 1e-6
+    ratio = report.fn_integral / claims.Measurements().chern_pairing
+    assert abs(ratio - PI_SQ / 2.0) < 1e-6
     assert report.gamma_form_max < 1e-12
     assert report.cap_form_max < 1e-12
 
@@ -365,14 +365,13 @@ def test_monotonicity_report_reads_what_each_chart_alone_measures(pairs):
     # evaluation per chart, each built from its sphere class: the cylinder
     # on the tensor Gauss-Legendre grid, each cap, and the adjacent-pair
     # sphere at slot 3, sign +1, at the lattice points
-    report = monotonicity_ratio(-2, pairs=pairs)
+    report = monotonicity_ratio(pairs=pairs)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     values = _cylinder_integrand(pairs, 0.5 * math.pi * (nodes[:, None] + 1.0),
                                  math.pi * (nodes[None, :] + 1.0))
     fn_integral = float(np.einsum("i,j,ij->", 0.5 * math.pi * weights,
                                   math.pi * weights, values))
     assert report.fn_integral == fn_integral
-    assert report.ratio == fn_integral / -2
     a, u, v = _sphere_points(SPHERE_SAMPLES)
     assert report.cap_form_max == max(_sphere_form_maxima(pairs, a, u, v)[:2])
     sphere = AdjacentPairSphere(3, 1, pairs)
